@@ -6,13 +6,6 @@ type _ Effect.t += Suspend : ((unit -> unit) -> unit) -> unit Effect.t
 
 exception Process_exit
 
-(* [owner] attributes the event to the process (by spawn name) whose
-   execution scheduled it: continuations keep their process's name, plain
-   [schedule] callbacks and anonymous spawns inherit the scheduler's.
-   Costs one immediate field per event; the per-name table below is only
-   touched when profiling is on. *)
-type event = { time : float; seq : int; owner : string; run : unit -> unit }
-
 type pstat = {
   mutable p_runs : int;
   mutable p_holds : int;
@@ -35,40 +28,49 @@ type profile = {
   pr_per_process : process_profile list;
 }
 
+(* Pending events live in one of two lanes.
+
+   - The heap holds events after the current instant: a binary min-heap on
+     (time, seq) over parallel arrays, times unboxed in a [Float.Array.t].
+   - The ring holds events at exactly the current instant, in scheduling
+     order: every wake, every spawn at now and every zero-length hold.
+
+   A heap event at [time = clock] was scheduled before the clock reached
+   that instant, so its seq is below that of every ring entry; popping the
+   heap while its top is at [clock], and the ring otherwise, is therefore
+   exactly (time, seq) order.
+
+   Each event carries its [owner]: the process (by spawn name) whose
+   execution scheduled it.  Continuations keep their process's name, plain
+   [schedule] callbacks and anonymous spawns inherit the scheduler's; the
+   per-name table below is only touched when profiling is on. *)
 type t = {
-  heap : event Heap.t;
+  mutable h_time : Float.Array.t;
+  mutable h_seq : int array;
+  mutable h_owner : string array;
+  mutable h_run : (unit -> unit) array;
+  mutable h_len : int;
+  mutable r_owner : string array;
+  mutable r_run : (unit -> unit) array;
+  mutable r_head : int;
+  mutable r_len : int;  (* ring capacity is a power of two *)
   mutable clock : float;
+      (* boxed and written only when time advances, so [now] never
+         allocates *)
   mutable seq : int;
   mutable executed : int;
   mutable spawned : int;
   mutable stopping : bool;
   mutable holds : int;
   mutable wakes : int;
-  mutable heap_hwm : int;
+  mutable heap_hwm : int;  (* pending events in both lanes *)
   mutable profiling : bool;
   mutable current : string;  (* owner of the event being executed *)
   pstats : (string, pstat) Hashtbl.t;
+  mutable handler : (unit, unit) handler;
 }
 
-let compare_event a b =
-  let c = Float.compare a.time b.time in
-  if c <> 0 then c else Int.compare a.seq b.seq
-
-let create () =
-  {
-    heap = Heap.create ~cmp:compare_event;
-    clock = 0.0;
-    seq = 0;
-    executed = 0;
-    spawned = 0;
-    stopping = false;
-    holds = 0;
-    wakes = 0;
-    heap_hwm = 0;
-    profiling = false;
-    current = "";
-    pstats = Hashtbl.create 32;
-  }
+let nop () = ()
 
 let now t = t.clock
 let events_executed t = t.executed
@@ -109,90 +111,277 @@ let profile t =
     pr_per_process = per;
   }
 
+(* ---- future lane: the heap ---- *)
+
+let[@inline] before (t1 : float) (s1 : int) t2 s2 =
+  t1 < t2 || (t1 = t2 && s1 < s2)
+
+let grow_heap t =
+  let cap = Array.length t.h_seq in
+  let ncap = if cap = 0 then 16 else 2 * cap in
+  let time = Float.Array.create ncap in
+  Float.Array.blit t.h_time 0 time 0 cap;
+  t.h_time <- time;
+  let extend a fill =
+    let b = Array.make ncap fill in
+    Array.blit a 0 b 0 cap;
+    b
+  in
+  t.h_seq <- extend t.h_seq 0;
+  t.h_owner <- extend t.h_owner "";
+  t.h_run <- extend t.h_run nop
+
+(* Opens a hole at the end, moves it up until (time, seq) fits there, then
+   fills it. *)
+let heap_push t time seq owner run =
+  if t.h_len = Array.length t.h_seq then grow_heap t;
+  let ht = t.h_time and hs = t.h_seq and ho = t.h_owner and hr = t.h_run in
+  let i = ref t.h_len in
+  t.h_len <- t.h_len + 1;
+  let moving = ref true in
+  while !moving && !i > 0 do
+    let p = (!i - 1) lsr 1 in
+    if before time seq (Float.Array.unsafe_get ht p) (Array.unsafe_get hs p)
+    then begin
+      Float.Array.unsafe_set ht !i (Float.Array.unsafe_get ht p);
+      Array.unsafe_set hs !i (Array.unsafe_get hs p);
+      Array.unsafe_set ho !i (Array.unsafe_get ho p);
+      Array.unsafe_set hr !i (Array.unsafe_get hr p);
+      i := p
+    end
+    else moving := false
+  done;
+  Float.Array.unsafe_set ht !i time;
+  Array.unsafe_set hs !i seq;
+  Array.unsafe_set ho !i owner;
+  Array.unsafe_set hr !i run
+
+(* Removes the top (the caller has read it): the last element drops into
+   the hole at the root and sinks to its place.  The vacated slot is
+   cleared so it does not keep a finished process reachable. *)
+let heap_remove_top t =
+  let n = t.h_len - 1 in
+  t.h_len <- n;
+  let ht = t.h_time and hs = t.h_seq and ho = t.h_owner and hr = t.h_run in
+  let time = Float.Array.unsafe_get ht n and seq = Array.unsafe_get hs n in
+  let owner = Array.unsafe_get ho n and run = Array.unsafe_get hr n in
+  Array.unsafe_set ho n "";
+  Array.unsafe_set hr n nop;
+  if n > 0 then begin
+    let i = ref 0 in
+    let moving = ref true in
+    while !moving do
+      let l = (2 * !i) + 1 in
+      if l >= n then moving := false
+      else begin
+        let r = l + 1 in
+        let c =
+          if
+            r < n
+            && before (Float.Array.unsafe_get ht r) (Array.unsafe_get hs r)
+                 (Float.Array.unsafe_get ht l) (Array.unsafe_get hs l)
+          then r
+          else l
+        in
+        if before (Float.Array.unsafe_get ht c) (Array.unsafe_get hs c) time seq
+        then begin
+          Float.Array.unsafe_set ht !i (Float.Array.unsafe_get ht c);
+          Array.unsafe_set hs !i (Array.unsafe_get hs c);
+          Array.unsafe_set ho !i (Array.unsafe_get ho c);
+          Array.unsafe_set hr !i (Array.unsafe_get hr c);
+          i := c
+        end
+        else moving := false
+      end
+    done;
+    Float.Array.unsafe_set ht !i time;
+    Array.unsafe_set hs !i seq;
+    Array.unsafe_set ho !i owner;
+    Array.unsafe_set hr !i run
+  end
+
+(* ---- same-instant lane: the ring ---- *)
+
+let ring_push t owner run =
+  let cap = Array.length t.r_run in
+  if t.r_len = cap then begin
+    let ncap = if cap = 0 then 16 else 2 * cap in
+    let unroll a fill =
+      Array.init ncap (fun k ->
+          if k < t.r_len then a.((t.r_head + k) land (cap - 1)) else fill)
+    in
+    t.r_owner <- unroll t.r_owner "";
+    t.r_run <- unroll t.r_run nop;
+    t.r_head <- 0
+  end;
+  let k = (t.r_head + t.r_len) land (Array.length t.r_run - 1) in
+  Array.unsafe_set t.r_owner k owner;
+  Array.unsafe_set t.r_run k run;
+  t.r_len <- t.r_len + 1
+
+(* Drops the ring's head (the caller has read it), clearing its slot. *)
+let[@inline] ring_drop_head t =
+  let k = t.r_head in
+  Array.unsafe_set t.r_owner k "";
+  Array.unsafe_set t.r_run k nop;
+  t.r_head <- (k + 1) land (Array.length t.r_run - 1);
+  t.r_len <- t.r_len - 1
+
+(* Moves the ring into the heap at the current instant, in FIFO order and
+   behind every heap event at that instant — where (time, seq) order puts
+   them.  Needed only when [run ~until] moves the clock back. *)
+let spill_ring t =
+  while t.r_len > 0 do
+    let owner = t.r_owner.(t.r_head) and run = t.r_run.(t.r_head) in
+    ring_drop_head t;
+    t.seq <- t.seq + 1;
+    heap_push t t.clock t.seq owner run
+  done
+
 let schedule_owned t ~owner ~at fn =
-  if at < t.clock then
+  if not (at >= t.clock) then
     invalid_arg
-      (Printf.sprintf "Engine.schedule: at=%g is before now=%g" at t.clock);
-  t.seq <- t.seq + 1;
-  Heap.add t.heap { time = at; seq = t.seq; owner; run = fn };
-  let s = Heap.size t.heap in
+      (if Float.is_nan at then "Engine.schedule: at is NaN"
+       else Printf.sprintf "Engine.schedule: at=%g is before now=%g" at t.clock);
+  if at = t.clock then ring_push t owner fn
+  else begin
+    t.seq <- t.seq + 1;
+    heap_push t at t.seq owner fn
+  end;
+  let s = t.h_len + t.r_len in
   if s > t.heap_hwm then t.heap_hwm <- s
 
 let schedule t ~at fn = schedule_owned t ~owner:t.current ~at fn
 
-(* The handler is deep, so it stays installed across every resumption of the
+(* The handler is deep, so it stays installed across every resumption of a
    process: [Hold] reschedules the continuation later in time and [Suspend]
    hands a one-shot resumer to user code (conditions, mailboxes, ...).
    Both effects are handled synchronously during the process's event, so
-   [t.current] is the performing process and names its continuations. *)
-let spawn t ?at ?name body =
-  let at = Option.value at ~default:t.clock in
-  t.spawned <- t.spawned + 1;
-  let owner = match name with Some n -> n | None -> t.current in
-  let handler =
-    {
-      retc = (fun () -> ());
-      exnc = (function Process_exit -> () | e -> raise e);
-      effc =
-        (fun (type a) (eff : a Effect.t) ->
-          match eff with
-          | Hold d ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  if d < 0.0 then
-                    discontinue k (Invalid_argument "Engine.hold: negative")
-                  else begin
-                    t.holds <- t.holds + 1;
-                    let me = t.current in
-                    if t.profiling then begin
-                      let p = pstat t me in
-                      p.p_holds <- p.p_holds + 1;
-                      p.p_hold_time <- p.p_hold_time +. d
-                    end;
-                    schedule_owned t ~owner:me ~at:(t.clock +. d) (fun () ->
-                        continue k ())
-                  end)
-          | Suspend register ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  let resumed = ref false in
+   [t.current] is the performing process and names its continuations; the
+   handler needs nothing else from the process, so one serves them all. *)
+let make_handler t =
+  {
+    retc = (fun () -> ());
+    exnc = (function Process_exit -> () | e -> raise e);
+    effc =
+      (fun (type a) (eff : a Effect.t) ->
+        match eff with
+        | Hold d ->
+            Some
+              (fun (k : (a, unit) continuation) ->
+                if not (d >= 0.0) then
+                  discontinue k
+                    (Invalid_argument
+                       (if Float.is_nan d then "Engine.hold: NaN"
+                        else "Engine.hold: negative"))
+                else begin
+                  t.holds <- t.holds + 1;
                   let me = t.current in
-                  let resume () =
-                    if !resumed then
-                      invalid_arg "Engine: process resumed twice";
-                    resumed := true;
-                    t.wakes <- t.wakes + 1;
-                    schedule_owned t ~owner:me ~at:t.clock (fun () ->
-                        continue k ())
-                  in
-                  register resume)
-          | _ -> None);
+                  if t.profiling then begin
+                    let p = pstat t me in
+                    p.p_holds <- p.p_holds + 1;
+                    p.p_hold_time <- p.p_hold_time +. d
+                  end;
+                  schedule_owned t ~owner:me ~at:(t.clock +. d) (fun () ->
+                      continue k ())
+                end)
+        | Suspend register ->
+            Some
+              (fun (k : (a, unit) continuation) ->
+                let resumed = ref false in
+                let me = t.current in
+                let resume () =
+                  if !resumed then invalid_arg "Engine: process resumed twice";
+                  resumed := true;
+                  t.wakes <- t.wakes + 1;
+                  schedule_owned t ~owner:me ~at:t.clock (fun () ->
+                      continue k ())
+                in
+                register resume)
+        | _ -> None);
+  }
+
+let create () =
+  let t =
+    {
+      h_time = Float.Array.create 0;
+      h_seq = [||];
+      h_owner = [||];
+      h_run = [||];
+      h_len = 0;
+      r_owner = [||];
+      r_run = [||];
+      r_head = 0;
+      r_len = 0;
+      clock = 0.0;
+      seq = 0;
+      executed = 0;
+      spawned = 0;
+      stopping = false;
+      holds = 0;
+      wakes = 0;
+      heap_hwm = 0;
+      profiling = false;
+      current = "";
+      pstats = Hashtbl.create 32;
+      handler = { retc = Fun.id; exnc = raise; effc = (fun _ -> None) };
     }
   in
-  schedule_owned t ~owner ~at (fun () -> match_with body () handler)
+  t.handler <- make_handler t;
+  t
+
+let spawn t ?at ?name body =
+  let at = match at with Some a -> a | None -> t.clock in
+  t.spawned <- t.spawned + 1;
+  let owner = match name with Some n -> n | None -> t.current in
+  schedule_owned t ~owner ~at (fun () -> match_with body () t.handler)
+
+let[@inline] execute t owner run =
+  t.executed <- t.executed + 1;
+  t.current <- owner;
+  if t.profiling then begin
+    let p = pstat t owner in
+    p.p_runs <- p.p_runs + 1
+  end;
+  run ()
+
+(* The next event is at [clock] but past [limit] only when [until] lies
+   behind the clock: the clock moves back and the ring, no longer at the
+   current instant, joins the heap. *)
+let stop_at t limit =
+  spill_ring t;
+  t.clock <- limit
 
 let run t ?until () =
-  let limit = Option.value until ~default:Float.infinity in
+  let limit = match until with Some l -> l | None -> Float.infinity in
   t.stopping <- false;
   let rec loop () =
     if t.stopping then ()
-    else
-      match Heap.peek t.heap with
-      | None -> ()
-      | Some ev when ev.time > limit -> t.clock <- limit
-      | Some _ -> (
-          match Heap.pop t.heap with
-          | None -> ()
-          | Some ev ->
-              t.clock <- ev.time;
-              t.executed <- t.executed + 1;
-              t.current <- ev.owner;
-              if t.profiling then begin
-                let p = pstat t ev.owner in
-                p.p_runs <- p.p_runs + 1
-              end;
-              ev.run ();
-              loop ())
+    else if
+      t.h_len > 0
+      && (t.r_len = 0 || Float.Array.unsafe_get t.h_time 0 = t.clock)
+    then begin
+      let time = Float.Array.unsafe_get t.h_time 0 in
+      if time > limit then stop_at t limit
+      else begin
+        let owner = Array.unsafe_get t.h_owner 0
+        and run = Array.unsafe_get t.h_run 0 in
+        heap_remove_top t;
+        if time <> t.clock then t.clock <- time;
+        execute t owner run;
+        loop ()
+      end
+    end
+    else if t.r_len > 0 then begin
+      if t.clock > limit then stop_at t limit
+      else begin
+        let owner = Array.unsafe_get t.r_owner t.r_head
+        and run = Array.unsafe_get t.r_run t.r_head in
+        ring_drop_head t;
+        execute t owner run;
+        loop ()
+      end
+    end
   in
   loop ();
   t.current <- "";

@@ -7,8 +7,18 @@
     the only two primitive effects, and everything else (conditions,
     mailboxes, facilities) is built on top of them.
 
-    The simulation is single-threaded and deterministic: events scheduled
-    at equal times fire in scheduling (FIFO) order. *)
+    The simulation is single-threaded and deterministic: events fire in
+    (time, seq) order, where seq is the scheduling order, so events
+    scheduled at equal times fire first-in first-out.
+
+    Pending events wait in one of two lanes.  Events at exactly the
+    current time — every resume, every spawn at now, every zero-length
+    hold — go to a FIFO ring and cost O(1).  Later events go to a binary
+    min-heap on (time, seq) and cost O(log pending).  A heap event due now
+    was scheduled before the clock reached now, so it precedes every ring
+    entry: [run] takes the heap's top while it is due now and the ring's
+    head otherwise, which is exactly (time, seq) order.  [run] allocates
+    nothing per event beyond the boxed clock when time advances. *)
 
 type t
 
@@ -27,7 +37,7 @@ val processes_spawned : t -> int
 (** {1 Profiling}
 
     The engine always keeps its cheap global counters (events, spawns,
-    holds, wakes, event-heap high-water mark).  {!enable_profiling}
+    holds, wakes, pending-event high-water mark).  {!enable_profiling}
     additionally attributes every executed event to the process that
     scheduled it — by the [?name] given at {!spawn}; unnamed processes
     inherit the name of the process whose execution spawned them — which
@@ -47,7 +57,9 @@ type profile = {
   pr_spawned : int;
   pr_holds : int;
   pr_wakes : int;  (** suspend-resume completions *)
-  pr_heap_hwm : int;  (** event-heap high-water mark *)
+  pr_heap_hwm : int;
+      (** pending-event high-water mark: the most events ever waiting at
+          once, in the heap and the ring together *)
   pr_per_process : process_profile list;
       (** sorted by [pp_runs] descending then name; empty unless
           {!enable_profiling} was called before the run *)
@@ -60,11 +72,13 @@ val profile : t -> profile
 
 (** [spawn t ?at ?name body] creates a process executing [body] starting at
     time [at] (default: now).  Exceptions escaping [body] abort the whole
-    simulation run: they propagate out of {!run}. *)
+    simulation run: they propagate out of {!run}.  Raises
+    [Invalid_argument] as {!schedule} does for a bad [at]. *)
 val spawn : t -> ?at:float -> ?name:string -> (unit -> unit) -> unit
 
 (** [schedule t ~at fn] runs the plain callback [fn] at time [at].  The
-    callback must not perform process effects; use {!spawn} for that. *)
+    callback must not perform process effects; use {!spawn} for that.
+    Raises [Invalid_argument] when [at] is before now or NaN. *)
 val schedule : t -> at:float -> (unit -> unit) -> unit
 
 (** [run t ?until ()] executes events in time order until the event queue
@@ -82,7 +96,8 @@ val stop : t -> unit
     {!spawn} (they perform effects handled by the engine). *)
 
 (** Advance this process's local view of time by [dt] simulated seconds.
-    [dt] must be non-negative. *)
+    [dt] must be non-negative and not NaN; otherwise [Invalid_argument]
+    is raised in the process and propagates out of {!run}. *)
 val hold : float -> unit
 
 (** [suspend register] blocks the calling process.  [register] is called

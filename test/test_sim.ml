@@ -9,53 +9,6 @@ let check_float ?eps msg expected actual =
     Alcotest.failf "%s: expected %g, got %g" msg expected actual
 
 (* ------------------------------------------------------------------ *)
-(* Heap                                                                *)
-(* ------------------------------------------------------------------ *)
-
-let test_heap_order () =
-  let h = Heap.create ~cmp:Int.compare in
-  List.iter (Heap.add h) [ 5; 3; 8; 1; 9; 2; 7; 4; 6; 0 ];
-  let out = ref [] in
-  let rec drain () =
-    match Heap.pop h with
-    | None -> ()
-    | Some x ->
-        out := x :: !out;
-        drain ()
-  in
-  drain ();
-  Alcotest.(check (list int)) "sorted" [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ]
-    (List.rev !out)
-
-let test_heap_empty () =
-  let h = Heap.create ~cmp:Int.compare in
-  Alcotest.(check bool) "empty" true (Heap.is_empty h);
-  Alcotest.(check (option int)) "pop none" None (Heap.pop h);
-  Alcotest.(check (option int)) "peek none" None (Heap.peek h)
-
-let test_heap_interleaved () =
-  let h = Heap.create ~cmp:Int.compare in
-  Heap.add h 3;
-  Heap.add h 1;
-  Alcotest.(check (option int)) "peek min" (Some 1) (Heap.peek h);
-  Alcotest.(check (option int)) "pop min" (Some 1) (Heap.pop h);
-  Heap.add h 0;
-  Alcotest.(check (option int)) "pop new min" (Some 0) (Heap.pop h);
-  Alcotest.(check (option int)) "pop last" (Some 3) (Heap.pop h);
-  Alcotest.(check bool) "empty again" true (Heap.is_empty h)
-
-let prop_heap_sorts =
-  QCheck.Test.make ~name:"heap drains any int list sorted" ~count:200
-    QCheck.(list int)
-    (fun xs ->
-      let h = Heap.create ~cmp:Int.compare in
-      List.iter (Heap.add h) xs;
-      let rec drain acc =
-        match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
-      in
-      drain [] = List.sort Int.compare xs)
-
-(* ------------------------------------------------------------------ *)
 (* Engine basics                                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -653,6 +606,228 @@ let test_hold_negative_rejected () =
   Alcotest.check_raises "negative hold" (Invalid_argument "Engine.hold: negative")
     (fun () -> ignore (Engine.run eng ()))
 
+(* A NaN hold used to be accepted: [Float.compare] sorted the event first,
+   so the process ran "at nan" ahead of one holding 5.0, and the clock
+   became NaN. *)
+let test_hold_nan_rejected () =
+  let eng = Engine.create () in
+  let seen = ref [] in
+  Engine.spawn eng (fun () ->
+      Engine.hold 5.0;
+      seen := Printf.sprintf "B at %g" (Engine.now eng) :: !seen);
+  Engine.spawn eng (fun () ->
+      Engine.hold Float.nan;
+      seen := Printf.sprintf "A at %g" (Engine.now eng) :: !seen);
+  Alcotest.check_raises "NaN hold" (Invalid_argument "Engine.hold: NaN")
+    (fun () -> ignore (Engine.run eng ()));
+  Alcotest.(check (list string)) "nothing ran at NaN" [] !seen;
+  check_float "clock stays a number" 0.0 (Engine.now eng)
+
+let test_schedule_nan_rejected () =
+  let eng = Engine.create () in
+  Alcotest.check_raises "NaN schedule"
+    (Invalid_argument "Engine.schedule: at is NaN") (fun () ->
+      Engine.schedule eng ~at:Float.nan (fun () -> ()));
+  Alcotest.check_raises "NaN spawn"
+    (Invalid_argument "Engine.schedule: at is NaN") (fun () ->
+      Engine.spawn eng ~at:Float.nan (fun () -> ()));
+  Alcotest.(check int) "nothing pending" 0 (Engine.profile eng).Engine.pr_heap_hwm
+
+(* ------------------------------------------------------------------ *)
+(* Event order: differential test against a reference queue            *)
+(* ------------------------------------------------------------------ *)
+
+(* A random program is a set of process scripts plus a sequence of [run]
+   calls.  It executes once on the engine and once on a reference that
+   keeps pending events in one list sorted by (time, seq) — the order the
+   engine promises.  Times are multiples of 0.5, so equal-time ties, zero
+   holds and [~until] landing exactly on an event are common; [~until]
+   may also lie behind the clock, which moves it back. *)
+type step =
+  | Hold of float
+  | Spawn of float option * step list  (** child at now or now + offset *)
+  | Schedule of float  (** plain callback at now + offset *)
+  | Suspend  (** block until some process runs [Wake_all] *)
+  | Wake_all  (** resume every blocked process, at this instant *)
+  | Stop
+
+type program = {
+  procs : (float option * step list) list;  (** spawned before the first run *)
+  runs : float option list;  (** [run ?until] calls, then one final [run ()] *)
+}
+
+let rec pp_step = function
+  | Hold d -> Printf.sprintf "Hold %g" d
+  | Spawn (at, s) ->
+      Printf.sprintf "Spawn(%s, %s)"
+        (match at with None -> "now" | Some o -> Printf.sprintf "+%g" o)
+        (pp_script s)
+  | Schedule o -> Printf.sprintf "Schedule +%g" o
+  | Suspend -> "Suspend"
+  | Wake_all -> "Wake_all"
+  | Stop -> "Stop"
+
+and pp_script s = "[" ^ String.concat "; " (List.map pp_step s) ^ "]"
+
+let pp_program p =
+  Printf.sprintf "procs=[%s] runs=[%s]"
+    (String.concat "; "
+       (List.map
+          (fun (at, s) ->
+            Printf.sprintf "%s %s"
+              (match at with None -> "now" | Some t -> Printf.sprintf "@%g" t)
+              (pp_script s))
+          p.procs))
+    (String.concat "; "
+       (List.map
+          (function None -> "run" | Some u -> Printf.sprintf "until %g" u)
+          p.runs))
+
+let gen_program =
+  let open QCheck.Gen in
+  let time = map (fun k -> 0.5 *. float_of_int k) (int_range 0 4) in
+  let hold = oneof [ return 0.0; time ] in
+  let rec script depth =
+    list_size (int_range 0 6)
+      (frequency
+         ([
+            (4, map (fun d -> Hold d) hold);
+            (2, map (fun o -> Schedule o) hold);
+            (2, return Suspend);
+            (2, return Wake_all);
+            (1, return Stop);
+          ]
+         @
+         if depth = 0 then []
+         else [ (2, map2 (fun at s -> Spawn (at, s)) (opt hold) (script (depth - 1))) ]))
+  in
+  map2
+    (fun procs runs -> { procs; runs })
+    (list_size (int_range 1 4) (pair (opt time) (script 2)))
+    (list_size (int_range 0 4) (opt (map (fun k -> 0.5 *. float_of_int k) (int_range 0 12))))
+
+(* An observation: who ran (process or callback id, step index; -1 marks a
+   script's end) and at what time. *)
+type trace = {
+  log : (int * int * float) list;
+  clocks : float list;  (** what each [run] returned *)
+  hwm : int;
+}
+
+let run_engine p =
+  let eng = Engine.create () in
+  let log = ref [] and ids = ref 0 and blocked = ref [] in
+  let note id i = log := (id, i, Engine.now eng) :: !log in
+  let fresh () = incr ids; !ids in
+  let rec spawn_proc at steps =
+    let id = fresh () in
+    Engine.spawn eng ?at (fun () ->
+        List.iteri
+          (fun i step ->
+            note id i;
+            match step with
+            | Hold d -> Engine.hold d
+            | Spawn (o, s) ->
+                spawn_proc (Option.map (fun o -> Engine.now eng +. o) o) s
+            | Schedule o ->
+                let cid = fresh () in
+                Engine.schedule eng ~at:(Engine.now eng +. o) (fun () -> note cid 0)
+            | Suspend -> Engine.suspend (fun r -> blocked := r :: !blocked)
+            | Wake_all ->
+                let rs = List.rev !blocked in
+                blocked := [];
+                List.iter (fun r -> r ()) rs
+            | Stop -> Engine.stop eng)
+          steps;
+        note id (-1))
+  in
+  List.iter (fun (at, s) -> spawn_proc at s) p.procs;
+  let clocks =
+    List.map (fun until -> Engine.run eng ?until ()) (p.runs @ [ None ])
+  in
+  { log = List.rev !log; clocks; hwm = (Engine.profile eng).Engine.pr_heap_hwm }
+
+(* The reference: the same semantics in continuation-passing style over a
+   list sorted by (time, seq). *)
+let run_reference p =
+  let clock = ref 0.0 and seq = ref 0 and pending = ref [] and hwm = ref 0 in
+  let stopping = ref false in
+  let log = ref [] and ids = ref 0 and blocked = ref [] in
+  let note id i = log := (id, i, !clock) :: !log in
+  let fresh () = incr ids; !ids in
+  let schedule at fn =
+    incr seq;
+    let ev = (at, !seq, fn) in
+    let rec insert = function
+      | ((t, s, _) as e) :: rest when compare (t, s) (at, !seq) < 0 -> e :: insert rest
+      | rest -> ev :: rest
+    in
+    pending := insert !pending;
+    hwm := max !hwm (List.length !pending)
+  in
+  let rec resume id i steps =
+    match steps with
+    | [] -> note id (-1)
+    | step :: rest -> (
+        note id i;
+        let next () = resume id (i + 1) rest in
+        match step with
+        | Hold d -> schedule (!clock +. d) next
+        | Spawn (o, s) ->
+            spawn_proc (match o with None -> !clock | Some o -> !clock +. o) s;
+            next ()
+        | Schedule o ->
+            let cid = fresh () in
+            schedule (!clock +. o) (fun () -> note cid 0);
+            next ()
+        | Suspend -> blocked := (fun () -> schedule !clock next) :: !blocked
+        | Wake_all ->
+            let rs = List.rev !blocked in
+            blocked := [];
+            List.iter (fun r -> r ()) rs;
+            next ()
+        | Stop ->
+            stopping := true;
+            next ())
+  and spawn_proc at steps =
+    let id = fresh () in
+    schedule at (fun () -> resume id 0 steps)
+  in
+  List.iter
+    (fun (at, s) -> spawn_proc (Option.value at ~default:!clock) s)
+    p.procs;
+  let run until =
+    let limit = Option.value until ~default:Float.infinity in
+    stopping := false;
+    let rec loop () =
+      if not !stopping then
+        match !pending with
+        | [] -> ()
+        | (t, _, _) :: _ when t > limit -> clock := limit
+        | (t, _, fn) :: rest ->
+            pending := rest;
+            clock := t;
+            fn ();
+            loop ()
+    in
+    loop ();
+    !clock
+  in
+  let clocks = List.map run (p.runs @ [ None ]) in
+  { log = List.rev !log; clocks; hwm = !hwm }
+
+let prop_engine_matches_reference =
+  QCheck.Test.make ~name:"engine order matches reference"
+    ~count:500
+    (QCheck.make ~print:pp_program gen_program)
+    (fun p ->
+      let e = run_engine p and r = run_reference p in
+      if e.log <> r.log then QCheck.Test.fail_report "execution order differs";
+      if e.clocks <> r.clocks then QCheck.Test.fail_report "run clocks differ";
+      if e.hwm <> r.hwm then
+        QCheck.Test.fail_reportf "pending high-water %d, reference %d" e.hwm r.hwm;
+      true)
+
 (* ------------------------------------------------------------------ *)
 (* Profiling                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -670,8 +845,8 @@ let test_profile_global_counters () =
     p.Engine.pr_events;
   Alcotest.(check int) "spawned" 4 p.Engine.pr_spawned;
   Alcotest.(check int) "holds" 8 p.Engine.pr_holds;
-  (* all four spawn events sit in the heap before any runs *)
-  Alcotest.(check int) "heap high-water" 4 p.Engine.pr_heap_hwm;
+  (* all four spawn events are pending before any runs *)
+  Alcotest.(check int) "pending-event high-water" 4 p.Engine.pr_heap_hwm;
   (* per-process attribution is off unless enabled *)
   Alcotest.(check int) "no per-process rows" 0
     (List.length p.Engine.pr_per_process)
@@ -864,13 +1039,6 @@ let test_pool_default_jobs_positive () =
 
 let suites =
   [
-    ( "heap",
-      [
-        case "drains sorted" test_heap_order;
-        case "empty ops" test_heap_empty;
-        case "interleaved add/pop" test_heap_interleaved;
-      ] );
-    qsuite "heap-props" [ prop_heap_sorts ];
     ( "engine",
       [
         case "hold advances clock" test_hold_advances_clock;
@@ -883,10 +1051,13 @@ let suites =
         case "exception propagates" test_engine_exception_propagates;
         case "event and process counts" test_engine_counts;
         case "negative hold rejected" test_hold_negative_rejected;
+        case "NaN hold rejected" test_hold_nan_rejected;
+        case "NaN schedule rejected" test_schedule_nan_rejected;
         case "profile global counters" test_profile_global_counters;
         case "profile per process" test_profile_per_process;
         case "profile name inherited" test_profile_name_inherited;
       ] );
+    qsuite "engine-props" [ prop_engine_matches_reference ];
     ( "condition",
       [
         case "signal then broadcast" test_condition_signal;
