@@ -528,6 +528,7 @@ let () =
                   w_events = c.sw_events;
                   w_wall_s = c.sw_wall_s;
                   w_heap_hwm = c.sw_heap_hwm;
+                  w_live_words_per_client = Some c.sw_live_words_per_client;
                 })
               sweep_cells;
           s_shard = !shard_cells;

@@ -16,21 +16,26 @@ type t = {
   faulty : bool; (* [Fault.Plan.active fault]: arms timeouts, leases, retries *)
   frng : Sim.Rng.t; (* crash/restart stream, split off the plan seed *)
   cport : Proto.port;
+  (* Every per-client table below, and the cache pool's page index, is
+     allocated on its first insert ([Sim.Lazy_tbl]) and reset in place
+     after that: at thousands of clients most have yet to hear their first
+     reply, and eager tables were about 70% of the live heap.  Fold order
+     is the same as with eager tables, so messages and the audit are too. *)
   cache_pool : Storage.Lru_pool.t;
-  vers : (int, int) Hashtbl.t; (* cached page -> version of our copy *)
+  vers : (int, int) Sim.Lazy_tbl.t; (* cached page -> version of our copy *)
   inbox_mb : (int * Proto.s2c) Sim.Mailbox.t;
   reply_box : (int * Proto.s2c) Sim.Mailbox.t;
   (* per-transaction state *)
   mutable xid : int;
   mutable seq : int;
   mutable in_xact : bool;
-  locked : (int, Proto.lock_kind) Hashtbl.t; (* accessed/locked by current *)
-  checked : (int, int) Hashtbl.t; (* cert: page -> version read *)
-  dirty : (int, unit) Hashtbl.t;
-  acquired : (int, unit) Hashtbl.t; (* callback: locks first taken this xact *)
-  retained : (int, Proto.lock_kind) Hashtbl.t; (* callback: retained locks *)
-  pending_cb : (int, unit) Hashtbl.t; (* callbacks deferred to xact end *)
-  read_snap : (int, int) Hashtbl.t; (* locking: page -> version first read *)
+  locked : (int, Proto.lock_kind) Sim.Lazy_tbl.t; (* accessed/locked by current *)
+  checked : (int, int) Sim.Lazy_tbl.t; (* cert: page -> version read *)
+  dirty : (int, unit) Sim.Lazy_tbl.t;
+  acquired : (int, unit) Sim.Lazy_tbl.t; (* callback: locks first taken this xact *)
+  retained : (int, Proto.lock_kind) Sim.Lazy_tbl.t; (* callback: retained locks *)
+  pending_cb : (int, unit) Sim.Lazy_tbl.t; (* callbacks deferred to xact end *)
+  read_snap : (int, int) Sim.Lazy_tbl.t; (* locking: page -> version first read *)
   mutable contacted : bool; (* sent any xact-scoped message this attempt *)
   mutable abort_flag : bool;
   mutable abort_stale : int list;
@@ -94,19 +99,19 @@ let create ?audit ?(fault = Fault.Plan.none) ?(down_gauge = ref 0) eng ~id
     frng = Fault.Injector.client_stream fault id;
     cport = { Proto.cpu; mips = cfg.Sys_params.client_mips };
     cache_pool = Storage.Lru_pool.create ~capacity:cfg.Sys_params.cache_size;
-    vers = Hashtbl.create 256;
+    vers = Sim.Lazy_tbl.create 256;
     inbox_mb = Sim.Mailbox.create eng;
     reply_box = Sim.Mailbox.create eng;
     xid = -1;
     seq = 0;
     in_xact = false;
-    locked = Hashtbl.create 64;
-    checked = Hashtbl.create 64;
-    dirty = Hashtbl.create 64;
-    acquired = Hashtbl.create 64;
-    retained = Hashtbl.create 256;
-    pending_cb = Hashtbl.create 16;
-    read_snap = Hashtbl.create 64;
+    locked = Sim.Lazy_tbl.create 64;
+    checked = Sim.Lazy_tbl.create 64;
+    dirty = Sim.Lazy_tbl.create 64;
+    acquired = Sim.Lazy_tbl.create 64;
+    retained = Sim.Lazy_tbl.create 256;
+    pending_cb = Sim.Lazy_tbl.create 16;
+    read_snap = Sim.Lazy_tbl.create 64;
     contacted = false;
     abort_flag = false;
     abort_stale = [];
@@ -135,7 +140,7 @@ let cache t = t.cache_pool
 let commits t = t.n_commits
 let restarts t = t.n_restarts
 let cpu_utilization t = Sim.Facility.utilization t.cport.Proto.cpu
-let retained_count t = Hashtbl.length t.retained
+let retained_count t = Sim.Lazy_tbl.length t.retained
 
 let reset_stats t =
   Sim.Facility.reset_stats t.cport.Proto.cpu;
@@ -215,17 +220,17 @@ let sp_crash t =
 
 let drop_page t page =
   ignore (Storage.Lru_pool.remove t.cache_pool page);
-  Hashtbl.remove t.vers page
+  Sim.Lazy_tbl.remove t.vers page
 
 let on_evict t (v : Storage.Lru_pool.victim) =
-  Hashtbl.remove t.vers v.Storage.Lru_pool.page;
+  Sim.Lazy_tbl.remove t.vers v.Storage.Lru_pool.page;
   if v.Storage.Lru_pool.dirty then
     (* cannot happen while current-transaction pages are pinned, but keep
        the §3.3.3 protocol: updated pages swapped out go to the server *)
     t.to_server ~parent:t.cz_parent ~retry:0
       (Proto.Dirty_evict { client = t.id; xid = t.xid; page = v.Storage.Lru_pool.page })
-  else if is_callback t && Hashtbl.mem t.retained v.Storage.Lru_pool.page then begin
-    Hashtbl.remove t.retained v.Storage.Lru_pool.page;
+  else if is_callback t && Sim.Lazy_tbl.mem t.retained v.Storage.Lru_pool.page then begin
+    Sim.Lazy_tbl.remove t.retained v.Storage.Lru_pool.page;
     t.to_server ~parent:t.cz_parent ~retry:0
       (Proto.Release_retained { client = t.id; pages = [ v.Storage.Lru_pool.page ] })
   end
@@ -234,7 +239,7 @@ let cache_insert t page ~version =
   (match Storage.Lru_pool.insert t.cache_pool page ~dirty:false with
   | None -> ()
   | Some v -> on_evict t v);
-  Hashtbl.replace t.vers page version;
+  Sim.Lazy_tbl.replace t.vers page version;
   Storage.Lru_pool.pin t.cache_pool page
 
 let touch_and_pin t page =
@@ -242,7 +247,7 @@ let touch_and_pin t page =
   Storage.Lru_pool.pin t.cache_pool page
 
 let cached_version t page =
-  if Storage.Lru_pool.mem t.cache_pool page then Hashtbl.find_opt t.vers page
+  if Storage.Lru_pool.mem t.cache_pool page then Sim.Lazy_tbl.find_opt t.vers page
   else None
 
 let fetch_pages_of t pages =
@@ -253,25 +258,25 @@ let fetch_pages_of t pages =
 (* ------------------------------------------------------------------ *)
 
 let handle_callback_request t ctx page =
-  if t.in_xact && Hashtbl.mem t.locked page then
+  if t.in_xact && Sim.Lazy_tbl.mem t.locked page then
     (* in use by the current transaction: release when it terminates *)
-    Hashtbl.replace t.pending_cb page ()
+    Sim.Lazy_tbl.replace t.pending_cb page ()
   else begin
-    Hashtbl.remove t.retained page;
+    Sim.Lazy_tbl.remove t.retained page;
     t.to_server ~parent:ctx ~retry:0
       (Proto.Callback_reply { client = t.id; page })
   end
 
 let handle_push t page version =
-  if not (Hashtbl.mem t.dirty page) then
+  if not (Sim.Lazy_tbl.mem t.dirty page) then
     if Storage.Lru_pool.mem t.cache_pool page then begin
       ignore (Storage.Lru_pool.insert t.cache_pool page ~dirty:false);
-      Hashtbl.replace t.vers page version
+      Sim.Lazy_tbl.replace t.vers page version
     end
 (* else: wasted push — we no longer cache the page *)
 
 let handle_invalidate t page =
-  if not (Hashtbl.mem t.dirty page) then drop_page t page
+  if not (Sim.Lazy_tbl.mem t.dirty page) then drop_page t page
 
 let handle_async t ctx = function
   | Proto.Callback_request { page } -> handle_callback_request t ctx page
@@ -304,8 +309,8 @@ let handle_async t ctx = function
 let handle_server_restart t ctx =
   (match t.algo with
   | Proto.Callback ->
-      Hashtbl.reset t.retained;
-      Hashtbl.reset t.pending_cb
+      Sim.Lazy_tbl.reset t.retained;
+      Sim.Lazy_tbl.reset t.pending_cb
   | Proto.Two_phase _ | Proto.Certification _ | Proto.No_wait _ -> ());
   let awaiting_commit =
     match t.last_req with
@@ -317,7 +322,7 @@ let handle_server_restart t ctx =
   | Proto.Two_phase _ | Proto.Callback | Proto.No_wait _ ->
       if
         t.in_xact
-        && (t.contacted || Hashtbl.length t.locked > 0)
+        && (t.contacted || Sim.Lazy_tbl.length t.locked > 0)
         && not awaiting_commit
       then begin
         t.abort_flag <- true;
@@ -545,9 +550,9 @@ let record_lookups t ~total ~misses =
 let snap_reads t pages =
   List.iter
     (fun p ->
-      if not (Hashtbl.mem t.read_snap p) then
-        match Hashtbl.find_opt t.vers p with
-        | Some v -> Hashtbl.add t.read_snap p v
+      if not (Sim.Lazy_tbl.mem t.read_snap p) then
+        match Sim.Lazy_tbl.find_opt t.vers p with
+        | Some v -> Sim.Lazy_tbl.replace t.read_snap p v
         | None -> ())
     pages
 
@@ -564,15 +569,15 @@ let check_lease t =
     && t.fault.Fault.Plan.lease > 0.0
     && Sim.Engine.now t.eng > t.lease_deadline
   then begin
-    let pages = Hashtbl.fold (fun p _ acc -> p :: acc) t.retained [] in
+    let pages = Sim.Lazy_tbl.fold (fun p _ acc -> p :: acc) t.retained [] in
     if pages <> [] then begin
-      Hashtbl.reset t.retained;
-      Hashtbl.reset t.pending_cb;
+      Sim.Lazy_tbl.reset t.retained;
+      Sim.Lazy_tbl.reset t.pending_cb;
       Metrics.record_lease_lapse t.metrics;
       (* best effort; the server may already have reclaimed them *)
       t.to_server ~parent:t.cz_parent ~retry:0
         (Proto.Release_retained { client = t.id; pages });
-      if t.in_xact && Hashtbl.length t.locked > 0 then raise Restart
+      if t.in_xact && Sim.Lazy_tbl.length t.locked > 0 then raise Restart
     end
   end
 
@@ -595,7 +600,7 @@ let pin_resident t pages =
 
 let read_locking t pages ~no_wait_ok =
   pin_resident t pages;
-  let need = List.filter (fun p -> not (Hashtbl.mem t.locked p)) pages in
+  let need = List.filter (fun p -> not (Sim.Lazy_tbl.mem t.locked p)) pages in
   record_lookups t ~total:(List.length pages) ~misses:(List.length need);
   if need <> [] then begin
     let all_cached = List.for_all (fun p -> cached_version t p <> None) need in
@@ -632,7 +637,7 @@ let read_locking t pages ~no_wait_ok =
             need
       | _ -> assert false
     end;
-    List.iter (fun p -> Hashtbl.replace t.locked p Proto.Read) need;
+    List.iter (fun p -> Sim.Lazy_tbl.replace t.locked p Proto.Read) need;
     snap_reads t need
   end;
   let needed = page_set need in
@@ -647,7 +652,7 @@ let read_callback t pages =
   check_lease t;
   pin_resident t pages;
   let local p =
-    (Hashtbl.mem t.retained p || Hashtbl.mem t.locked p)
+    (Sim.Lazy_tbl.mem t.retained p || Sim.Lazy_tbl.mem t.locked p)
     && Storage.Lru_pool.mem t.cache_pool p
   in
   let need = List.filter (fun p -> not (local p)) pages in
@@ -658,8 +663,8 @@ let read_callback t pages =
        the very lock the in-flight fetch relies on *)
     List.iter
       (fun p ->
-        if Hashtbl.find_opt t.locked p <> Some Proto.Write then
-          Hashtbl.replace t.locked p Proto.Read)
+        if Sim.Lazy_tbl.find_opt t.locked p <> Some Proto.Write then
+          Sim.Lazy_tbl.replace t.locked p Proto.Read)
       need;
     send_xact_msg t
       (Proto.Fetch
@@ -681,9 +686,9 @@ let read_callback t pages =
     | _ -> assert false);
     List.iter
       (fun p ->
-        if not (Hashtbl.mem t.retained p) then begin
-          Hashtbl.replace t.retained p Proto.Read;
-          Hashtbl.replace t.acquired p ()
+        if not (Sim.Lazy_tbl.mem t.retained p) then begin
+          Sim.Lazy_tbl.replace t.retained p Proto.Read;
+          Sim.Lazy_tbl.replace t.acquired p ()
         end)
       need
   end;
@@ -691,8 +696,8 @@ let read_callback t pages =
   List.iter
     (fun p ->
       (* don't forget a write lock we already hold on a re-read *)
-      if Hashtbl.find_opt t.locked p <> Some Proto.Write then
-        Hashtbl.replace t.locked p Proto.Read;
+      if Sim.Lazy_tbl.find_opt t.locked p <> Some Proto.Write then
+        Sim.Lazy_tbl.replace t.locked p Proto.Read;
       if not (Hashtbl.mem needed p) then touch_and_pin t p)
     pages;
   snap_reads t pages;
@@ -702,7 +707,7 @@ let read_callback t pages =
    transaction (§2.2); no locks, so no asynchronous aborts either *)
 let read_certification t pages =
   pin_resident t pages;
-  let need = List.filter (fun p -> not (Hashtbl.mem t.checked p)) pages in
+  let need = List.filter (fun p -> not (Sim.Lazy_tbl.mem t.checked p)) pages in
   record_lookups t ~total:(List.length pages) ~misses:(List.length need);
   if need <> [] then begin
     send_xact_msg t
@@ -718,8 +723,8 @@ let read_certification t pages =
     | _ -> assert false);
     List.iter
       (fun p ->
-        match Hashtbl.find_opt t.vers p with
-        | Some v -> Hashtbl.replace t.checked p v
+        match Sim.Lazy_tbl.find_opt t.vers p with
+        | Some v -> Sim.Lazy_tbl.replace t.checked p v
         | None -> assert false)
       need
   end;
@@ -743,14 +748,14 @@ let mark_dirty t pages =
   List.iter
     (fun p ->
       Storage.Lru_pool.set_dirty t.cache_pool p true;
-      Hashtbl.replace t.dirty p ())
+      Sim.Lazy_tbl.replace t.dirty p ())
     pages
 
 let update_object t pages =
   if t.algo = Proto.Callback then check_lease t;
   let have_x p =
-    Hashtbl.find_opt t.locked p = Some Proto.Write
-    || (is_callback t && Hashtbl.find_opt t.retained p = Some Proto.Write)
+    Sim.Lazy_tbl.find_opt t.locked p = Some Proto.Write
+    || (is_callback t && Sim.Lazy_tbl.find_opt t.retained p = Some Proto.Write)
   in
   let need_x = List.filter (fun p -> not (have_x p)) pages in
   (* count update permissions served locally (retained write locks) *)
@@ -759,7 +764,7 @@ let update_object t pages =
       List.iter
         (fun p ->
           Metrics.record_lookup t.metrics
-            ~hit:(Hashtbl.find_opt t.retained p = Some Proto.Write))
+            ~hit:(Sim.Lazy_tbl.find_opt t.retained p = Some Proto.Write))
         pages
   | Proto.Two_phase _ | Proto.Certification _ | Proto.No_wait _ -> ());
   (match t.algo with
@@ -794,7 +799,7 @@ let update_object t pages =
                pages = fetch_pages_of t need_x;
                no_wait = true;
              }));
-  List.iter (fun p -> Hashtbl.replace t.locked p Proto.Write) need_x;
+  List.iter (fun p -> Sim.Lazy_tbl.replace t.locked p Proto.Write) need_x;
   snap_reads t need_x;
   mark_dirty t pages;
   check_abort t
@@ -803,23 +808,23 @@ let update_object t pages =
 (* Commit / abort                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let dirty_pages t = Hashtbl.fold (fun p () acc -> p :: acc) t.dirty []
+let dirty_pages t = Sim.Lazy_tbl.fold (fun p () acc -> p :: acc) t.dirty []
 
 let apply_new_versions t new_versions =
   List.iter
     (fun (p, v) ->
       if Storage.Lru_pool.mem t.cache_pool p then begin
-        Hashtbl.replace t.vers p v;
+        Sim.Lazy_tbl.replace t.vers p v;
         Storage.Lru_pool.set_dirty t.cache_pool p false
       end)
     new_versions
 
 let clear_xact_state t =
-  Hashtbl.reset t.locked;
-  Hashtbl.reset t.checked;
-  Hashtbl.reset t.dirty;
-  Hashtbl.reset t.acquired;
-  Hashtbl.reset t.read_snap;
+  Sim.Lazy_tbl.reset t.locked;
+  Sim.Lazy_tbl.reset t.checked;
+  Sim.Lazy_tbl.reset t.dirty;
+  Sim.Lazy_tbl.reset t.acquired;
+  Sim.Lazy_tbl.reset t.read_snap;
   Storage.Lru_pool.unpin_all t.cache_pool;
   t.contacted <- false;
   t.abort_flag <- false;
@@ -836,9 +841,9 @@ let record_audit t ~new_versions =
       let reads =
         match t.algo with
         | Proto.Certification _ ->
-            Hashtbl.fold (fun p v acc -> (p, v) :: acc) t.checked []
+            Sim.Lazy_tbl.fold (fun p v acc -> (p, v) :: acc) t.checked []
         | Proto.Two_phase _ | Proto.Callback | Proto.No_wait _ ->
-            Hashtbl.fold (fun p v acc -> (p, v) :: acc) t.read_snap []
+            Sim.Lazy_tbl.fold (fun p v acc -> (p, v) :: acc) t.read_snap []
       in
       Cc.History.add_commit history
         { Cc.History.xid = t.xid; reads; writes = new_versions }
@@ -875,9 +880,9 @@ let commit t =
       let read_set =
         match t.algo with
         | Proto.No_wait _ when t.faulty ->
-            Hashtbl.fold (fun p v acc -> (p, v) :: acc) t.read_snap []
+            Sim.Lazy_tbl.fold (fun p v acc -> (p, v) :: acc) t.read_snap []
         | Proto.Two_phase _ when srv_crashes ->
-            Hashtbl.fold (fun p v acc -> (p, v) :: acc) t.read_snap []
+            Sim.Lazy_tbl.fold (fun p v acc -> (p, v) :: acc) t.read_snap []
         | _ -> []
       in
       let ok, new_versions, stale =
@@ -890,7 +895,7 @@ let commit t =
       record_audit t ~new_versions;
       apply_new_versions t new_versions
   | Proto.Certification _ ->
-      let read_set = Hashtbl.fold (fun p v acc -> (p, v) :: acc) t.checked [] in
+      let read_set = Sim.Lazy_tbl.fold (fun p v acc -> (p, v) :: acc) t.checked [] in
       let ok, new_versions, stale = send_commit t ~read_set ~update_pages:updates ~release_pages:[] in
       if not ok then begin
         List.iter (drop_page t) stale;
@@ -899,17 +904,17 @@ let commit t =
       record_audit t ~new_versions;
       apply_new_versions t new_versions
   | Proto.Callback ->
-      let release_pages = Hashtbl.fold (fun p () acc -> p :: acc) t.pending_cb [] in
+      let release_pages = Sim.Lazy_tbl.fold (fun p () acc -> p :: acc) t.pending_cb [] in
       (* a read-only commit served entirely from retained locks must still
          contact the server when the server can crash: the retained locks
          may be void (wiped by a crash whose restart notice was dropped),
          and only server-side revalidation can tell *)
-      let must_validate = srv_crashes && Hashtbl.length t.read_snap > 0 in
+      let must_validate = srv_crashes && Sim.Lazy_tbl.length t.read_snap > 0 in
       if t.contacted || updates <> [] || release_pages <> [] || must_validate
       then begin
         let read_set =
           if srv_crashes then
-            Hashtbl.fold (fun p v acc -> (p, v) :: acc) t.read_snap []
+            Sim.Lazy_tbl.fold (fun p v acc -> (p, v) :: acc) t.read_snap []
           else []
         in
         let ok, new_versions, stale =
@@ -918,8 +923,8 @@ let commit t =
         if not ok then begin
           (* failed revalidation: the server released every lock we held,
              retained ones included — forget them and re-acquire *)
-          Hashtbl.reset t.retained;
-          Hashtbl.reset t.pending_cb;
+          Sim.Lazy_tbl.reset t.retained;
+          Sim.Lazy_tbl.reset t.pending_cb;
           List.iter (drop_page t) stale;
           raise Restart
         end;
@@ -929,8 +934,8 @@ let commit t =
       else record_audit t ~new_versions:[];
       List.iter
         (fun p ->
-          Hashtbl.remove t.retained p;
-          Hashtbl.remove t.pending_cb p)
+          Sim.Lazy_tbl.remove t.retained p;
+          Sim.Lazy_tbl.remove t.pending_cb p)
         release_pages;
       (* locks on updated pages survive the commit: as writes if the
          retain-writes extension is on, downgraded to reads otherwise
@@ -942,15 +947,15 @@ let commit t =
       let released = page_set release_pages in
       List.iter
         (fun p ->
-          if not (Hashtbl.mem released p) then Hashtbl.replace t.retained p mode)
+          if not (Hashtbl.mem released p) then Sim.Lazy_tbl.replace t.retained p mode)
         updates;
       (* callbacks that arrived while the commit was in flight missed
          [release_pages]; the transaction is over, honour them now *)
-      let late = Hashtbl.fold (fun p () acc -> p :: acc) t.pending_cb [] in
+      let late = Sim.Lazy_tbl.fold (fun p () acc -> p :: acc) t.pending_cb [] in
       List.iter
         (fun p ->
-          Hashtbl.remove t.pending_cb p;
-          Hashtbl.remove t.retained p;
+          Sim.Lazy_tbl.remove t.pending_cb p;
+          Sim.Lazy_tbl.remove t.retained p;
           t.to_server ~parent:t.cz_parent ~retry:0
             (Proto.Callback_reply { client = t.id; page = p }))
         late
@@ -965,15 +970,15 @@ let abort_cleanup t =
      this attempt touched, or the restart keeps tripping over the next
      stale copy one abort at a time (optimistic livelock). *)
   if t.abort_stale <> [] && t.cfg.Sys_params.stale_drop_all then
-    Hashtbl.iter (fun p _ -> drop_page t p) t.locked;
+    Sim.Lazy_tbl.iter (fun p _ -> drop_page t p) t.locked;
   List.iter (drop_page t) (dirty_pages t);
   if is_callback t then begin
-    Hashtbl.iter (fun p () -> Hashtbl.remove t.retained p) t.acquired;
-    let pending = Hashtbl.fold (fun p () acc -> p :: acc) t.pending_cb [] in
+    Sim.Lazy_tbl.iter (fun p () -> Sim.Lazy_tbl.remove t.retained p) t.acquired;
+    let pending = Sim.Lazy_tbl.fold (fun p () acc -> p :: acc) t.pending_cb [] in
     List.iter
       (fun p ->
-        Hashtbl.remove t.retained p;
-        Hashtbl.remove t.pending_cb p;
+        Sim.Lazy_tbl.remove t.retained p;
+        Sim.Lazy_tbl.remove t.pending_cb p;
         t.to_server ~parent:t.cz_parent ~retry:0
           (Proto.Callback_reply { client = t.id; page = p }))
       pending
@@ -1018,7 +1023,7 @@ let begin_attempt t =
   if not (Proto.inter_caching t.algo) then begin
     (* intra-transaction caching: the whole cache is invalid at BeginXact *)
     Storage.Lru_pool.clear t.cache_pool;
-    Hashtbl.reset t.vers
+    Sim.Lazy_tbl.reset t.vers
   end
 
 (* ------------------------------------------------------------------ *)
@@ -1046,14 +1051,14 @@ let crash_cleanup t =
     Trace.emit (Sim.Engine.now t.eng) (Trace.Client_crash { client = t.id });
   Storage.Lru_pool.unpin_all t.cache_pool;
   Storage.Lru_pool.clear t.cache_pool;
-  Hashtbl.reset t.vers;
-  Hashtbl.reset t.locked;
-  Hashtbl.reset t.checked;
-  Hashtbl.reset t.dirty;
-  Hashtbl.reset t.acquired;
-  Hashtbl.reset t.retained;
-  Hashtbl.reset t.pending_cb;
-  Hashtbl.reset t.read_snap;
+  Sim.Lazy_tbl.reset t.vers;
+  Sim.Lazy_tbl.reset t.locked;
+  Sim.Lazy_tbl.reset t.checked;
+  Sim.Lazy_tbl.reset t.dirty;
+  Sim.Lazy_tbl.reset t.acquired;
+  Sim.Lazy_tbl.reset t.retained;
+  Sim.Lazy_tbl.reset t.pending_cb;
+  Sim.Lazy_tbl.reset t.read_snap;
   Queue.clear t.deferred;
   t.contacted <- false;
   t.abort_flag <- false;
@@ -1187,14 +1192,14 @@ let start t =
 let crashed t = t.crashed
 
 let cached_versions t =
-  Hashtbl.fold
+  Sim.Lazy_tbl.fold
     (fun p v acc ->
       if Storage.Lru_pool.mem t.cache_pool p then (p, v) :: acc else acc)
     t.vers []
 
 let debug_state t =
-  let keys h = Hashtbl.fold (fun k _ acc -> string_of_int k :: acc) h [] |> String.concat "," in
+  let keys h = Sim.Lazy_tbl.fold (fun k _ acc -> string_of_int k :: acc) h [] |> String.concat "," in
   Printf.sprintf
     "client %d: in_xact=%b xid=%d contacted=%b abort=%b locked=[%s] dirty=[%s] retained=%d pending_cb=[%s] commits=%d restarts=%d"
     t.id t.in_xact t.xid t.contacted t.abort_flag (keys t.locked) (keys t.dirty)
-    (Hashtbl.length t.retained) (keys t.pending_cb) t.n_commits t.n_restarts
+    (Sim.Lazy_tbl.length t.retained) (keys t.pending_cb) t.n_commits t.n_restarts

@@ -1,11 +1,11 @@
 (* Population-scalability sweep: run the same fixed-contention workload at
    growing client populations and report how fast the simulator itself
-   ran — engine events per wall-clock second and the event-heap high-water
-   mark — rather than any paper metric.  The commit target is fixed per
-   cell, and the server's MPL bounds concurrent transactions, so the
-   simulated work per cell is roughly constant: any super-linear growth in
-   wall-clock is a per-client cost hiding in a hot path (the bug class
-   this sweep exists to catch).
+   ran — engine events per wall-clock second, the event-heap high-water
+   mark and the live heap per client — rather than any paper metric.  The
+   commit target is fixed per cell, and the server's MPL bounds concurrent
+   transactions, so the simulated work per cell is roughly constant: any
+   super-linear growth in wall-clock is a per-client cost hiding in a hot
+   path (the bug class this sweep exists to catch).
 
    Cells run sequentially and are never cached: each one is timed around
    its own [Simulator.run], so a pool worker co-running another cell can
@@ -18,6 +18,7 @@ type cell = {
   sw_events : int;  (* engine events executed, warmup included *)
   sw_wall_s : float;
   sw_heap_hwm : int;  (* event-heap high-water mark *)
+  sw_live_words_per_client : int;
 }
 
 let events_per_sec c =
@@ -59,9 +60,18 @@ let run ?(progress = fun _ -> ()) ~quick ~seed () =
       List.map
         (fun algo ->
           let spec = cell_spec ~quick ~seed ~n_clients algo in
+          (* the census runs inside [run], while the simulation is still
+             reachable; its full collection is taken out of the wall *)
+          let live_words = ref 0 and census_s = ref 0.0 in
+          let inspect _ _ =
+            let t0 = Unix.gettimeofday () in
+            Gc.full_major ();
+            live_words := (Gc.stat ()).Gc.live_words;
+            census_s := Unix.gettimeofday () -. t0
+          in
           let t0 = Unix.gettimeofday () in
-          let r = Core.Simulator.run spec in
-          let wall = Unix.gettimeofday () -. t0 in
+          let r = Core.Simulator.run ~inspect spec in
+          let wall = Unix.gettimeofday () -. t0 -. !census_s in
           let c =
             {
               sw_clients = n_clients;
@@ -70,6 +80,7 @@ let run ?(progress = fun _ -> ()) ~quick ~seed () =
               sw_events = r.Core.Simulator.events;
               sw_wall_s = wall;
               sw_heap_hwm = heap_hwm r;
+              sw_live_words_per_client = !live_words / n_clients;
             }
           in
           progress c;
@@ -84,21 +95,23 @@ let print fmt cells =
     "   host-performance benchmark (not a paper figure): fixed commit \
      target per cell,@.   so flat events/s across rows means no per-client \
      cost in the per-event hot paths@.";
-  Format.fprintf fmt "   %-8s %-14s %12s %9s %12s %10s %8s@." "clients"
-    "algorithm" "events" "wall_s" "events/s" "heap_hwm" "commits";
+  Format.fprintf fmt "   %-8s %-14s %12s %9s %12s %10s %12s %8s@." "clients"
+    "algorithm" "events" "wall_s" "events/s" "heap_hwm" "words/client"
+    "commits";
   List.iter
     (fun c ->
-      Format.fprintf fmt "   %-8d %-14s %12d %9.2f %12.0f %10d %8d@."
+      Format.fprintf fmt "   %-8d %-14s %12d %9.2f %12.0f %10d %12d %8d@."
         c.sw_clients c.sw_algo c.sw_events c.sw_wall_s (events_per_sec c)
-        c.sw_heap_hwm c.sw_commits)
+        c.sw_heap_hwm c.sw_live_words_per_client c.sw_commits)
     cells
 
 let csv cells =
-  "clients,algorithm,events,wall_s,events_per_sec,heap_hwm,commits"
+  "clients,algorithm,events,wall_s,events_per_sec,heap_hwm,\
+   live_words_per_client,commits"
   :: List.map
        (fun c ->
-         Printf.sprintf "%d,%s,%d,%.4f,%.1f,%d,%d" c.sw_clients
+         Printf.sprintf "%d,%s,%d,%.4f,%.1f,%d,%d,%d" c.sw_clients
            (Report.csv_field c.sw_algo)
            c.sw_events c.sw_wall_s (events_per_sec c) c.sw_heap_hwm
-           c.sw_commits)
+           c.sw_live_words_per_client c.sw_commits)
        cells

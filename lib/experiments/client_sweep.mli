@@ -6,7 +6,8 @@
     wall-clock second should stay flat as the population grows — any
     super-linear wall-clock growth exposes a per-client cost in a
     per-event hot path.  Reported per cell: engine events, wall-clock,
-    events/sec, and the event-heap high-water mark (the space analogue).
+    events/sec, the event-heap high-water mark, and the live heap per
+    client at the end of the run (the space analogues).
 
     Not a paper figure: excluded from [Suite.all] so `exp all` never pays
     for a 100k-client run implicitly. *)
@@ -18,6 +19,10 @@ type cell = {
   sw_events : int;  (** engine events executed, warmup included *)
   sw_wall_s : float;
   sw_heap_hwm : int;  (** event-heap high-water mark *)
+  sw_live_words_per_client : int;
+      (** live major-heap words after a full collection at the end of
+          the run, whole simulation still reachable, over the
+          population; the collection is not counted in [sw_wall_s] *)
 }
 
 val events_per_sec : cell -> float

@@ -46,6 +46,7 @@ type sweep_cell = {
   w_events : int;
   w_wall_s : float;
   w_heap_hwm : int;
+  w_live_words_per_client : int option;  (* absent in older snapshots *)
 }
 
 (* One cell of the shard sweep: paper-style simulated figures under 1-16
@@ -151,11 +152,14 @@ let to_json s =
   List.iteri
     (fun i w ->
       add "%s\n    {\"clients\": %d, \"algo\": %s, \"events\": %d, \
-           \"wall_s\": %s, \"events_per_sec\": %s, \"heap_hwm\": %d}"
+           \"wall_s\": %s, \"events_per_sec\": %s, \"heap_hwm\": %d%s}"
         (if i = 0 then "" else ",")
         w.w_clients (q w.w_algo) w.w_events (f w.w_wall_s)
         (f (events_per_sec ~events:w.w_events ~wall_s:w.w_wall_s))
-        w.w_heap_hwm)
+        w.w_heap_hwm
+        (match w.w_live_words_per_client with
+        | Some n -> Printf.sprintf ", \"live_words_per_client\": %d" n
+        | None -> ""))
     s.s_sweep;
   add "%s],\n" (if s.s_sweep = [] then "" else "\n  ");
   add "  \"shard_sweep\": [";
@@ -285,6 +289,9 @@ let of_json text =
                         w_events = int (get "events" w);
                         w_wall_s = num (get "wall_s" w);
                         w_heap_hwm = int (get "heap_hwm" w);
+                        w_live_words_per_client =
+                          Option.map int
+                            (Obs.Export.member "live_words_per_client" w);
                       })
                     (arr a));
             s_shard =

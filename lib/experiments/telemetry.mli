@@ -53,6 +53,9 @@ type sweep_cell = {
   w_events : int;
   w_wall_s : float;
   w_heap_hwm : int;
+  w_live_words_per_client : int option;
+      (** live heap per client at the end of the run; [None] in
+          snapshots written before the sweep reported it *)
 }
 
 (** One cell of the shard sweep (the [shard-sweep] experiment): simulated

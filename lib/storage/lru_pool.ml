@@ -1,6 +1,6 @@
 (* Doubly-linked LRU list threaded through a sentinel node, plus a hashtable
    from page id to node.  [sentinel.next] is the MRU end; [sentinel.prev] is
-   the LRU end. *)
+   the LRU end.  The hashtable is allocated on the first insert. *)
 
 type node = {
   mutable page : int;
@@ -14,8 +14,11 @@ type victim = { page : int; dirty : bool }
 
 type t = {
   cap : int;
-  table : (int, node) Hashtbl.t;
+  table : (int, node) Sim.Lazy_tbl.t;
   sentinel : node;
+  (* every frame whose pin count went from 0 to 1 since the last
+     [unpin_all] or [clear], so [unpin_all] touches only those *)
+  mutable pinned : node list;
   (* residency hooks: fired whenever a page enters or leaves the pool, so
      an external index (e.g. the server's page -> caching-clients map) can
      track membership without scanning pools *)
@@ -31,8 +34,9 @@ let create ~capacity =
   if capacity <= 0 then invalid_arg "Lru_pool.create: capacity <= 0";
   {
     cap = capacity;
-    table = Hashtbl.create (2 * capacity);
+    table = Sim.Lazy_tbl.create (2 * capacity);
     sentinel = make_sentinel ();
+    pinned = [];
     on_add = None;
     on_drop = None;
   }
@@ -45,8 +49,8 @@ let fire_add t page = match t.on_add with Some f -> f page | None -> ()
 let fire_drop t page = match t.on_drop with Some f -> f page | None -> ()
 
 let capacity t = t.cap
-let size t = Hashtbl.length t.table
-let mem t page = Hashtbl.mem t.table page
+let size t = Sim.Lazy_tbl.length t.table
+let mem t page = Sim.Lazy_tbl.mem t.table page
 
 let unlink n =
   n.prev.next <- n.next;
@@ -59,7 +63,7 @@ let push_front t n =
   t.sentinel.next <- n
 
 let touch t page =
-  match Hashtbl.find_opt t.table page with
+  match Sim.Lazy_tbl.find_opt t.table page with
   | None -> false
   | Some n ->
       unlink n;
@@ -75,12 +79,12 @@ let evict_one t =
   in
   let v = find t.sentinel.prev in
   unlink v;
-  Hashtbl.remove t.table v.page;
+  Sim.Lazy_tbl.remove t.table v.page;
   fire_drop t v.page;
   { page = v.page; dirty = v.dirty }
 
 let insert t page ~dirty =
-  match Hashtbl.find_opt t.table page with
+  match Sim.Lazy_tbl.find_opt t.table page with
   | Some n ->
       n.dirty <- n.dirty || dirty;
       unlink n;
@@ -98,43 +102,49 @@ let insert t page ~dirty =
         }
       in
       push_front t n;
-      Hashtbl.replace t.table page n;
+      Sim.Lazy_tbl.replace t.table page n;
       fire_add t page;
       victim
 
 let is_dirty t page =
-  match Hashtbl.find_opt t.table page with Some n -> n.dirty | None -> false
+  match Sim.Lazy_tbl.find_opt t.table page with Some n -> n.dirty | None -> false
 
 let set_dirty t page d =
-  match Hashtbl.find_opt t.table page with
+  match Sim.Lazy_tbl.find_opt t.table page with
   | Some n -> n.dirty <- d
   | None -> ()
 
 let remove t page =
-  match Hashtbl.find_opt t.table page with
+  match Sim.Lazy_tbl.find_opt t.table page with
   | None -> false
   | Some n ->
       unlink n;
-      Hashtbl.remove t.table page;
+      Sim.Lazy_tbl.remove t.table page;
       fire_drop t page;
       n.dirty
 
 let pin t page =
-  match Hashtbl.find_opt t.table page with
-  | Some n -> n.pins <- n.pins + 1
+  match Sim.Lazy_tbl.find_opt t.table page with
+  | Some n ->
+      if n.pins = 0 then t.pinned <- n :: t.pinned;
+      n.pins <- n.pins + 1
   | None -> ()
 
 let unpin t page =
-  match Hashtbl.find_opt t.table page with
+  match Sim.Lazy_tbl.find_opt t.table page with
   | Some n ->
       if n.pins <= 0 then invalid_arg "Lru_pool.unpin: not pinned";
       n.pins <- n.pins - 1
   | None -> ()
 
 let pin_count t page =
-  match Hashtbl.find_opt t.table page with Some n -> n.pins | None -> 0
+  match Sim.Lazy_tbl.find_opt t.table page with Some n -> n.pins | None -> 0
 
-let unpin_all t = Hashtbl.iter (fun _ n -> n.pins <- 0) t.table
+(* A listed frame may have been removed since it was pinned; zeroing its
+   count then is harmless, since a re-inserted page gets a fresh frame. *)
+let unpin_all t =
+  List.iter (fun n -> n.pins <- 0) t.pinned;
+  t.pinned <- []
 
 let pages_mru t =
   let rec walk n acc =
@@ -142,18 +152,14 @@ let pages_mru t =
   in
   walk t.sentinel.next []
 
-let dirty_pages t =
-  Hashtbl.fold
-    (fun p (n : node) acc -> if n.dirty then p :: acc else acc)
-    t.table []
-
 let clear t =
   (match t.on_drop with
   | None -> ()
   | Some f ->
       (* enumerate before the reset so the hook sees every dropped page *)
-      let pages = Hashtbl.fold (fun p _ acc -> p :: acc) t.table [] in
+      let pages = Sim.Lazy_tbl.fold (fun p _ acc -> p :: acc) t.table [] in
       List.iter f pages);
-  Hashtbl.reset t.table;
+  Sim.Lazy_tbl.reset t.table;
+  t.pinned <- [];
   t.sentinel.next <- t.sentinel;
   t.sentinel.prev <- t.sentinel

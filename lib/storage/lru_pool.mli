@@ -4,7 +4,12 @@
     client cache (§3.3.3): a fixed number of page frames, least-recently-
     used replacement, and pinning to keep pages of in-flight operations
     resident.  Pure data structure — the caller performs whatever I/O or
-    messaging the returned eviction victim requires. *)
+    messaging the returned eviction victim requires.
+
+    Memory is proportional to what the pool holds, not to its capacity:
+    the page index is allocated at [2 * capacity] buckets on the first
+    [insert] (most of a large client population has cached nothing yet)
+    and kept, reset in place, by [clear]. *)
 
 type t
 
@@ -52,14 +57,13 @@ val pin : t -> int -> unit
 val unpin : t -> int -> unit
 val pin_count : t -> int -> int
 
-(** Unpin every page (end-of-transaction convenience). *)
+(** Unpin every page (end-of-transaction convenience).  Touches only the
+    frames pinned since the last [unpin_all] or [clear]: its cost is the
+    number of 0-to-1 pin transitions since then, not the pool's size. *)
 val unpin_all : t -> unit
 
 (** Resident pages, most recently used first. *)
 val pages_mru : t -> int list
-
-(** Resident dirty pages (unordered). *)
-val dirty_pages : t -> int list
 
 (** Drop everything (intra-transaction caching invalidates the whole cache
     on transaction boundaries). *)

@@ -726,6 +726,33 @@ let test_hot_spot_buffer_sharing () =
   if r.Core.Simulator.disk_util > 0.05 then
     Alcotest.failf "expected cold-only disk traffic, util=%.3f" r.Core.Simulator.disk_util
 
+(* Per-client memory is proportional to what the client holds.  A 2PL
+   Table 5 run at 2,000 clients, stopped after 20 commits, leaves nearly
+   every client waiting for its first server reply, holding no page, lock
+   or version: such a client must not pay for the tables it has never
+   filled.  Eager tables cost about 1,620 live words per client here; with
+   tables allocated on first insert it is about 510 (seeds 1-3).  The
+   budget leaves about 25% headroom over that. *)
+let live_words_per_client_budget = 640
+
+let test_per_client_memory_budget () =
+  let n_clients = 2_000 in
+  let cfg = Core.Sys_params.table5 ~n_clients () in
+  let xp = Db.Xact_params.short_batch ~prob_write:0.2 ~inter_xact_loc:0.25 () in
+  let spec =
+    Core.Simulator.default_spec ~seed:1 ~warmup_commits:0 ~measured_commits:20
+      ~cfg ~xact_params:xp (Core.Proto.Two_phase Core.Proto.Inter)
+  in
+  let per_client = ref 0 in
+  let inspect _ _ =
+    Gc.full_major ();
+    per_client := (Gc.stat ()).Gc.live_words / n_clients
+  in
+  ignore (Core.Simulator.run ~inspect spec);
+  if !per_client > live_words_per_client_budget then
+    Alcotest.failf "%d live words per client, budget %d" !per_client
+      live_words_per_client_budget
+
 let prop_random_configs_complete =
   QCheck.Test.make ~name:"random small configs run to completion" ~count:12
     QCheck.(
@@ -1188,6 +1215,7 @@ let suites =
         case "replication pools statistics" test_replication_pools_statistics;
         case "replication jobs invariant" test_replication_jobs_invariant;
         case "hot database stays in buffer" test_hot_spot_buffer_sharing;
+        case "per-client memory budget" test_per_client_memory_budget;
       ] );
     qsuite "integration-props" [ prop_random_configs_complete ];
     ( "serializability",

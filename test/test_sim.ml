@@ -1037,6 +1037,73 @@ let test_pool_matches_sequential_map () =
 let test_pool_default_jobs_positive () =
   Alcotest.(check bool) "at least one" true (Pool.default_jobs () >= 1)
 
+(* ------------------------------------------------------------------ *)
+(* Lazy_tbl                                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* Random int-key operations: (kind, key).  Keys range wide enough, and
+   sequences run long enough, that a table created at [n] grows past
+   2n bindings and resizes. *)
+let gen_tbl_ops = QCheck.(list_of_size Gen.(int_range 0 300) (pair (int_range 0 3) (int_range 0 199)))
+
+let fold_order h = Hashtbl.fold (fun k v acc -> (k, v) :: acc) h []
+
+let apply_stdlib h i (kind, k) =
+  match kind with
+  | 0 -> Hashtbl.add h k i
+  | 1 | 2 -> Hashtbl.replace h k i
+  | _ -> Hashtbl.remove h k
+
+(* The stdlib fact [Lazy_tbl] relies on: a fresh [Hashtbl.create n] and a
+   used-then-[reset] table of the same initial size fold in the same
+   order under any later sequence of add/replace/remove. *)
+let prop_hashtbl_reset_matches_fresh =
+  QCheck.Test.make ~name:"reset table folds like fresh" ~count:300
+    QCheck.(triple (int_range 1 64) gen_tbl_ops gen_tbl_ops)
+    (fun (n, used_ops, ops) ->
+      let fresh = Hashtbl.create n and used = Hashtbl.create n in
+      List.iteri (apply_stdlib used) used_ops;
+      Hashtbl.reset used;
+      let ok = ref (fold_order fresh = fold_order used) in
+      List.iteri
+        (fun i op ->
+          apply_stdlib fresh i op;
+          apply_stdlib used i op;
+          ok := !ok && fold_order fresh = fold_order used)
+        ops;
+      !ok)
+
+(* [Lazy_tbl] against an eager table of the same initial size, from the
+   unfilled state on, resets included: same bindings, same fold and iter
+   order, at every step. *)
+let prop_lazy_tbl_matches_eager =
+  QCheck.Test.make ~name:"lazy table matches eager" ~count:300
+    QCheck.(pair (int_range 1 64) gen_tbl_ops)
+    (fun (n, ops) ->
+      let lazy_t = Lazy_tbl.create n and eager = Hashtbl.create n in
+      List.for_all
+        (fun (i, (kind, k)) ->
+          (match kind with
+          | 0 | 1 ->
+              Lazy_tbl.replace lazy_t k i;
+              Hashtbl.replace eager k i
+          | 2 ->
+              Lazy_tbl.remove lazy_t k;
+              Hashtbl.remove eager k
+          | _ ->
+              if k mod 10 = 0 then begin
+                Lazy_tbl.reset lazy_t;
+                Hashtbl.reset eager
+              end);
+          let iter_order = ref [] in
+          Lazy_tbl.iter (fun k v -> iter_order := (k, v) :: !iter_order) lazy_t;
+          Lazy_tbl.fold (fun k v acc -> (k, v) :: acc) lazy_t [] = fold_order eager
+          && !iter_order = fold_order eager
+          && Lazy_tbl.length lazy_t = Hashtbl.length eager
+          && Lazy_tbl.find_opt lazy_t k = Hashtbl.find_opt eager k
+          && Lazy_tbl.mem lazy_t k = Hashtbl.mem eager k)
+        (List.mapi (fun i op -> (i, op)) ops))
+
 let suites =
   [
     ( "engine",
@@ -1132,6 +1199,8 @@ let suites =
         case "merge with empty" test_samples_merge_empty;
       ] );
     qsuite "samples-props" [ prop_samples_median_between_min_max ];
+    qsuite "lazy-tbl-props"
+      [ prop_hashtbl_reset_matches_fresh; prop_lazy_tbl_matches_eager ];
   ]
 
 let () = Alcotest.run "sim" suites

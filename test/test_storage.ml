@@ -155,7 +155,24 @@ let test_lru_unpin_all () =
   Lru_pool.pin c 1;
   Lru_pool.pin c 1;
   Lru_pool.unpin_all c;
-  Alcotest.(check int) "pins cleared" 0 (Lru_pool.pin_count c 1)
+  Alcotest.(check int) "pins cleared" 0 (Lru_pool.pin_count c 1);
+  (* a frame removed while pinned, then re-inserted, is a fresh frame:
+     pin it again and [unpin_all] must still release it *)
+  Lru_pool.pin c 1;
+  ignore (Lru_pool.remove c 1);
+  ignore (Lru_pool.insert c 1 ~dirty:false);
+  Alcotest.(check int) "re-inserted frame unpinned" 0 (Lru_pool.pin_count c 1);
+  Lru_pool.pin c 1;
+  ignore (Lru_pool.insert c 2 ~dirty:false);
+  Lru_pool.pin c 2;
+  Lru_pool.unpin_all c;
+  Alcotest.(check int) "re-inserted pin cleared" 0 (Lru_pool.pin_count c 1);
+  Alcotest.(check int) "second frame cleared" 0 (Lru_pool.pin_count c 2);
+  (* both frames evictable again: a full pool takes a new page *)
+  (match Lru_pool.insert c 3 ~dirty:false with
+  | Some v -> Alcotest.(check int) "LRU frame evicted" 1 v.Lru_pool.page
+  | None -> Alcotest.fail "expected eviction");
+  Alcotest.(check int) "pool full" 2 (Lru_pool.size c)
 
 let prop_lru_never_exceeds_capacity =
   QCheck.Test.make ~name:"size never exceeds capacity" ~count:200

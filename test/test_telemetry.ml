@@ -39,6 +39,7 @@ let snap () =
           w_events = 2_000_000;
           w_wall_s = 1.0;
           w_heap_hwm = 5_000;
+          w_live_words_per_client = Some 510;
         };
         {
           w_clients = 100_000;
@@ -46,6 +47,7 @@ let snap () =
           w_events = 2_000_000;
           w_wall_s = 1.3;
           w_heap_hwm = 400_000;
+          w_live_words_per_client = None;
         };
       ];
     s_shard =
@@ -147,6 +149,20 @@ let test_sweep_section_is_additive () =
       | Ok s' ->
           Alcotest.(check bool) "parses as empty sweep" true (s'.s_sweep = [])
       | Error e -> Alcotest.failf "legacy snapshot rejected: %s" e)
+
+(* Sweep cells written before the sweep reported the live heap per
+   client have no such field; they must parse, with the field [None]. *)
+let test_sweep_live_words_optional () =
+  let json = to_json (snap ()) in
+  match remove_substring ~sub:", \"live_words_per_client\": 510" json with
+  | None -> Alcotest.fail "fixture has no live_words_per_client field"
+  | Some legacy -> (
+      match of_json legacy with
+      | Ok s' ->
+          Alcotest.(check (list (option int)))
+            "absent field parses as None" [ None; None ]
+            (List.map (fun w -> w.w_live_words_per_client) s'.s_sweep)
+      | Error e -> Alcotest.failf "legacy sweep cell rejected: %s" e)
 
 (* Same story for the shard-sweep section, added a schema generation
    later still. *)
@@ -460,6 +476,7 @@ let () =
           case "round-trip + validator" test_json_roundtrip;
           case "engine=null round-trip" test_json_roundtrip_no_engine;
           case "sweep section is additive" test_sweep_section_is_additive;
+          case "sweep live words optional" test_sweep_live_words_optional;
           case "shard section is additive" test_shard_section_is_additive;
           case "latency section is additive" test_latency_section_is_additive;
           case "causal section is additive" test_causal_section_is_additive;
