@@ -69,7 +69,7 @@ let micro_defs : (string * (unit -> unit)) list =
             ~measured_commits:250 ~cfg ~xact_params:xp
             (Core.Proto.Two_phase Core.Proto.Inter)
         in
-        ignore (Core.Simulator.run spec) );
+        ignore (Shard.Shard_sim.run spec) );
     (* same cell with the trace recorder on: the delta against the run
        above is the whole observability overhead *)
     ( "end-to-end: same sim, trace recorder on",
@@ -84,7 +84,7 @@ let micro_defs : (string * (unit -> unit)) list =
             ~xact_params:xp
             (Core.Proto.Two_phase Core.Proto.Inter)
         in
-        ignore (Core.Simulator.run spec) );
+        ignore (Shard.Shard_sim.run spec) );
     ( "recorder: 1M typed events",
       fun () ->
         let r = Obs.Recorder.create () in
@@ -163,7 +163,7 @@ let engine_probe () =
       (Core.Proto.Two_phase Core.Proto.Inter)
   in
   let t0 = Unix.gettimeofday () in
-  let r = Core.Simulator.run spec in
+  let r = Shard.Shard_sim.run spec in
   let wall = Unix.gettimeofday () -. t0 in
   let heap_hwm =
     match r.Core.Simulator.obs with
@@ -209,10 +209,7 @@ let latency_cells ~jobs () =
           Core.Simulator.n_shards;
         }
       in
-      let r =
-        if n_shards > 1 then Shard.Shard_sim.run_replicated ~jobs spec ~reps:1
-        else Core.Simulator.run_replicated ~jobs spec ~reps:1
-      in
+      let r = Shard.Shard_sim.run_replicated ~jobs spec ~reps:1 in
       let h =
         match r.Core.Simulator.obs with
         | Some o -> (
@@ -273,10 +270,7 @@ let causal_cells ~jobs () =
           Core.Simulator.n_shards;
         }
       in
-      let r =
-        if n_shards > 1 then Shard.Shard_sim.run_replicated ~jobs spec ~reps:1
-        else Core.Simulator.run_replicated ~jobs spec ~reps:1
-      in
+      let r = Shard.Shard_sim.run_replicated ~jobs spec ~reps:1 in
       let causal =
         match r.Core.Simulator.obs with
         | Some o -> Obs.Run.merged_causal o

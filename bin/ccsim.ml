@@ -166,7 +166,7 @@ let cell_spec ?(obs = Obs.Config.off) c =
 let run_cmd =
   let run cell jobs =
     let spec = cell_spec cell in
-    let r = Core.Simulator.run_replicated ~jobs spec ~reps:cell.cell_reps in
+    let r = Shard.Shard_sim.run_replicated ~jobs spec ~reps:cell.cell_reps in
     Format.printf "%a@." Core.Simulator.pp_result r;
     Format.printf
       "  responses: mean %.3fs p50 %.3fs p95 %.3fs stddev %.3fs | window \
@@ -270,7 +270,7 @@ let trace_cmd =
         ~span_limit:limit ()
     in
     let spec = cell_spec ~obs cell in
-    let r = Core.Simulator.run_replicated ~jobs spec ~reps:cell.cell_reps in
+    let r = Shard.Shard_sim.run_replicated ~jobs spec ~reps:cell.cell_reps in
     match r.Core.Simulator.obs with
     | None ->
         Printf.eprintf "ccsim: run returned no observability payload\n";
@@ -383,7 +383,7 @@ let stats_cmd =
       Obs.Config.make ~series:true ~sample_interval:interval ~profile:true ()
     in
     let spec = cell_spec ~obs cell in
-    let r = Core.Simulator.run_replicated ~jobs spec ~reps:cell.cell_reps in
+    let r = Shard.Shard_sim.run_replicated ~jobs spec ~reps:cell.cell_reps in
     Format.printf "%a@." Core.Simulator.pp_result r;
     match r.Core.Simulator.obs with
     | None ->
@@ -592,11 +592,7 @@ let metrics_cmd =
       { (cell_spec ~obs:Obs.Config.latency cell) with
         Core.Simulator.n_shards = shards }
     in
-    let r =
-      if shards > 1 then
-        Shard.Shard_sim.run_replicated ~jobs spec ~reps:cell.cell_reps
-      else Core.Simulator.run_replicated ~jobs spec ~reps:cell.cell_reps
-    in
+    let r = Shard.Shard_sim.run_replicated ~jobs spec ~reps:cell.cell_reps in
     match r.Core.Simulator.obs with
     | None ->
         Printf.eprintf "ccsim: run returned no observability payload\n";
@@ -781,11 +777,7 @@ let causal_cmd =
            else Fault.Plan.default ~seed:cell.cell_seed);
       }
     in
-    let r =
-      if shards > 1 then
-        Shard.Shard_sim.run_replicated ~jobs spec ~reps:cell.cell_reps
-      else Core.Simulator.run_replicated ~jobs spec ~reps:cell.cell_reps
-    in
+    let r = Shard.Shard_sim.run_replicated ~jobs spec ~reps:cell.cell_reps in
     match r.Core.Simulator.obs with
     | None ->
         Printf.eprintf "ccsim: run returned no observability payload\n";

@@ -20,7 +20,7 @@ let () =
     (fun pw ->
       let cfg = Core.Sys_params.table5 ~n_clients:20 () in
       let sim =
-        Core.Simulator.run
+        Shard.Shard_sim.run
           (Core.Simulator.default_spec ~seed:7 ~warmup_commits:200
              ~measured_commits:1200 ~cfg ~xact_params:(xp pw)
              (Core.Proto.Two_phase Core.Proto.Inter))

@@ -47,7 +47,7 @@ let () =
         Core.Simulator.default_spec ~seed:11 ~warmup_commits:150
           ~measured_commits:900 ~cfg ~xact_params:workload algo
       in
-      let r = Core.Simulator.run spec in
+      let r = Shard.Shard_sim.run spec in
       let ok = r.Core.Simulator.mean_response <= slo in
       if ok then best := Some (n, r);
       Format.printf "%8d %12.3f %12.2f %9.0f%% %9.0f%% %9.0f%% %10s@." n

@@ -67,7 +67,7 @@ let () =
           Core.Simulator.default_spec ~seed:7 ~warmup_commits:200
             ~measured_commits:1200 ~cfg ~xact_params:workload algo
         in
-        (algo, Core.Simulator.run spec))
+        (algo, Shard.Shard_sim.run spec))
       candidates
   in
   Format.printf "%-16s %12s %12s %8s %14s@." "algorithm" "response(s)"

@@ -39,7 +39,7 @@ let () =
               Core.Simulator.default_spec ~seed:5 ~warmup_commits:150
                 ~measured_commits:900 ~cfg ~xact_params:workload algo
             in
-            (algo, Core.Simulator.run spec))
+            (algo, Shard.Shard_sim.run spec))
           Core.Proto.section5_algorithms
       in
       List.iter

@@ -47,7 +47,7 @@ let () =
       Core.Simulator.db_params = Db.Db_params.uniform ~n_classes:2 ~pages_per_class:12 ();
     }
   in
-  let r = Core.Simulator.run spec in
+  let r = Shard.Shard_sim.run spec in
   let entries =
     match r.Core.Simulator.obs with
     | Some o -> (List.hd o.Obs.Run.reps).Obs.Run.trace

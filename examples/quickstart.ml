@@ -30,7 +30,7 @@ let () =
       let spec =
         Core.Simulator.default_spec ~seed:2024 ~cfg ~xact_params:workload algo
       in
-      let r = Core.Simulator.run spec in
+      let r = Shard.Shard_sim.run spec in
       Format.printf "%-16s %12.3f %12.2f %8d %8.2f %10.1f@."
         (Core.Proto.algorithm_name algo)
         r.Core.Simulator.mean_response r.Core.Simulator.throughput

@@ -106,437 +106,6 @@ type rep_stats = {
   rep_hits : int;
 }
 
-let run_with_stats ?audit ?inspect spec =
-  Sys_params.validate spec.cfg;
-  Fault.Plan.validate spec.fault;
-  if spec.n_shards > 1 then
-    invalid_arg "Simulator.run: sharded specs (n_shards > 1) run via Shard.Sim";
-  let cfg = spec.cfg in
-  let eng = Sim.Engine.create () in
-  let master = Sim.Rng.create spec.seed in
-  let db = Db.Database.create spec.db_params in
-  let metrics = Metrics.create eng in
-  let net = Sim.Rng.split master "network" |> fun rng ->
-            Net.Network.create eng ~rng cfg.Sys_params.net in
-  (* with [Fault.Plan.none] no hook is installed and [Net.Network.post]
-     takes its original path byte-for-byte: fault-free runs stay
-     bit-identical to the pre-fault simulator *)
-  if Fault.Plan.active spec.fault then begin
-    let inj = Fault.Injector.create spec.fault in
-    Net.Network.set_fault_hook net (fun ~bytes ->
-        let v = Fault.Injector.message inj in
-        if v.Fault.Injector.drop then begin
-          Metrics.record_msg_dropped metrics;
-          if Trace.active () then
-            Trace.emit (Sim.Engine.now eng) (Trace.Msg_dropped { bytes })
-        end
-        else begin
-          if v.Fault.Injector.extra_delay > 0.0 then begin
-            Metrics.record_msg_delayed metrics;
-            if Trace.active () then
-              Trace.emit (Sim.Engine.now eng)
-                (Trace.Msg_delayed { bytes; by = v.Fault.Injector.extra_delay })
-          end;
-          if v.Fault.Injector.copies > 1 then begin
-            Metrics.record_msg_duplicated metrics;
-            if Trace.active () then
-              Trace.emit (Sim.Engine.now eng)
-                (Trace.Msg_duplicated
-                   { bytes; copies = v.Fault.Injector.copies })
-          end
-        end;
-        {
-          Net.Network.drop = v.Fault.Injector.drop;
-          extra_delay = v.Fault.Injector.extra_delay;
-          copies = v.Fault.Injector.copies;
-        })
-  end;
-  let server =
-    Server.create ~fault:spec.fault eng ~cfg ~db ~algo:spec.algo ~net
-      ~rng:(Sim.Rng.split master "server") ~metrics
-  in
-  let clients = Array.make cfg.Sys_params.n_clients None in
-  (* fleet-wide crashed-client count, maintained by the clients themselves
-     so the sampler never scans the population *)
-  let down_gauge = ref 0 in
-  let commit_target = spec.warmup_commits + spec.measured_commits in
-  let reset_all () =
-    Metrics.reset metrics;
-    Net.Network.reset_stats net;
-    Server.reset_stats server;
-    Array.iter (function Some c -> Client.reset_stats c | None -> ()) clients
-  in
-  let on_commit () =
-    let n = Metrics.total_commits metrics in
-    if n = spec.warmup_commits then reset_all ()
-    else if n >= commit_target then Sim.Engine.stop eng
-  in
-  for i = 0 to cfg.Sys_params.n_clients - 1 do
-    let crng = Sim.Rng.split master (Printf.sprintf "client-%d" i) in
-    let workload =
-      let rng = Sim.Rng.split crng "workload" in
-      match spec.mix with
-      | Some mix -> Db.Workload.create_mix db mix ~rng
-      | None -> Db.Workload.create db spec.xact_params ~rng
-    in
-    let client = ref None in
-    let to_server ~parent ~retry msg =
-      let c = Option.get !client in
-      let bytes =
-        Proto.c2s_bytes ~control:cfg.Sys_params.control_msg_bytes
-          ~page_size:cfg.Sys_params.page_size msg
-      in
-      let tag =
-        {
-          Obs.Causal.tg_parent = parent;
-          tg_xid = Proto.c2s_xid msg;
-          tg_owner = Proto.c2s_client msg;
-          tg_kind = Proto.c2s_kind msg;
-          tg_src = Obs.Causal.Client i;
-          tg_dst = Obs.Causal.Shard 0;
-          tg_retry = retry;
-        }
-      in
-      Comms.send ~tag net ~msg_inst:cfg.Sys_params.net.Net.Network.msg_inst
-        ~src:(Client.port c) ~dst:(Server.port server) ~bytes
-        ~deliver:(fun ctx -> Server.deliver server ~ctx msg)
-    in
-    let c =
-      Client.create eng ?audit ~fault:spec.fault ~down_gauge ~id:i ~cfg
-        ~algo:spec.algo ~workload ~rng:(Sim.Rng.split crng "client") ~metrics
-        ~to_server ~on_commit
-    in
-    client := Some c;
-    clients.(i) <- Some c
-  done;
-  let links =
-    Array.map
-      (function
-        | Some c ->
-            {
-              Server.port = Client.port c;
-              inbox = Client.inbox c;
-              cache_view = Client.cache c;
-            }
-        | None -> assert false)
-      clients
-  in
-  Server.register_clients server links;
-  Server.start server;
-  Array.iter (function Some c -> Client.start c | None -> ()) clients;
-  (* Observability, all opt-in ([Obs.Config.off] installs nothing).  The
-     recorder goes into THIS domain's sink slot — which is the pool
-     worker's slot when the run was dispatched by [Sim.Pool] — and the
-     filled buffer returns by value in [result.obs], so tracing works at
-     any [-j].  Sampler sources only read statistics (no hold, no RNG),
-     so sampled runs compute exactly the results of unsampled ones. *)
-  let ocfg = spec.obs in
-  let recorder =
-    if ocfg.Obs.Config.trace then
-      Some (Obs.Recorder.create ~limit:ocfg.Obs.Config.trace_limit ())
-    else None
-  in
-  let span_buf =
-    if ocfg.Obs.Config.spans then
-      Some (Obs.Span.create ~limit:ocfg.Obs.Config.span_limit ())
-    else None
-  in
-  let causal_buf =
-    if ocfg.Obs.Config.causal then
-      Some (Obs.Causal.create ~limit:ocfg.Obs.Config.causal_limit ())
-    else None
-  in
-  let registry =
-    if ocfg.Obs.Config.metrics then begin
-      let r = Obs.Metrics.create () in
-      Obs.Metrics.set_gauge r "ccsim_shards" 1.0;
-      Some r
-    end
-    else None
-  in
-  if ocfg.Obs.Config.profile then Sim.Engine.enable_profiling eng;
-  let server_cpu = (Server.port server).Proto.cpu in
-  let series =
-    if not ocfg.Obs.Config.series then None
-    else begin
-      let interval = ocfg.Obs.Config.sample_interval in
-      (* Per-interval rate from a cumulative counter.  [Metrics.reset] at
-         the warmup boundary rewinds the counters, so the first
-         post-warmup delta can be negative: clamp to 0. *)
-      let rate_of read =
-        let last = ref (read ()) in
-        fun () ->
-          let v = read () in
-          let d = v -. !last in
-          last := v;
-          Float.max 0.0 d
-      in
-      let util_of fac =
-        let cap = float_of_int (Sim.Facility.capacity fac) in
-        let busy = rate_of (fun () -> Sim.Facility.busy_time fac) in
-        fun () -> Float.min 1.0 (busy () /. (interval *. cap))
-      in
-      let disks = Server.data_disks server in
-      let disk_busy =
-        rate_of (fun () ->
-            Array.fold_left (fun a d -> a +. Storage.Disk.busy_time d) 0.0 disks)
-      in
-      let net_busy = rate_of (fun () -> Net.Network.busy_time net) in
-      let commit_rate =
-        rate_of (fun () -> float_of_int (Metrics.total_commits metrics))
-      in
-      let abort_rate =
-        rate_of (fun () -> float_of_int (Metrics.aborts metrics))
-      in
-      let locks = Server.locks server in
-      let sources =
-        [
-          ("server_cpu_util", util_of server_cpu);
-          ( "disk_util",
-            fun () ->
-              if Array.length disks = 0 then 0.0
-              else
-                Float.min 1.0
-                  (disk_busy ()
-                  /. (interval *. float_of_int (Array.length disks))) );
-          ("net_util", fun () -> Float.min 1.0 (net_busy () /. interval));
-          ("locks_held", fun () -> float_of_int (Cc.Lock_table.locks_held locks));
-          ( "lock_waiters",
-            fun () -> float_of_int (Cc.Lock_table.waiting_count locks) );
-          ("active_xacts", fun () -> float_of_int (Server.active_count server));
-          ( "ready_queue",
-            fun () -> float_of_int (Server.ready_queue_length server) );
-          ("commit_rate", fun () -> commit_rate () /. interval);
-          ("abort_rate", fun () -> abort_rate () /. interval);
-          ("clients_down", fun () -> float_of_int !down_gauge);
-        ]
-      in
-      Some (Obs.Series.sample eng ~interval ~sources)
-    end
-  in
-  let sim_time =
-    (* Each sink goes into THIS domain's slot for the duration of the run;
-       composable wrapping keeps recorder-off runs on the bare path. *)
-    let run_sim () = Sim.Engine.run eng ~until:spec.max_sim_time () in
-    let with_sink save install restore v f =
-      match v with
-      | None -> f ()
-      | Some x ->
-          let saved = save () in
-          install x;
-          Fun.protect ~finally:(fun () -> restore saved) f
-    in
-    with_sink Obs.Recorder.save Obs.Recorder.install Obs.Recorder.restore
-      recorder (fun () ->
-        with_sink Obs.Span.save Obs.Span.install Obs.Span.restore span_buf
-          (fun () ->
-            with_sink Obs.Causal.save Obs.Causal.install Obs.Causal.restore
-              causal_buf (fun () ->
-                with_sink Obs.Metrics.save Obs.Metrics.install
-                  Obs.Metrics.restore registry run_sim)))
-  in
-  (* Per-kind wire accounting and causal critical-chain shape land in the
-     registry after the run: pure counter folds, no engine interaction. *)
-  (match registry with
-  | Some r ->
-      List.iter
-        (fun (kind, ks) ->
-          let lbl name = Printf.sprintf "%s{kind=\"%s\"}" name kind in
-          Obs.Metrics.incr r (lbl "ccsim_net_msgs_total")
-            ks.Net.Network.ks_msgs;
-          Obs.Metrics.incr r (lbl "ccsim_net_packets_total")
-            ks.Net.Network.ks_pkts;
-          Obs.Metrics.incr r (lbl "ccsim_net_bytes_total")
-            ks.Net.Network.ks_bytes;
-          if ks.Net.Network.ks_retx > 0 then
-            Obs.Metrics.incr r
-              (lbl "ccsim_net_retransmits_total")
-              ks.Net.Network.ks_retx;
-          if ks.Net.Network.ks_dups > 0 then
-            Obs.Metrics.incr r
-              (lbl "ccsim_net_duplicates_total")
-              ks.Net.Network.ks_dups)
-        (Net.Network.kind_stats net);
-      (match causal_buf with
-      | Some b ->
-          let tagged =
-            Array.map (fun e -> (0, e)) (Obs.Causal.entries b)
-          in
-          let an =
-            Obs.Causal.analyze ~dropped:(Obs.Causal.dropped b) tagged
-          in
-          let saved = Obs.Metrics.save () in
-          Obs.Metrics.install r;
-          Fun.protect
-            ~finally:(fun () -> Obs.Metrics.restore saved)
-            (fun () -> Obs.Causal.register_chain_metrics an)
-      | None -> ())
-  | None -> ());
-  (match inspect with
-  | Some f ->
-      f server
-        (Array.map (function Some c -> c | None -> assert false) clients)
-  | None -> ());
-  let now = sim_time in
-  let window = now -. Metrics.measure_start metrics in
-  let commits = Metrics.commits metrics in
-  let lookups = Metrics.lookups metrics in
-  (* single pass over the client array: no intermediate list at 100k *)
-  let client_cpu_util_mean =
-    let sum = ref 0.0 and n = ref 0 in
-    Array.iter
-      (function
-        | Some c ->
-            sum := !sum +. Client.cpu_utilization c;
-            incr n
-        | None -> ())
-      clients;
-    if !n = 0 then 0.0 else !sum /. float_of_int !n
-  in
-  let obs_payload =
-    if not (Obs.Config.enabled ocfg) then None
-    else begin
-      let disk_snap d =
-        {
-          Obs.Run.fac_name = Storage.Disk.name d;
-          fac_capacity = 1;
-          fac_utilization = Storage.Disk.utilization d;
-          fac_mean_queue = Storage.Disk.mean_queue_length d;
-          fac_max_queue = Storage.Disk.max_queue_length d;
-          fac_busy_time = Storage.Disk.busy_time d;
-          fac_completions = Storage.Disk.accesses d;
-        }
-      in
-      let facilities =
-        (Obs.Run.snapshot_facility server_cpu
-        :: (Array.to_list (Server.data_disks server) |> List.map disk_snap))
-        @ (match Server.log_disk server with
-          | Some d -> [ disk_snap d ]
-          | None -> [])
-        @ [
-            {
-              Obs.Run.fac_name = "network";
-              fac_capacity = 1;
-              fac_utilization = Net.Network.utilization net;
-              fac_mean_queue = Net.Network.mean_queue_length net;
-              fac_max_queue = Net.Network.max_queue_length net;
-              fac_busy_time = Net.Network.busy_time net;
-              fac_completions = Net.Network.packets_sent net;
-            };
-          ]
-      in
-      let trace, trace_dropped =
-        match recorder with
-        | Some r -> (Obs.Recorder.entries r, Obs.Recorder.dropped r)
-        | None -> ([||], 0)
-      in
-      let spans, spans_dropped =
-        match span_buf with
-        | Some b -> (Obs.Span.entries b, Obs.Span.dropped b)
-        | None -> ([||], 0)
-      in
-      let causal, causal_dropped =
-        match causal_buf with
-        | Some b -> (Obs.Causal.entries b, Obs.Causal.dropped b)
-        | None -> ([||], 0)
-      in
-      Some
-        {
-          Obs.Run.reps =
-            [
-              {
-                Obs.Run.rep_seed = spec.seed;
-                trace;
-                trace_dropped;
-                series;
-                facilities;
-                profile =
-                  (if ocfg.Obs.Config.profile then
-                     Some (Sim.Engine.profile eng)
-                   else None);
-                spans;
-                spans_dropped;
-                causal;
-                causal_dropped;
-                metrics = registry;
-              };
-            ];
-        }
-    end
-  in
-  let result =
-  {
-    algo = spec.algo;
-    n_clients = cfg.Sys_params.n_clients;
-    mean_response = Metrics.mean_response metrics;
-    response_stddev = Sim.Stats.stddev (Metrics.response_stats metrics);
-    response_p50 = Metrics.response_quantile metrics 0.5;
-    response_p95 = Metrics.response_quantile metrics 0.95;
-    throughput = Metrics.throughput metrics ~now;
-    commits;
-    aborts = Metrics.aborts metrics;
-    aborts_deadlock = Metrics.aborts_by metrics Metrics.Deadlock;
-    aborts_stale = Metrics.aborts_by metrics Metrics.Stale_read;
-    aborts_cert = Metrics.aborts_by metrics Metrics.Cert_fail;
-    hit_ratio =
-      (if lookups = 0 then 0.0
-       else float_of_int (Metrics.hits metrics) /. float_of_int lookups);
-    messages = Net.Network.messages_sent net;
-    packets = Net.Network.packets_sent net;
-    msgs_per_commit =
-      (if commits = 0 then 0.0
-       else float_of_int (Net.Network.messages_sent net) /. float_of_int commits);
-    callbacks_sent = Metrics.callbacks_sent metrics;
-    pushes_sent = Metrics.pushes_sent metrics;
-    server_cpu_util = Server.cpu_utilization server;
-    client_cpu_util = client_cpu_util_mean;
-    disk_util = Server.mean_disk_utilization server;
-    log_disk_util =
-      (match Server.log_disk server with
-      | Some d -> Storage.Disk.utilization d
-      | None -> 0.0);
-    net_util = Net.Network.utilization net;
-    window;
-    sim_time;
-    events = Sim.Engine.events_executed eng;
-    aborts_lease = Metrics.aborts_by metrics Metrics.Lease_reclaim;
-    retries = Metrics.retries metrics;
-    crashes = Metrics.crashes metrics;
-    recoveries = Metrics.recoveries metrics;
-    lost_xacts = Metrics.lost_xacts metrics;
-    reclaimed_locks = Metrics.reclaimed_locks metrics;
-    lease_lapses = Metrics.lease_lapses metrics;
-    msgs_dropped = Metrics.msgs_dropped metrics;
-    msgs_delayed = Metrics.msgs_delayed metrics;
-    msgs_duplicated = Metrics.msgs_duplicated metrics;
-    mean_recovery = Metrics.mean_recovery metrics;
-    server_crashes = Metrics.server_crashes metrics;
-    server_recoveries = Metrics.server_recoveries metrics;
-    server_killed_xacts = Metrics.server_killed_xacts metrics;
-    checkpoints = Metrics.checkpoints metrics;
-    server_downtime = Metrics.server_downtime metrics;
-    mean_server_recovery = Metrics.mean_server_recovery metrics;
-    n_shards = 1;
-    prepares = Metrics.prepares metrics;
-    xshard_commits = Metrics.xshard_commits metrics;
-    xshard_aborts = Metrics.xshard_aborts metrics;
-    outcome_queries = Metrics.outcome_queries metrics;
-    shard_commits = [| Server.local_commits server |];
-    rep_mean_responses = [| Metrics.mean_response metrics |];
-    rep_throughputs = [| Metrics.throughput metrics ~now |];
-    obs = obs_payload;
-  }
-  in
-  ( result,
-    {
-      rep_response = Metrics.response_stats metrics;
-      rep_samples = Metrics.response_samples metrics;
-      rep_lookups = Metrics.lookups metrics;
-      rep_hits = Metrics.hits metrics;
-    } )
-
-let run ?audit ?inspect spec = fst (run_with_stats ?audit ?inspect spec)
-
 let aggregate runs =
   if runs = [] then invalid_arg "Simulator.aggregate: no runs";
   let reps = List.length runs in
@@ -660,17 +229,6 @@ let aggregate runs =
          in
          if reps = [] then None else Some { Obs.Run.reps });
     }
-  end
-
-let run_replicated ?(jobs = 1) spec ~reps =
-  if reps <= 1 then run spec
-  else begin
-    let specs = List.init reps (fun k -> { spec with seed = spec.seed + k }) in
-    let runs =
-      if jobs > 1 then Sim.Pool.map ~jobs (fun s -> run_with_stats s) specs
-      else List.map (fun s -> run_with_stats s) specs
-    in
-    aggregate runs
   end
 
 let pp_result fmt r =

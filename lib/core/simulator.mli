@@ -1,12 +1,18 @@
-(** Assemble and run one complete simulation: a server, [n_clients]
-    clients, the shared network, and one consistency algorithm, measured
-    over a steady-state window.
+(** What one simulation is and what it reports: the run {!spec} (a
+    server, or [n_shards] shard servers, [n_clients] clients, the shared
+    network, and one consistency algorithm, measured over a steady-state
+    window) and its {!result}, plus the arithmetic that pools
+    replications.
 
     A run executes a warmup of [warmup_commits] committed transactions,
     resets every statistic, measures until another [measured_commits]
     commits (or [max_sim_time] elapses), and reports the paper's metrics:
     mean transaction response time, system throughput, abort counts, cache
-    hit ratio, message counts, and resource utilizations. *)
+    hit ratio, message counts, and resource utilizations.
+
+    The assembly that runs a spec lives in [Shard.Shard_sim] (this
+    library cannot depend on the shard router it needs for [n_shards > 1]);
+    it builds every topology, one server or many. *)
 
 type spec = {
   cfg : Sys_params.t;
@@ -18,10 +24,9 @@ type spec = {
   algo : Proto.algorithm;
   n_shards : int;
       (** number of shard servers the page space is partitioned over
-          (default 1).  This module runs only unsharded specs; sharded
-          specs are executed by [Shard.Sim], which dispatches
-          [n_shards <= 1] right back here so single-shard topologies are
-          bit-identical to the original simulator. *)
+          (default 1; must be at least 1).  A one-shard run is the
+          single-server simulator of the paper; more shards add a router
+          per client and two-phase commit. *)
   seed : int;
   warmup_commits : int;
   measured_commits : int;
@@ -102,10 +107,10 @@ type result = {
   checkpoints : int;  (** redo-log checkpoints taken *)
   server_downtime : float;
       (** total seconds the server was unavailable (summed over
-          replications in {!run_replicated}) *)
+          replications in {!aggregate}) *)
   mean_server_recovery : float;
       (** mean log-replay time per recovery, seconds *)
-  n_shards : int;  (** topology the run executed (1 here) *)
+  n_shards : int;  (** topology the run executed (1 = a single server) *)
   prepares : int;  (** 2PC prepare slices force-logged (0 unsharded) *)
   xshard_commits : int;  (** cross-shard transactions committed by 2PC *)
   xshard_aborts : int;  (** cross-shard transactions aborted at 2PC time *)
@@ -124,35 +129,13 @@ type result = {
           seed order — when [spec.obs] enabled anything; [None] otherwise *)
 }
 
-(** Run one simulation to completion.  [?audit] collects every committed
-    transaction's read/write version summary for the serializability check
-    of {!Cc.History}.  [?inspect] runs after the simulation ends, with the
-    server and clients still intact, for end-state invariant sweeps (lock
-    table consistency, cache coherence, crash/recovery bookkeeping). *)
-val run :
-  ?audit:Cc.History.t ->
-  ?inspect:(Server.t -> Client.t array -> unit) ->
-  spec ->
-  result
-
-(** [run_replicated ?jobs spec ~reps] combines [reps] independent seeds
-    (seed, seed+1, ...): response-time mean, stddev, and quantiles come
-    from the pooled per-commit observations of every replication (via
-    {!Sim.Stats.merge} / {!Sim.Stats.Samples.merge}), counts are summed,
-    [hit_ratio] and [msgs_per_commit] are weighted by their per-rep
-    denominators, and utilizations are averaged.  With [jobs > 1] the
-    replications run concurrently on a {!Sim.Pool} of domains; results are
-    identical to the sequential run because every replication's randomness
-    is derived from its own seed. *)
-val run_replicated : ?jobs:int -> spec -> reps:int -> result
-
 val pp_result : Format.formatter -> result -> unit
 
-(** {1 Replication plumbing (for alternative runners)}
+(** {1 Replication plumbing}
 
-    [Shard.Sim] builds its own multi-server assembly but pools
-    replications exactly like {!run_replicated}; these expose the pieces
-    it reuses so the aggregation arithmetic lives in one place. *)
+    [Shard.Shard_sim.run_with_stats] returns each replication's
+    {!result} with the state below; {!aggregate} pools them, so the
+    aggregation arithmetic lives in one place. *)
 
 (** Per-replication measurement state a scalar {!result} cannot
     reconstruct: the response-time accumulator and raw samples (for
@@ -165,16 +148,11 @@ type rep_stats = {
   rep_hits : int;
 }
 
-(** {!run} plus the replication state needed by {!aggregate}. *)
-val run_with_stats :
-  ?audit:Cc.History.t ->
-  ?inspect:(Server.t -> Client.t array -> unit) ->
-  spec ->
-  result * rep_stats
-
-(** Pool a non-empty list of per-seed runs into one {!result}, with the
-    {!run_replicated} arithmetic: pooled response moments and quantiles,
-    summed counts, denominator-weighted ratios, averaged utilizations,
-    per-rep arrays and observability payloads concatenated in list
-    order. *)
+(** Pool a non-empty list of per-seed runs into one {!result}:
+    response-time mean, stddev, and quantiles come from the pooled
+    per-commit observations of every replication (via
+    {!Sim.Stats.merge} / {!Sim.Stats.Samples.merge}), counts are summed,
+    [hit_ratio] and [msgs_per_commit] are weighted by their per-rep
+    denominators, utilizations are averaged, and per-rep arrays and
+    observability payloads are concatenated in list order. *)
 val aggregate : (result * rep_stats) list -> result

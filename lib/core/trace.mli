@@ -7,8 +7,8 @@
     installed.
 
     The sink slot is domain-local and shared with {!Obs.Recorder}:
-    {!Core.Simulator} installs a typed recorder in whatever domain runs a
-    simulation — including {!Sim.Pool} workers — so traced runs work at
+    the simulation assembly ([Shard.Shard_sim]) installs a typed
+    recorder in whatever domain runs a simulation — including {!Sim.Pool} workers — so traced runs work at
     any [-j]; the filled buffer travels back by value inside the run's
     result and merges deterministically (see {!Obs.Run.merged_trace}).
     The callback sink below is the legacy interface, kept for simple

@@ -57,7 +57,7 @@ let audit_run (sp : Core.Simulator.spec) =
   let err fmt = Printf.ksprintf (fun s -> errors := s :: !errors) fmt in
   let clients_down = ref 0 in
   let srv = sp.Core.Simulator.fault.Fault.Plan.server_crash_mean > 0.0 in
-  let n_shards = max 1 sp.Core.Simulator.n_shards in
+  let n_shards = sp.Core.Simulator.n_shards in
   (* the directory is a pure function of the database shape, so the audit
      recomputes the same map the routers used *)
   let map =

@@ -8,7 +8,7 @@
    path (the bug class this sweep exists to catch).
 
    Cells run sequentially and are never cached: each one is timed around
-   its own [Simulator.run], so a pool worker co-running another cell can
+   its own [Shard_sim.run], so a pool worker co-running another cell can
    not inflate its wall-clock. *)
 
 type cell = {
@@ -70,7 +70,7 @@ let run ?(progress = fun _ -> ()) ~quick ~seed () =
             census_s := Unix.gettimeofday () -. t0
           in
           let t0 = Unix.gettimeofday () in
-          let r = Core.Simulator.run ~inspect spec in
+          let r = Shard.Shard_sim.run ~inspect spec in
           let wall = Unix.gettimeofday () -. t0 -. !census_s in
           let c =
             {

@@ -138,9 +138,8 @@ let placeholder_result (s : Core.Simulator.spec) : Core.Simulator.result =
     obs = None;
   }
 
-(* All experiment cells run through the sharding dispatcher: specs with
-   [n_shards <= 1] take the unsharded simulator unchanged (bit-identical
-   figures), sharded specs assemble N servers plus routers. *)
+(* All experiment cells run through the one assembly: one shard is the
+   single-server simulator, N shards add per-client routers and 2PC. *)
 let execute t spec =
   Shard.Shard_sim.run_replicated ~jobs:t.jobs spec ~reps:t.opts.reps
 

@@ -581,8 +581,8 @@ let mix_extension runner =
    access pattern (traffic spreads evenly, most commits single-shard at
    low locality only by luck of the draw) and a Zipf hot-shard pattern
    (class skew concentrates traffic on shard 0, so extra shards buy
-   little and 2PC overhead dominates).  The 1-shard column runs the
-   unsharded simulator and so doubles as the bit-identity anchor. *)
+   little and 2PC overhead dominates).  The 1-shard column is the
+   single-server simulator and so doubles as the bit-identity anchor. *)
 let shard_counts = [ 1; 2; 4; 8; 16 ]
 
 let shard_sweep runner =

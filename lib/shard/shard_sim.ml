@@ -7,19 +7,43 @@ module Proto = Core.Proto
 module Comms = Core.Comms
 module Trace = Core.Trace
 
-(* The sharded counterpart of [Core.Simulator.run_with_stats]: one engine,
-   one network, one metrics hub, one database — and [n_shards] servers,
-   each owning its slice of the page space with its own lock table,
-   buffer, version table, and WAL, plus one router per client splitting
-   traffic and coordinating 2PC.  Replication pooling and the result
-   record are shared with the core simulator. *)
+(* One client request on the wire to [server], tagged for causal tracing. *)
+let post_c2s net (cfg : Sys_params.t) ~client ~i ~server ~dst ~parent ~retry
+    msg =
+  let bytes =
+    Proto.c2s_bytes ~control:cfg.control_msg_bytes ~page_size:cfg.page_size msg
+  in
+  let tag =
+    {
+      Obs.Causal.tg_parent = parent;
+      tg_xid = Proto.c2s_xid msg;
+      tg_owner = Proto.c2s_client msg;
+      tg_kind = Proto.c2s_kind msg;
+      tg_src = Obs.Causal.Client i;
+      tg_dst = dst;
+      tg_retry = retry;
+    }
+  in
+  Comms.send ~tag net ~msg_inst:cfg.net.Net.Network.msg_inst
+    ~src:(Client.port client) ~dst:(Server.port server) ~bytes
+    ~deliver:(fun ctx -> Server.deliver server ~ctx msg)
+
+(* The one topology assembly: one engine, one network, one metrics hub,
+   one database — and [n_shards] servers, each owning its slice of the
+   page space with its own lock table, buffer, version table, and WAL.
+   Only the client/server wiring depends on N.  At N = 1 each client
+   sends straight to the server and the server writes straight into the
+   client's inbox, so the run is the single-server simulator event for
+   event.  At N > 1 one router per client splits traffic and coordinates
+   2PC, behind per-(client, shard) relay mailboxes. *)
 let run_with_stats ?audit ?inspect (spec : Simulator.spec) =
   Sys_params.validate spec.cfg;
   Fault.Plan.validate spec.fault;
   let n_shards = spec.n_shards in
-  if n_shards < 2 then
-    invalid_arg "Shard_sim.run_with_stats: use Core.Simulator for n_shards <= 1";
+  if n_shards < 1 then invalid_arg "Shard_sim.run_with_stats: n_shards < 1";
+  let sharded = n_shards > 1 in
   let cfg = spec.cfg in
+  let n_clients = cfg.Sys_params.n_clients in
   let eng = Sim.Engine.create () in
   let master = Sim.Rng.create spec.seed in
   let db = Db.Database.create spec.db_params in
@@ -27,6 +51,9 @@ let run_with_stats ?audit ?inspect (spec : Simulator.spec) =
   let metrics = Metrics.create eng in
   let net = Sim.Rng.split master "network" |> fun rng ->
             Net.Network.create eng ~rng cfg.Sys_params.net in
+  (* with [Fault.Plan.none] no hook is installed and [Net.Network.post]
+     takes its original path byte-for-byte: fault-free runs stay
+     bit-identical to the pre-fault simulator *)
   if Fault.Plan.active spec.fault then begin
     let inj = Fault.Injector.create spec.fault in
     Net.Network.set_fault_hook net (fun ~bytes ->
@@ -59,14 +86,21 @@ let run_with_stats ?audit ?inspect (spec : Simulator.spec) =
   end;
   let servers =
     Array.init n_shards (fun k ->
-        Server.create ~fault:spec.fault
-          ~label:(Printf.sprintf "s%d-" k)
-          eng ~cfg ~db ~algo:spec.algo ~net
-          ~rng:(Sim.Rng.split master (Printf.sprintf "server-%d" k))
-          ~metrics)
+        (* a single server keeps the unsharded RNG stream and names *)
+        let label, stream =
+          if sharded then
+            (Printf.sprintf "s%d-" k, Printf.sprintf "server-%d" k)
+          else ("", "server")
+        in
+        Server.create ~fault:spec.fault ~label eng ~cfg ~db ~algo:spec.algo
+          ~net ~rng:(Sim.Rng.split master stream) ~metrics)
   in
-  Array.iteri (fun k srv -> Server.set_peers srv ~shard_id:k servers) servers;
-  let clients = Array.make cfg.Sys_params.n_clients None in
+  (* peers switch a server into its sharded (2PC) mode *)
+  if sharded then
+    Array.iteri (fun k srv -> Server.set_peers srv ~shard_id:k servers) servers;
+  let clients = Array.make n_clients None in
+  (* fleet-wide crashed-client count, maintained by the clients themselves
+     so the sampler never scans the population *)
   let down_gauge = ref 0 in
   let commit_target = spec.warmup_commits + spec.measured_commits in
   let reset_all () =
@@ -83,7 +117,9 @@ let run_with_stats ?audit ?inspect (spec : Simulator.spec) =
   (* per-(client, shard) relay inboxes: each shard believes it talks to
      the client directly, but the router sits in between, consuming 2PC
      traffic and forwarding the rest *)
-  let relay = Array.make_matrix cfg.Sys_params.n_clients n_shards None in
+  let relay =
+    if sharded then Array.make_matrix n_clients n_shards None else [||]
+  in
   (* per-shard routed-message counters, names precomputed once so the
      hot path is a hash lookup + integer add (and nothing at all when no
      registry is installed) *)
@@ -91,7 +127,8 @@ let run_with_stats ?audit ?inspect (spec : Simulator.spec) =
     Array.init n_shards (fun k ->
         Printf.sprintf "ccsim_shard_msgs_total{shard=\"%d\"}" k)
   in
-  for i = 0 to cfg.Sys_params.n_clients - 1 do
+  let server0 = servers.(0) in
+  for i = 0 to n_clients - 1 do
     let crng = Sim.Rng.split master (Printf.sprintf "client-%d" i) in
     let workload =
       let rng = Sim.Rng.split crng "workload" in
@@ -100,79 +137,82 @@ let run_with_stats ?audit ?inspect (spec : Simulator.spec) =
       | None -> Db.Workload.create db spec.xact_params ~rng
     in
     let client = ref None in
-    let send s ~parent ~retry msg =
-      let c = Option.get !client in
-      if Obs.Metrics.active () then Obs.Metrics.incr_s shard_msg_name.(s) 1;
-      let bytes =
-        Proto.c2s_bytes ~control:cfg.Sys_params.control_msg_bytes
-          ~page_size:cfg.Sys_params.page_size msg
-      in
-      let tag =
-        {
-          Obs.Causal.tg_parent = parent;
-          tg_xid = Proto.c2s_xid msg;
-          tg_owner = Proto.c2s_client msg;
-          tg_kind = Proto.c2s_kind msg;
-          tg_src = Obs.Causal.Client i;
-          tg_dst = Obs.Causal.Shard s;
-          tg_retry = retry;
-        }
-      in
-      Comms.send ~tag net ~msg_inst:cfg.Sys_params.net.Net.Network.msg_inst
-        ~src:(Client.port c) ~dst:(Server.port servers.(s)) ~bytes
-        ~deliver:(fun ctx -> Server.deliver servers.(s) ~ctx msg)
-    in
-    let amnesia =
-      let p = spec.fault.Fault.Plan.coord_crash_prob in
-      let rng = Fault.Injector.coord_stream spec.fault i in
-      fun () -> p > 0.0 && Sim.Rng.bernoulli rng p
-    in
     let router =
-      Router.create ~map ~client_id:i ~metrics ~amnesia ~send
-        ~now:(fun () -> Sim.Engine.now eng)
-        ~deliver_client:(fun ctx msg ->
-          Sim.Mailbox.send (Client.inbox (Option.get !client)) (ctx, msg))
+      if not sharded then None
+      else begin
+        let send s ~parent ~retry msg =
+          let c = Option.get !client in
+          if Obs.Metrics.active () then Obs.Metrics.incr_s shard_msg_name.(s) 1;
+          post_c2s net cfg ~client:c ~i ~server:servers.(s)
+            ~dst:(Obs.Causal.Shard s) ~parent ~retry msg
+        in
+        let amnesia =
+          let p = spec.fault.Fault.Plan.coord_crash_prob in
+          let rng = Fault.Injector.coord_stream spec.fault i in
+          fun () -> p > 0.0 && Sim.Rng.bernoulli rng p
+        in
+        Some
+          (Router.create ~map ~client_id:i ~metrics ~amnesia ~send
+             ~now:(fun () -> Sim.Engine.now eng)
+             ~deliver_client:(fun ctx msg ->
+               Sim.Mailbox.send (Client.inbox (Option.get !client)) (ctx, msg)))
+      end
+    in
+    let to_server =
+      match router with
+      | Some r -> Router.route r
+      | None ->
+          (* a direct closure, not the sharded [send] partially
+             applied: the client population multiplies every word here *)
+          fun ~parent ~retry msg ->
+            post_c2s net cfg ~client:(Option.get !client) ~i ~server:server0
+              ~dst:(Obs.Causal.Shard 0) ~parent ~retry msg
     in
     let c =
       Client.create eng ?audit ~fault:spec.fault ~down_gauge ~id:i ~cfg
         ~algo:spec.algo ~workload ~rng:(Sim.Rng.split crng "client") ~metrics
-        ~to_server:(Router.route router) ~on_commit
+        ~to_server ~on_commit
     in
     client := Some c;
     clients.(i) <- Some c;
-    for s = 0 to n_shards - 1 do
-      let mb = Sim.Mailbox.create eng in
-      relay.(i).(s) <- Some mb;
-      Sim.Engine.spawn eng
-        ~name:(Printf.sprintf "relay-%d-%d" i s)
-        (fun () ->
-          let rec loop () =
-            let ctx, msg = Sim.Mailbox.recv mb in
-            Router.on_s2c router ~shard:s ~ctx msg;
-            loop ()
-          in
-          loop ())
-    done
+    Option.iter
+      (fun router ->
+        for s = 0 to n_shards - 1 do
+          let mb = Sim.Mailbox.create eng in
+          relay.(i).(s) <- Some mb;
+          Sim.Engine.spawn eng
+            ~name:(Printf.sprintf "relay-%d-%d" i s)
+            (fun () ->
+              let rec loop () =
+                let ctx, msg = Sim.Mailbox.recv mb in
+                Router.on_s2c router ~shard:s ~ctx msg;
+                loop ()
+              in
+              loop ())
+        done)
+      router
   done;
   let client_of i =
     match clients.(i) with Some c -> c | None -> assert false
   in
-  for s = 0 to n_shards - 1 do
-    let links =
-      Array.init cfg.Sys_params.n_clients (fun i ->
-          let c = client_of i in
-          {
-            Server.port = Client.port c;
-            inbox = Option.get relay.(i).(s);
-            cache_view = Client.cache c;
-          })
-    in
-    Server.register_clients ~hooks:false servers.(s) links
-  done;
+  Array.iteri
+    (fun s srv ->
+      let links =
+        Array.init n_clients (fun i ->
+            let c = client_of i in
+            {
+              Server.port = Client.port c;
+              inbox =
+                (if sharded then Option.get relay.(i).(s) else Client.inbox c);
+              cache_view = Client.cache c;
+            })
+      in
+      Server.register_clients ~hooks:(not sharded) srv links)
+    servers;
   (* one residency-hook dispatcher per client pool (a pool has a single
      hook slot): each cached page is indexed on the shard that owns it *)
-  if Server.notifies servers.(0) then
-    for i = 0 to cfg.Sys_params.n_clients - 1 do
+  if sharded && Server.notifies server0 then
+    for i = 0 to n_clients - 1 do
       let pool = Client.cache (client_of i) in
       Storage.Lru_pool.set_residency_hook pool
         ~on_add:(fun page ->
@@ -181,11 +221,18 @@ let run_with_stats ?audit ?inspect (spec : Simulator.spec) =
           Server.residency_drop servers.(Shard_map.shard_of_page map page) i
             page)
     done;
+  (* shard 0's crash stream is the single-server stream *)
   Array.iteri
     (fun k srv ->
       Server.start ~crash_rng:(Fault.Injector.shard_stream spec.fault k) srv)
     servers;
   Array.iter (function Some c -> Client.start c | None -> ()) clients;
+  (* Observability, all opt-in ([Obs.Config.off] installs nothing).  The
+     recorder goes into THIS domain's sink slot — which is the pool
+     worker's slot when the run was dispatched by [Sim.Pool] — and the
+     filled buffer returns by value in [result.obs], so tracing works at
+     any [-j].  Sampler sources only read statistics (no hold, no RNG),
+     so sampled runs compute exactly the results of unsampled ones. *)
   let ocfg = spec.obs in
   let recorder =
     if ocfg.Obs.Config.trace then
@@ -211,13 +258,13 @@ let run_with_stats ?audit ?inspect (spec : Simulator.spec) =
     else None
   in
   if ocfg.Obs.Config.profile then Sim.Engine.enable_profiling eng;
-  let all_disks =
-    Array.concat (Array.to_list (Array.map Server.data_disks servers))
-  in
   let series =
     if not ocfg.Obs.Config.series then None
     else begin
       let interval = ocfg.Obs.Config.sample_interval in
+      (* Per-interval rate from a cumulative counter.  [Metrics.reset] at
+         the warmup boundary rewinds the counters, so the first
+         post-warmup delta can be negative: clamp to 0. *)
       let rate_of read =
         let last = ref (read ()) in
         fun () ->
@@ -225,6 +272,9 @@ let run_with_stats ?audit ?inspect (spec : Simulator.spec) =
           let d = v -. !last in
           last := v;
           Float.max 0.0 d
+      in
+      let all_disks =
+        Array.concat (Array.to_list (Array.map Server.data_disks servers))
       in
       let cpu_busy =
         rate_of (fun () ->
@@ -252,9 +302,10 @@ let run_with_stats ?audit ?inspect (spec : Simulator.spec) =
       let abort_rate =
         rate_of (fun () -> float_of_int (Metrics.aborts metrics))
       in
-      let sum_over f () =
-        Array.fold_left (fun a srv -> a + f srv) 0 servers
+      let sum_over f =
+        float_of_int (Array.fold_left (fun a srv -> a + f srv) 0 servers)
       in
+      let lock_count f () = sum_over (fun srv -> f (Server.locks srv)) in
       let sources =
         [
           ( "server_cpu_util",
@@ -269,22 +320,10 @@ let run_with_stats ?audit ?inspect (spec : Simulator.spec) =
                   (disk_busy ()
                   /. (interval *. float_of_int (Array.length all_disks))) );
           ("net_util", fun () -> Float.min 1.0 (net_busy () /. interval));
-          ( "locks_held",
-            fun () ->
-              float_of_int
-                (sum_over
-                   (fun srv -> Cc.Lock_table.locks_held (Server.locks srv))
-                   ()) );
-          ( "lock_waiters",
-            fun () ->
-              float_of_int
-                (sum_over
-                   (fun srv -> Cc.Lock_table.waiting_count (Server.locks srv))
-                   ()) );
-          ( "active_xacts",
-            fun () -> float_of_int (sum_over Server.active_count ()) );
-          ( "ready_queue",
-            fun () -> float_of_int (sum_over Server.ready_queue_length ()) );
+          ("locks_held", lock_count Cc.Lock_table.locks_held);
+          ("lock_waiters", lock_count Cc.Lock_table.waiting_count);
+          ("active_xacts", fun () -> sum_over Server.active_count);
+          ("ready_queue", fun () -> sum_over Server.ready_queue_length);
           ("commit_rate", fun () -> commit_rate () /. interval);
           ("abort_rate", fun () -> abort_rate () /. interval);
           ("clients_down", fun () -> float_of_int !down_gauge);
@@ -294,6 +333,8 @@ let run_with_stats ?audit ?inspect (spec : Simulator.spec) =
     end
   in
   let sim_time =
+    (* Each sink goes into THIS domain's slot for the duration of the run;
+       composable wrapping keeps recorder-off runs on the bare path. *)
     let run_sim () = Sim.Engine.run eng ~until:spec.max_sim_time () in
     let with_sink save install restore v f =
       match v with
@@ -346,12 +387,13 @@ let run_with_stats ?audit ?inspect (spec : Simulator.spec) =
       | None -> ())
   | None -> ());
   (match inspect with
-  | Some f -> f servers (Array.map (function Some c -> c | None -> assert false) clients)
+  | Some f -> f servers (Array.init n_clients client_of)
   | None -> ());
   let now = sim_time in
   let window = now -. Metrics.measure_start metrics in
   let commits = Metrics.commits metrics in
   let lookups = Metrics.lookups metrics in
+  (* single pass over the client array: no intermediate list at 100k *)
   let client_cpu_util_mean =
     let sum = ref 0.0 and n = ref 0 in
     Array.iter
@@ -363,6 +405,7 @@ let run_with_stats ?audit ?inspect (spec : Simulator.spec) =
       clients;
     if !n = 0 then 0.0 else !sum /. float_of_int !n
   in
+  (* exact for one server: (0 + x) / 1 = x *)
   let favg_servers f =
     Array.fold_left (fun a srv -> a +. f srv) 0.0 servers
     /. float_of_int n_shards
@@ -444,7 +487,7 @@ let run_with_stats ?audit ?inspect (spec : Simulator.spec) =
   let result =
     {
       Simulator.algo = spec.algo;
-      n_clients = cfg.Sys_params.n_clients;
+      n_clients;
       mean_response = Metrics.mean_response metrics;
       response_stddev = Sim.Stats.stddev (Metrics.response_stats metrics);
       response_p50 = Metrics.response_quantile metrics 0.5;
@@ -514,17 +557,10 @@ let run_with_stats ?audit ?inspect (spec : Simulator.spec) =
       rep_hits = Metrics.hits metrics;
     } )
 
-let run ?audit ?inspect (spec : Simulator.spec) =
-  if spec.n_shards <= 1 then
-    Simulator.run ?audit
-      ?inspect:
-        (Option.map (fun f srv cls -> f [| srv |] cls) inspect)
-      spec
-  else fst (run_with_stats ?audit ?inspect spec)
+let run ?audit ?inspect spec = fst (run_with_stats ?audit ?inspect spec)
 
 let run_replicated ?(jobs = 1) (spec : Simulator.spec) ~reps =
-  if spec.n_shards <= 1 then Simulator.run_replicated ~jobs spec ~reps
-  else if reps <= 1 then run spec
+  if reps <= 1 then run spec
   else begin
     let specs =
       List.init reps (fun k -> { spec with Simulator.seed = spec.seed + k })

@@ -151,10 +151,6 @@ let small_spec ?(obs = Obs.Config.causal) ?(seed = 7) ?(n_shards = 1)
     fault;
   }
 
-let run_spec (spec : Core.Simulator.spec) =
-  if spec.Core.Simulator.n_shards > 1 then Shard.Shard_sim.run spec
-  else Core.Simulator.run spec
-
 let obs_of r =
   match r.Core.Simulator.obs with
   | None -> Alcotest.fail "no obs payload"
@@ -208,7 +204,7 @@ let qtest_dags_wellformed_under_faults =
       let spec =
         small_spec ~seed ~n_shards ~fault (Core.Proto.Two_phase Core.Proto.Inter)
       in
-      let o = obs_of (run_spec spec) in
+      let o = obs_of (Shard.Shard_sim.run spec) in
       let an = analyze_run o in
       (* validation covers acyclicity (parents precede children), the
          single root per group, and send <= receive on every edge *)
@@ -233,7 +229,7 @@ let protocols =
   ]
 
 let check_reconciles name spec =
-  let o = obs_of (run_spec spec) in
+  let o = obs_of (Shard.Shard_sim.run spec) in
   let an = analyze_run o in
   Alcotest.(check bool) (name ^ " well-formed") true
     (Obs.Causal.check_ok an.Obs.Causal.an_check);
@@ -266,7 +262,9 @@ let test_chain_reconciles_four_shards () =
 
 let test_amplification_accounts_every_send () =
   let o =
-    obs_of (run_spec (small_spec (Core.Proto.Two_phase Core.Proto.Inter)))
+    obs_of
+      (Shard.Shard_sim.run
+         (small_spec (Core.Proto.Two_phase Core.Proto.Inter)))
   in
   let causal = Obs.Run.merged_causal o in
   let an = Obs.Causal.analyze causal in
@@ -301,7 +299,8 @@ let test_duplicates_tagged_under_dup_faults () =
   in
   let o =
     obs_of
-      (run_spec (small_spec ~fault (Core.Proto.Two_phase Core.Proto.Inter)))
+      (Shard.Shard_sim.run
+         (small_spec ~fault (Core.Proto.Two_phase Core.Proto.Inter)))
   in
   let causal = Obs.Run.merged_causal o in
   let an = Obs.Causal.analyze causal in
@@ -376,7 +375,9 @@ let test_dropped_copies_draw_no_arrow () =
 
 let test_dag_text_format () =
   let o =
-    obs_of (run_spec (small_spec (Core.Proto.Two_phase Core.Proto.Inter)))
+    obs_of
+      (Shard.Shard_sim.run
+         (small_spec (Core.Proto.Two_phase Core.Proto.Inter)))
   in
   let text = Obs.Export.dag_text (Obs.Run.merged_causal o) in
   List.iter
@@ -394,30 +395,27 @@ let test_causal_obs_is_pure () =
      the result record is bit-identical to the dark run *)
   List.iter
     (fun (name, algo) ->
-      let base = run_spec (small_spec ~obs:Obs.Config.off algo) in
-      let instr = run_spec (small_spec algo) in
+      let base = Shard.Shard_sim.run (small_spec ~obs:Obs.Config.off algo) in
+      let instr = Shard.Shard_sim.run (small_spec algo) in
       Alcotest.(check bool)
         (name ^ " result bit-identical")
         true
         ({ instr with Core.Simulator.obs = None } = base))
     [ List.hd protocols; List.nth protocols 2 ];
   let base =
-    run_spec
+    Shard.Shard_sim.run
       (small_spec ~obs:Obs.Config.off ~n_shards:4
          (Core.Proto.Two_phase Core.Proto.Inter))
   in
   let instr =
-    run_spec (small_spec ~n_shards:4 (Core.Proto.Two_phase Core.Proto.Inter))
+    Shard.Shard_sim.run
+      (small_spec ~n_shards:4 (Core.Proto.Two_phase Core.Proto.Inter))
   in
   Alcotest.(check bool) "sharded result bit-identical" true
     ({ instr with Core.Simulator.obs = None } = base)
 
 let dag_artifact ~jobs (spec : Core.Simulator.spec) =
-  let r =
-    if spec.Core.Simulator.n_shards > 1 then
-      Shard.Shard_sim.run_replicated ~jobs spec ~reps:3
-    else Core.Simulator.run_replicated ~jobs spec ~reps:3
-  in
+  let r = Shard.Shard_sim.run_replicated ~jobs spec ~reps:3 in
   Obs.Export.dag_text (Obs.Run.merged_causal (obs_of r))
 
 let test_jobs_invariance_dag () =

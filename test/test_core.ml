@@ -496,7 +496,7 @@ let all_algorithms =
 let test_every_algorithm_completes () =
   List.iter
     (fun algo ->
-      let r = Core.Simulator.run (quick_spec algo) in
+      let r = Shard.Shard_sim.run (quick_spec algo) in
       let name = Core.Proto.algorithm_name algo in
       if r.Core.Simulator.commits < 300 then
         Alcotest.failf "%s: only %d commits" name r.Core.Simulator.commits;
@@ -507,44 +507,44 @@ let test_every_algorithm_completes () =
     all_algorithms
 
 let test_determinism () =
-  let r1 = Core.Simulator.run (quick_spec (Core.Proto.Two_phase Core.Proto.Inter)) in
-  let r2 = Core.Simulator.run (quick_spec (Core.Proto.Two_phase Core.Proto.Inter)) in
+  let r1 = Shard.Shard_sim.run (quick_spec (Core.Proto.Two_phase Core.Proto.Inter)) in
+  let r2 = Shard.Shard_sim.run (quick_spec (Core.Proto.Two_phase Core.Proto.Inter)) in
   Alcotest.(check (float 0.0)) "same response" r1.Core.Simulator.mean_response
     r2.Core.Simulator.mean_response;
   Alcotest.(check int) "same events" r1.Core.Simulator.events r2.Core.Simulator.events
 
 let test_seed_changes_results () =
-  let r1 = Core.Simulator.run (quick_spec ~seed:3 (Core.Proto.Two_phase Core.Proto.Inter)) in
-  let r2 = Core.Simulator.run (quick_spec ~seed:4 (Core.Proto.Two_phase Core.Proto.Inter)) in
+  let r1 = Shard.Shard_sim.run (quick_spec ~seed:3 (Core.Proto.Two_phase Core.Proto.Inter)) in
+  let r2 = Shard.Shard_sim.run (quick_spec ~seed:4 (Core.Proto.Two_phase Core.Proto.Inter)) in
   Alcotest.(check bool) "different event counts" true
     (r1.Core.Simulator.events <> r2.Core.Simulator.events)
 
 let test_cert_has_no_deadlocks () =
   let r =
-    Core.Simulator.run
+    Shard.Shard_sim.run
       (quick_spec ~pw:0.5 (Core.Proto.Certification Core.Proto.Inter))
   in
   Alcotest.(check int) "no deadlock aborts" 0 r.Core.Simulator.aborts_deadlock;
   Alcotest.(check int) "no stale aborts" 0 r.Core.Simulator.aborts_stale
 
 let test_locking_has_no_cert_aborts () =
-  let r = Core.Simulator.run (quick_spec ~pw:0.5 (Core.Proto.Two_phase Core.Proto.Inter)) in
+  let r = Shard.Shard_sim.run (quick_spec ~pw:0.5 (Core.Proto.Two_phase Core.Proto.Inter)) in
   Alcotest.(check int) "no cert aborts" 0 r.Core.Simulator.aborts_cert;
   Alcotest.(check int) "no stale aborts" 0 r.Core.Simulator.aborts_stale
 
 let test_read_only_no_aborts () =
   List.iter
     (fun algo ->
-      let r = Core.Simulator.run (quick_spec ~pw:0.0 algo) in
+      let r = Shard.Shard_sim.run (quick_spec ~pw:0.0 algo) in
       Alcotest.(check int)
         (Core.Proto.algorithm_name algo ^ " read-only aborts")
         0 r.Core.Simulator.aborts)
     all_algorithms
 
 let test_callback_hit_ratio_dominates () =
-  let cb = Core.Simulator.run (quick_spec ~loc:0.75 ~pw:0.0 Core.Proto.Callback) in
+  let cb = Shard.Shard_sim.run (quick_spec ~loc:0.75 ~pw:0.0 Core.Proto.Callback) in
   let tp =
-    Core.Simulator.run (quick_spec ~loc:0.75 ~pw:0.0 (Core.Proto.Two_phase Core.Proto.Inter))
+    Shard.Shard_sim.run (quick_spec ~loc:0.75 ~pw:0.0 (Core.Proto.Two_phase Core.Proto.Inter))
   in
   if cb.Core.Simulator.hit_ratio <= tp.Core.Simulator.hit_ratio then
     Alcotest.failf "callback hit %.2f should beat 2PL hit %.2f"
@@ -554,7 +554,7 @@ let test_callback_hit_ratio_dominates () =
 
 let test_intra_never_hits_across_xacts () =
   let r =
-    Core.Simulator.run (quick_spec ~loc:0.75 (Core.Proto.Two_phase Core.Proto.Intra))
+    Shard.Shard_sim.run (quick_spec ~loc:0.75 (Core.Proto.Two_phase Core.Proto.Intra))
   in
   (* intra caching still hits within a transaction (re-read objects), but
      the ratio must be small *)
@@ -562,8 +562,8 @@ let test_intra_never_hits_across_xacts () =
     Alcotest.failf "intra hit ratio suspiciously high: %.2f" r.Core.Simulator.hit_ratio
 
 let test_inter_beats_intra_response () =
-  let inter = Core.Simulator.run (quick_spec ~loc:0.75 ~pw:0.0 (Core.Proto.Two_phase Core.Proto.Inter)) in
-  let intra = Core.Simulator.run (quick_spec ~loc:0.75 ~pw:0.0 (Core.Proto.Two_phase Core.Proto.Intra)) in
+  let inter = Shard.Shard_sim.run (quick_spec ~loc:0.75 ~pw:0.0 (Core.Proto.Two_phase Core.Proto.Inter)) in
+  let intra = Shard.Shard_sim.run (quick_spec ~loc:0.75 ~pw:0.0 (Core.Proto.Two_phase Core.Proto.Intra)) in
   if inter.Core.Simulator.mean_response >= intra.Core.Simulator.mean_response then
     Alcotest.failf "inter (%.3f) should beat intra (%.3f)"
       inter.Core.Simulator.mean_response intra.Core.Simulator.mean_response
@@ -571,22 +571,22 @@ let test_inter_beats_intra_response () =
 let test_callback_zero_message_commits () =
   (* at very high locality and no writes, callback sends far fewer
      messages than 2PL *)
-  let cb = Core.Simulator.run (quick_spec ~loc:0.75 ~pw:0.0 Core.Proto.Callback) in
-  let tp = Core.Simulator.run (quick_spec ~loc:0.75 ~pw:0.0 (Core.Proto.Two_phase Core.Proto.Inter)) in
+  let cb = Shard.Shard_sim.run (quick_spec ~loc:0.75 ~pw:0.0 Core.Proto.Callback) in
+  let tp = Shard.Shard_sim.run (quick_spec ~loc:0.75 ~pw:0.0 (Core.Proto.Two_phase Core.Proto.Inter)) in
   if cb.Core.Simulator.msgs_per_commit >= tp.Core.Simulator.msgs_per_commit then
     Alcotest.failf "callback msgs/commit %.1f should be below 2PL %.1f"
       cb.Core.Simulator.msgs_per_commit tp.Core.Simulator.msgs_per_commit
 
 let test_notify_sends_pushes () =
-  let r = Core.Simulator.run (quick_spec ~pw:0.5 ~loc:0.5 (Core.Proto.No_wait { notify = Some Core.Proto.Push })) in
+  let r = Shard.Shard_sim.run (quick_spec ~pw:0.5 ~loc:0.5 (Core.Proto.No_wait { notify = Some Core.Proto.Push })) in
   Alcotest.(check bool) "pushes happened" true (r.Core.Simulator.pushes_sent > 0)
 
 let test_plain_no_wait_never_pushes () =
-  let r = Core.Simulator.run (quick_spec ~pw:0.5 ~loc:0.5 (Core.Proto.No_wait { notify = None })) in
+  let r = Shard.Shard_sim.run (quick_spec ~pw:0.5 ~loc:0.5 (Core.Proto.No_wait { notify = None })) in
   Alcotest.(check int) "no pushes" 0 r.Core.Simulator.pushes_sent
 
 let test_callback_sends_callbacks () =
-  let r = Core.Simulator.run (quick_spec ~pw:0.5 ~loc:0.5 Core.Proto.Callback) in
+  let r = Shard.Shard_sim.run (quick_spec ~pw:0.5 ~loc:0.5 Core.Proto.Callback) in
   Alcotest.(check bool) "callbacks happened" true (r.Core.Simulator.callbacks_sent > 0)
 
 let test_interactive_response_dominated_by_think_time () =
@@ -596,7 +596,7 @@ let test_interactive_response_dominated_by_think_time () =
     Core.Simulator.default_spec ~seed:3 ~warmup_commits:20 ~measured_commits:100
       ~cfg ~xact_params:xp (Core.Proto.Two_phase Core.Proto.Inter)
   in
-  let r = Core.Simulator.run spec in
+  let r = Shard.Shard_sim.run spec in
   (* 8 objects on average, 7 s of think time per object: ~56 s *)
   let rt = r.Core.Simulator.mean_response in
   if rt < 40.0 || rt > 75.0 then
@@ -605,7 +605,7 @@ let test_interactive_response_dominated_by_think_time () =
 let test_utilizations_bounded () =
   List.iter
     (fun algo ->
-      let r = Core.Simulator.run (quick_spec ~n_clients:20 ~pw:0.3 algo) in
+      let r = Shard.Shard_sim.run (quick_spec ~n_clients:20 ~pw:0.3 algo) in
       let check name v =
         if v < 0.0 || v > 1.000001 then
           Alcotest.failf "%s %s utilization out of range: %f"
@@ -620,7 +620,7 @@ let test_utilizations_bounded () =
 
 let test_replication_averages () =
   let spec = quick_spec (Core.Proto.Two_phase Core.Proto.Inter) in
-  let r = Core.Simulator.run_replicated spec ~reps:3 in
+  let r = Shard.Shard_sim.run_replicated spec ~reps:3 in
   Alcotest.(check int) "commits summed over reps" (3 * 300) r.Core.Simulator.commits
 
 (* Regression for the replication-statistics bug: stddev and quantiles
@@ -629,11 +629,11 @@ let test_replication_averages () =
    anything), and ratios must be ratios of pooled counts. *)
 let test_replication_pools_statistics () =
   let spec = quick_spec (Core.Proto.Two_phase Core.Proto.Inter) in
-  let pooled = Core.Simulator.run_replicated spec ~reps:3 in
+  let pooled = Shard.Shard_sim.run_replicated spec ~reps:3 in
   let reps =
     List.map
       (fun k ->
-        Core.Simulator.run
+        Shard.Shard_sim.run
           { spec with Core.Simulator.seed = spec.Core.Simulator.seed + k })
       [ 0; 1; 2 ]
   in
@@ -707,8 +707,8 @@ let test_replication_pools_statistics () =
 
 let test_replication_jobs_invariant () =
   let spec = quick_spec (Core.Proto.Two_phase Core.Proto.Inter) in
-  let seq = Core.Simulator.run_replicated ~jobs:1 spec ~reps:3 in
-  let par = Core.Simulator.run_replicated ~jobs:3 spec ~reps:3 in
+  let seq = Shard.Shard_sim.run_replicated ~jobs:1 spec ~reps:3 in
+  let par = Shard.Shard_sim.run_replicated ~jobs:3 spec ~reps:3 in
   Alcotest.(check bool) "jobs=1 and jobs=3 results identical" true (seq = par)
 
 let test_hot_spot_buffer_sharing () =
@@ -720,7 +720,7 @@ let test_hot_spot_buffer_sharing () =
       Core.Simulator.db_params = Db.Db_params.uniform ~n_classes:2 ~pages_per_class:50 ();
     }
   in
-  let r = Core.Simulator.run spec in
+  let r = Shard.Shard_sim.run spec in
   (* the whole database (100 pages) fits in the 400-page buffer: after
      warmup there should be almost no disk traffic *)
   if r.Core.Simulator.disk_util > 0.05 then
@@ -748,7 +748,7 @@ let test_per_client_memory_budget () =
     Gc.full_major ();
     per_client := (Gc.stat ()).Gc.live_words / n_clients
   in
-  ignore (Core.Simulator.run ~inspect spec);
+  ignore (Shard.Shard_sim.run ~inspect spec);
   if !per_client > live_words_per_client_budget then
     Alcotest.failf "%d live words per client, budget %d" !per_client
       live_words_per_client_budget
@@ -766,7 +766,7 @@ let prop_random_configs_complete =
         Core.Simulator.default_spec ~seed:9 ~warmup_commits:20
           ~measured_commits:120 ~cfg ~xact_params:xp algo
       in
-      let r = Core.Simulator.run spec in
+      let r = Shard.Shard_sim.run spec in
       r.Core.Simulator.commits >= 120)
 
 
@@ -777,7 +777,7 @@ let prop_random_configs_complete =
 let audited_run ?(n_clients = 10) ?(pw = 0.4) ?(loc = 0.5) algo =
   let audit = Cc.History.create () in
   let spec = quick_spec ~n_clients ~pw ~loc algo in
-  let r = Core.Simulator.run ~audit spec in
+  let r = Shard.Shard_sim.run ~audit spec in
   (r, audit)
 
 let check_serializable algo =
@@ -809,7 +809,7 @@ let test_serializability_high_contention () =
             Db.Db_params.uniform ~n_classes:4 ~pages_per_class:40 ();
         }
       in
-      ignore (Core.Simulator.run ~audit spec);
+      ignore (Shard.Shard_sim.run ~audit spec);
       match Cc.History.check audit with
       | Cc.History.Serializable -> ()
       | Cc.History.Cycle c ->
@@ -838,7 +838,7 @@ let test_stale_drop_one_still_completes () =
     Core.Simulator.default_spec ~seed:3 ~warmup_commits:30 ~measured_commits:200
       ~cfg ~xact_params:xp (Core.Proto.No_wait { notify = None })
   in
-  let r = Core.Simulator.run spec in
+  let r = Shard.Shard_sim.run spec in
   Alcotest.(check int) "commits" 200 r.Core.Simulator.commits
 
 let test_restart_policies_complete () =
@@ -853,7 +853,7 @@ let test_restart_policies_complete () =
           ~measured_commits:200 ~cfg ~xact_params:xp
           (Core.Proto.Two_phase Core.Proto.Inter)
       in
-      let r = Core.Simulator.run spec in
+      let r = Shard.Shard_sim.run spec in
       Alcotest.(check int) "commits" 200 r.Core.Simulator.commits)
     [ Core.Sys_params.Adaptive; Core.Sys_params.Fixed 0.5; Core.Sys_params.Immediate ]
 
@@ -867,7 +867,7 @@ let test_callback_grace_zero_completes_and_serializable () =
     Core.Simulator.default_spec ~seed:3 ~warmup_commits:30 ~measured_commits:200
       ~cfg ~xact_params:xp Core.Proto.Callback
   in
-  let r = Core.Simulator.run ~audit spec in
+  let r = Shard.Shard_sim.run ~audit spec in
   Alcotest.(check int) "commits" 200 r.Core.Simulator.commits;
   match Cc.History.check audit with
   | Cc.History.Serializable -> ()
@@ -891,7 +891,7 @@ let test_multi_page_objects_serializable () =
           warmup_commits = 20;
         }
       in
-      let r = Core.Simulator.run ~audit spec in
+      let r = Shard.Shard_sim.run ~audit spec in
       Alcotest.(check bool)
         (Core.Proto.algorithm_name algo ^ " completes")
         true
@@ -919,7 +919,7 @@ let test_2pl_with_notification () =
     Core.Simulator.default_spec ~seed:3 ~warmup_commits:30 ~measured_commits:200
       ~cfg ~xact_params:xp (Core.Proto.Two_phase Core.Proto.Inter)
   in
-  let r = Core.Simulator.run ~audit spec in
+  let r = Shard.Shard_sim.run ~audit spec in
   Alcotest.(check int) "commits" 200 r.Core.Simulator.commits;
   Alcotest.(check bool) "pushes sent under 2PL" true (r.Core.Simulator.pushes_sent > 0);
   match Cc.History.check audit with
@@ -938,7 +938,7 @@ let test_retain_writes_serializable_and_cheaper () =
       Core.Simulator.default_spec ~seed:3 ~warmup_commits:50
         ~measured_commits:400 ~cfg ~xact_params:xp Core.Proto.Callback
     in
-    let r = Core.Simulator.run ~audit spec in
+    let r = Shard.Shard_sim.run ~audit spec in
     (match Cc.History.check audit with
     | Cc.History.Serializable -> ()
     | Cc.History.Cycle _ -> Alcotest.fail "retain-writes must stay serializable");
@@ -962,7 +962,7 @@ let test_small_cache_callback_releases_retained () =
     Core.Simulator.default_spec ~seed:5 ~warmup_commits:30 ~measured_commits:300
       ~cfg ~xact_params:xp Core.Proto.Callback
   in
-  let r = Core.Simulator.run spec in
+  let r = Shard.Shard_sim.run spec in
   Alcotest.(check int) "commits" 300 r.Core.Simulator.commits
 
 
@@ -1042,7 +1042,7 @@ let test_mva_matches_simulation_light_load () =
   let cfg = Core.Sys_params.table5 ~n_clients:10 () in
   let xp = Db.Xact_params.short_batch ~prob_write:0.0 ~inter_xact_loc:0.0 () in
   let sim =
-    Core.Simulator.run
+    Shard.Shard_sim.run
       (Core.Simulator.default_spec ~seed:3 ~warmup_commits:200
          ~measured_commits:1500 ~cfg ~xact_params:xp
          (Core.Proto.Two_phase Core.Proto.Inter))
@@ -1080,8 +1080,8 @@ let test_no_locality_intra_equals_inter () =
       ~xact_params:(Db.Xact_params.short_batch ~prob_write:0.0 ~inter_xact_loc:0.0 ())
       (Core.Proto.Two_phase caching)
   in
-  let inter = Core.Simulator.run (spec Core.Proto.Inter) in
-  let intra = Core.Simulator.run (spec Core.Proto.Intra) in
+  let inter = Shard.Shard_sim.run (spec Core.Proto.Inter) in
+  let intra = Shard.Shard_sim.run (spec Core.Proto.Intra) in
   let rel =
     Float.abs (inter.Core.Simulator.mean_response -. intra.Core.Simulator.mean_response)
     /. intra.Core.Simulator.mean_response

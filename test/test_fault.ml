@@ -270,8 +270,8 @@ let test_large_population_deterministic_across_jobs () =
     Core.Simulator.default_spec ~seed:11 ~warmup_commits:20
       ~measured_commits:80 ~fault ~cfg ~xact_params:xp Core.Proto.Callback
   in
-  let seq = Core.Simulator.run_replicated ~jobs:1 spec ~reps:2 in
-  let par = Core.Simulator.run_replicated ~jobs:4 spec ~reps:2 in
+  let seq = Shard.Shard_sim.run_replicated ~jobs:1 spec ~reps:2 in
+  let par = Shard.Shard_sim.run_replicated ~jobs:4 spec ~reps:2 in
   Alcotest.(check bool) "10k-client faulty run identical at jobs=1 and jobs=4"
     true (seq = par)
 

@@ -103,7 +103,7 @@ let small_spec ?(obs = Obs.Config.off) ?(seed = 7) () =
   }
 
 let test_traced_run_payload () =
-  let r = Core.Simulator.run (small_spec ~obs:Obs.Config.trace_only ()) in
+  let r = Shard.Shard_sim.run (small_spec ~obs:Obs.Config.trace_only ()) in
   match r.Core.Simulator.obs with
   | None -> Alcotest.fail "no obs payload"
   | Some o ->
@@ -126,7 +126,7 @@ let test_traced_run_payload () =
            es)
 
 let test_obs_off_no_payload () =
-  let r = Core.Simulator.run (small_spec ()) in
+  let r = Shard.Shard_sim.run (small_spec ()) in
   Alcotest.(check bool) "no payload when off" true
     (r.Core.Simulator.obs = None)
 
@@ -134,7 +134,7 @@ let test_pool_runs_are_traced () =
   (* the "-j tracing gap": replications dispatched to Sim.Pool workers
      must record into their own domain's buffer and return it by value *)
   let spec = small_spec ~obs:Obs.Config.trace_only () in
-  let r = Core.Simulator.run_replicated ~jobs:2 spec ~reps:2 in
+  let r = Shard.Shard_sim.run_replicated ~jobs:2 spec ~reps:2 in
   match r.Core.Simulator.obs with
   | None -> Alcotest.fail "no obs payload from pooled run"
   | Some o ->
@@ -160,7 +160,7 @@ let test_jobs_invariance () =
      -j 1 and -j 4 *)
   let spec = small_spec ~obs:obs_full_fast () in
   let art jobs =
-    let r = Core.Simulator.run_replicated ~jobs spec ~reps:3 in
+    let r = Shard.Shard_sim.run_replicated ~jobs spec ~reps:3 in
     let o = Option.get r.Core.Simulator.obs in
     let merged = Obs.Run.merged_trace o in
     let csvs =
@@ -180,22 +180,22 @@ let test_jobs_invariance () =
 
 let test_observability_is_pure () =
   (* tracing must not change any simulation outcome *)
-  let base = Core.Simulator.run (small_spec ()) in
+  let base = Shard.Shard_sim.run (small_spec ()) in
   let traced =
-    Core.Simulator.run (small_spec ~obs:Obs.Config.trace_only ())
+    Shard.Shard_sim.run (small_spec ~obs:Obs.Config.trace_only ())
   in
   Alcotest.(check bool) "trace-only result identical" true
     ({ traced with Core.Simulator.obs = None } = base);
   (* the sampler adds its own wake-up events to the heap (so [events]
      grows) but must not perturb any measured outcome *)
-  let full = Core.Simulator.run (small_spec ~obs:obs_full_fast ()) in
+  let full = Shard.Shard_sim.run (small_spec ~obs:obs_full_fast ()) in
   let scrub r = { r with Core.Simulator.obs = None; events = 0 } in
   Alcotest.(check bool) "sampled+profiled result identical" true
     (scrub full = scrub base)
 
 let test_profile_in_payload () =
   let r =
-    Core.Simulator.run
+    Shard.Shard_sim.run
       (small_spec ~obs:(Obs.Config.make ~profile:true ()) ())
   in
   let o = Option.get r.Core.Simulator.obs in
@@ -216,7 +216,7 @@ let test_profile_in_payload () =
            p.Sim.Engine.pr_per_process)
 
 let test_facility_snapshots () =
-  let r = Core.Simulator.run (small_spec ~obs:Obs.Config.trace_only ()) in
+  let r = Shard.Shard_sim.run (small_spec ~obs:Obs.Config.trace_only ()) in
   let o = Option.get r.Core.Simulator.obs in
   let facs = (List.hd o.Obs.Run.reps).Obs.Run.facilities in
   let names = List.map (fun f -> f.Obs.Run.fac_name) facs in
@@ -258,7 +258,7 @@ let test_sampler_process () =
 
 let test_run_series_content () =
   let r =
-    Core.Simulator.run
+    Shard.Shard_sim.run
       (small_spec
          ~obs:(Obs.Config.make ~series:true ~sample_interval:2.0 ())
          ())
@@ -373,7 +373,7 @@ let test_series_csv_roundtrip () =
     (Obs.Export.series_csv s')
 
 let test_perfetto_valid_json () =
-  let r = Core.Simulator.run (small_spec ~obs:Obs.Config.trace_only ()) in
+  let r = Shard.Shard_sim.run (small_spec ~obs:Obs.Config.trace_only ()) in
   let o = Option.get r.Core.Simulator.obs in
   let json = Obs.Export.perfetto (Obs.Run.merged_trace o) in
   (match Obs.Export.validate_json json with

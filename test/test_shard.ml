@@ -1,5 +1,5 @@
 (* Sharding: directory map, router dispatch, presumed-abort 2PC, and
-   the N=1 bit-identity guarantee. *)
+   the shard-count bounds of the one assembly. *)
 
 let quick_spec ?(n_clients = 8) ?(n_shards = 4) ?(pw = 0.2) ?(loc = 0.5)
     ?(seed = 3) ?(fault = Fault.Plan.none) algo =
@@ -96,31 +96,34 @@ let test_sharded_determinism () =
   Alcotest.(check int) "same xshard commits" r1.Core.Simulator.xshard_commits
     r2.Core.Simulator.xshard_commits
 
-let test_n1_bit_identical () =
+let test_shard_count_bounds () =
+  List.iter
+    (fun n_shards ->
+      Alcotest.check_raises
+        (Printf.sprintf "n_shards = %d rejected" n_shards)
+        (Invalid_argument "Shard_sim.run_with_stats: n_shards < 1")
+        (fun () ->
+          ignore
+            (Shard.Shard_sim.run
+               (quick_spec ~n_shards (Core.Proto.Two_phase Core.Proto.Inter)))))
+    [ 0; -1 ];
+  (* one shard is the single-server topology: one server, no 2PC *)
   List.iter
     (fun algo ->
-      let spec = quick_spec ~n_shards:1 algo in
-      let a = Core.Simulator.run spec in
-      let b = Shard.Shard_sim.run spec in
       let name = Core.Proto.algorithm_name algo in
-      if a.Core.Simulator.mean_response <> b.Core.Simulator.mean_response then
-        Alcotest.failf "%s: N=1 response drifted" name;
-      if a.Core.Simulator.events <> b.Core.Simulator.events then
-        Alcotest.failf "%s: N=1 event count drifted" name;
-      if a.Core.Simulator.messages <> b.Core.Simulator.messages then
-        Alcotest.failf "%s: N=1 messages drifted" name;
-      if b.Core.Simulator.prepares <> 0 then
-        Alcotest.failf "%s: N=1 ran 2PC" name)
+      let inspected = ref (-1) in
+      let r =
+        Shard.Shard_sim.run
+          ~inspect:(fun servers _ -> inspected := Array.length servers)
+          (quick_spec ~n_shards:1 algo)
+      in
+      Alcotest.(check int) (name ^ ": inspect sees one server") 1 !inspected;
+      Alcotest.(check int) (name ^ ": n_shards") 1 r.Core.Simulator.n_shards;
+      Alcotest.(check int) (name ^ ": no prepares") 0 r.Core.Simulator.prepares;
+      Alcotest.(check int)
+        (name ^ ": no 2PC commits")
+        0 r.Core.Simulator.xshard_commits)
     [ Core.Proto.Two_phase Core.Proto.Inter; Core.Proto.Callback ]
-
-let test_core_refuses_sharded () =
-  Alcotest.check_raises "core refuses n_shards>1"
-    (Invalid_argument
-       "Simulator.run: sharded specs (n_shards > 1) run via Shard.Sim")
-    (fun () ->
-      ignore
-        (Core.Simulator.run
-           (quick_spec ~n_shards:2 (Core.Proto.Two_phase Core.Proto.Inter))))
 
 (* ------------------------------------------------------------------ *)
 (* Log manager: prepare records and in-doubt resolution                *)
@@ -272,9 +275,7 @@ let suites =
         Alcotest.test_case "every algorithm completes" `Slow
           test_sharded_every_algorithm_completes;
         Alcotest.test_case "deterministic" `Quick test_sharded_determinism;
-        Alcotest.test_case "n=1 bit-identical" `Quick test_n1_bit_identical;
-        Alcotest.test_case "core refuses sharded" `Quick
-          test_core_refuses_sharded;
+        Alcotest.test_case "shard count bounds" `Quick test_shard_count_bounds;
       ] );
     ( "two_phase_commit",
       [

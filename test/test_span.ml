@@ -341,17 +341,13 @@ let protocols =
     ("no-wait", Core.Proto.No_wait { notify = Some Core.Proto.Push });
   ]
 
-let run_spec (spec : Core.Simulator.spec) =
-  if spec.Core.Simulator.n_shards > 1 then Shard.Shard_sim.run spec
-  else Core.Simulator.run spec
-
 let obs_of r =
   match r.Core.Simulator.obs with
   | None -> Alcotest.fail "no obs payload"
   | Some o -> o
 
 let check_run name spec =
-  let r = run_spec spec in
+  let r = Shard.Shard_sim.run spec in
   let o = obs_of r in
   (* every replication's span record is self-consistent *)
   List.iter
@@ -444,7 +440,7 @@ let test_spans_survive_client_crashes () =
     small_spec ~seed:11 ~fault:(Fault.Plan.default ~seed:3)
       (Core.Proto.Two_phase Core.Proto.Inter)
   in
-  let r = run_spec spec in
+  let r = Shard.Shard_sim.run spec in
   let o = obs_of r in
   validate_all "client crashes" o;
   (* crash-ended transactions are excluded from the committed population *)
@@ -472,7 +468,7 @@ let test_spans_survive_coordinator_amnesia () =
     small_spec ~seed:11 ~n_shards:4 ~fault
       (Core.Proto.Two_phase Core.Proto.Inter)
   in
-  let r = run_spec spec in
+  let r = Shard.Shard_sim.run spec in
   let o = obs_of r in
   validate_all "coordinator amnesia" o;
   let cp = Obs.Critical_path.analyze (Obs.Run.merged_spans o) in
@@ -489,27 +485,23 @@ let test_latency_obs_is_pure () =
      identical to the dark run *)
   List.iter
     (fun (name, algo) ->
-      let base = run_spec (small_spec ~obs:Obs.Config.off algo) in
-      let instr = run_spec (small_spec algo) in
+      let base = Shard.Shard_sim.run (small_spec ~obs:Obs.Config.off algo) in
+      let instr = Shard.Shard_sim.run (small_spec algo) in
       Alcotest.(check bool)
         (name ^ " result bit-identical")
         true
         ({ instr with Core.Simulator.obs = None } = base))
     [ List.nth protocols 0; List.nth protocols 4 ];
   (* sharded too *)
-  let base = run_spec (small_spec ~obs:Obs.Config.off ~n_shards:4
+  let base = Shard.Shard_sim.run (small_spec ~obs:Obs.Config.off ~n_shards:4
                          (Core.Proto.Two_phase Core.Proto.Inter)) in
-  let instr = run_spec (small_spec ~n_shards:4
+  let instr = Shard.Shard_sim.run (small_spec ~n_shards:4
                           (Core.Proto.Two_phase Core.Proto.Inter)) in
   Alcotest.(check bool) "sharded result bit-identical" true
     ({ instr with Core.Simulator.obs = None } = base)
 
 let artifacts ~jobs (spec : Core.Simulator.spec) =
-  let r =
-    if spec.Core.Simulator.n_shards > 1 then
-      Shard.Shard_sim.run_replicated ~jobs spec ~reps:3
-    else Core.Simulator.run_replicated ~jobs spec ~reps:3
-  in
+  let r = Shard.Shard_sim.run_replicated ~jobs spec ~reps:3 in
   let o = obs_of r in
   let spans = Obs.Run.merged_spans o in
   ( Obs.Export.span_text spans,
@@ -546,7 +538,7 @@ let test_perfetto_span_events () =
         Obs.Config.make ~trace:true ~spans:true ~metrics:true ();
     }
   in
-  let r = run_spec spec in
+  let r = Shard.Shard_sim.run spec in
   let o = obs_of r in
   let json = Obs.Export.perfetto ~spans:(Obs.Run.merged_spans o)
       (Obs.Run.merged_trace o) in
@@ -596,7 +588,7 @@ let test_chaos_repro_snapshot () =
 
 let test_span_text_format () =
   let spec = small_spec (Core.Proto.Two_phase Core.Proto.Inter) in
-  let r = run_spec spec in
+  let r = Shard.Shard_sim.run spec in
   let o = obs_of r in
   let text = Obs.Export.span_text (Obs.Run.merged_spans o) in
   Alcotest.(check bool) "open lines" true (contains text "open");

@@ -24,7 +24,7 @@ let test_trace_sink_receives_events () =
     Core.Simulator.default_spec ~seed:4 ~warmup_commits:0 ~measured_commits:10
       ~cfg ~xact_params:xp (Core.Proto.Two_phase Core.Proto.Inter)
   in
-  ignore (Core.Simulator.run spec);
+  ignore (Shard.Shard_sim.run spec);
   Core.Trace.clear_sink ();
   let evs = List.rev_map snd !events in
   let has pred = List.exists pred evs in
@@ -54,7 +54,7 @@ let test_trace_callback_events () =
     Core.Simulator.default_spec ~seed:4 ~warmup_commits:0 ~measured_commits:80
       ~cfg ~xact_params:xp Core.Proto.Callback
   in
-  ignore (Core.Simulator.run spec);
+  ignore (Shard.Shard_sim.run spec);
   Core.Trace.clear_sink ();
   Alcotest.(check bool) "callback requests traced" true (!cbs > 0)
 
@@ -167,7 +167,7 @@ let test_interactive_defers_async_messages () =
         Core.Simulator.default_spec ~seed:6 ~warmup_commits:5
           ~measured_commits:40 ~cfg ~xact_params:xp Core.Proto.Callback
       in
-      let r = Core.Simulator.run spec in
+      let r = Shard.Shard_sim.run spec in
       Alcotest.(check int) "completes" 40 r.Core.Simulator.commits)
     [ false; true ]
 
@@ -185,7 +185,7 @@ let test_tiny_cache_still_correct () =
         Core.Simulator.default_spec ~seed:8 ~warmup_commits:30
           ~measured_commits:250 ~cfg ~xact_params:xp algo
       in
-      let r = Core.Simulator.run ~audit spec in
+      let r = Shard.Shard_sim.run ~audit spec in
       Alcotest.(check int)
         (Core.Proto.algorithm_name algo ^ " completes")
         250 r.Core.Simulator.commits;
@@ -210,7 +210,7 @@ let test_single_client_never_conflicts () =
         Core.Simulator.default_spec ~seed:2 ~warmup_commits:10
           ~measured_commits:150 ~cfg ~xact_params:xp algo
       in
-      let r = Core.Simulator.run spec in
+      let r = Shard.Shard_sim.run spec in
       Alcotest.(check int)
         (Core.Proto.algorithm_name algo ^ " aborts")
         0 r.Core.Simulator.aborts)
