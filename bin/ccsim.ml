@@ -4,7 +4,7 @@
      ccsim run --algo callback --clients 30 --loc 0.5 --pw 0.2
      ccsim run --algo no-wait-notify --platform fast-net --large
      ccsim exp fig9 --detail
-     ccsim exp all --quick --csv results.csv
+     ccsim exp all --quick --csv results.csv --plots plots/
      ccsim list *)
 
 open Cmdliner
@@ -962,21 +962,26 @@ let exp_cmd =
              cell gains a 95% confidence interval (the ± columns); at 1 \
              they read ±n/a.")
   in
-  let run ids list_flag quick detail csv reps jobs =
+  let plots =
+    Arg.(
+      value & opt (some string) None
+      & info [ "plots" ] ~docv:"DIR"
+          ~doc:
+            "Also write a gnuplot $(i,ID).dat and $(i,ID).gp per figure \
+             into $(docv).")
+  in
+  let run ids list_flag quick detail csv plots reps jobs =
     if list_flag then begin
-      List.iter
-        (fun (id, descr, _) -> Printf.printf "%-20s %s\n" id descr)
-        Experiments.Suite.all;
-      Printf.printf "%-20s %s\n" "client-sweep"
-        "scalability: engine events/s and heap vs client population \
-         (excluded from 'all')";
+      Format.printf "%a" Experiments.Suite.pp_list ();
       exit 0
     end;
-    if ids = [] then begin
-      Printf.eprintf
-        "ccsim: no experiment ids given (try 'ccsim exp --list')\n";
-      exit 1
-    end;
+    let selection =
+      match Experiments.Suite.resolve ids with
+      | Ok s -> s
+      | Error e ->
+          Printf.eprintf "ccsim: %s\n" e;
+          exit 1
+    in
     if reps < 1 then begin
       Printf.eprintf "ccsim: --reps must be >= 1\n";
       exit 1
@@ -991,25 +996,12 @@ let exp_cmd =
     Format.printf "%s@."
       (Experiments.Report.repro_line ~seed:opts.Experiments.Exp_defs.seed ~jobs);
     let runner = Experiments.Exp_defs.make_runner ~jobs opts in
-    (* client-sweep benchmarks the simulator itself (wall-clock cells run
-       sequentially, uncached); it is excluded from 'all' so regenerating
-       the paper's figures never implies a 100k-client run *)
-    let sweep_requested = List.mem "client-sweep" ids in
-    let figure_ids = List.filter (fun id -> id <> "client-sweep") ids in
-    let selected =
-      if List.mem "all" figure_ids then Experiments.Suite.all
-      else
-        List.map
-          (fun id ->
-            match Experiments.Suite.find id with
-            | Some e -> e
-            | None ->
-                Printf.eprintf
-                  "ccsim: unknown experiment %S (try 'ccsim list')\n" id;
-                exit 1)
-          figure_ids
-    in
     let buf = Buffer.create 4096 in
+    let add_csv =
+      List.iter (fun l ->
+          Buffer.add_string buf l;
+          Buffer.add_char buf '\n')
+    in
     List.iter
       (fun (id, descr, build) ->
         Format.printf "@.###### %s — %s@." id descr;
@@ -1019,15 +1011,17 @@ let exp_cmd =
         | Experiments.Suite.Figures figs ->
             List.iter
               (fun f ->
-                List.iter
-                  (fun l ->
-                    Buffer.add_string buf l;
-                    Buffer.add_char buf '\n')
-                  (Experiments.Report.figure_csv f))
+                add_csv (Experiments.Report.figure_csv f);
+                Option.iter
+                  (fun dir -> ignore (Experiments.Report.write_gnuplot ~dir f))
+                  plots)
               figs
         | Experiments.Suite.Map _ -> ())
-      selected;
-    if sweep_requested then begin
+      selection.figures;
+    (* client-sweep benchmarks the simulator itself (wall-clock cells run
+       sequentially, uncached); it is excluded from 'all' so regenerating
+       the paper's figures never implies a 100k-client run *)
+    if selection.client_sweep then begin
       Format.printf "@.###### client-sweep — simulator scalability vs \
                      population@.";
       let cells =
@@ -1035,11 +1029,7 @@ let exp_cmd =
           ~seed:opts.Experiments.Exp_defs.seed ()
       in
       Experiments.Client_sweep.print Format.std_formatter cells;
-      List.iter
-        (fun l ->
-          Buffer.add_string buf l;
-          Buffer.add_char buf '\n')
-        (Experiments.Client_sweep.csv cells)
+      add_csv (Experiments.Client_sweep.csv cells)
     end;
     match csv with
     | Some file ->
@@ -1051,7 +1041,8 @@ let exp_cmd =
   in
   Cmd.v
     (Cmd.info "exp" ~doc:"Regenerate the paper's tables and figures.")
-    Term.(const run $ ids $ list_flag $ quick $ detail $ csv $ reps $ jobs_arg)
+    Term.(
+      const run $ ids $ list_flag $ quick $ detail $ csv $ plots $ reps $ jobs_arg)
 
 (* ------------------------------------------------------------------ *)
 (* ccsim chaos                                                         *)
@@ -1211,78 +1202,11 @@ let chaos_cmd =
       $ server_faults $ unsafe $ jobs_arg)
 
 (* ------------------------------------------------------------------ *)
-(* ccsim bench-diff                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let bench_diff_cmd =
-  let read_file path =
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  let baseline =
-    Arg.(
-      required
-      & pos 0 (some file) None
-      & info [] ~docv:"BASELINE" ~doc:"Baseline snapshot (bench --json).")
-  in
-  let current =
-    Arg.(
-      required
-      & pos 1 (some file) None
-      & info [] ~docv:"CURRENT" ~doc:"Current snapshot to compare.")
-  in
-  let threshold =
-    Arg.(
-      value & opt float 0.25
-      & info [ "threshold" ] ~docv:"R"
-          ~doc:
-            "Relative slowdown tolerated before a metric counts as a \
-             regression (0.25 = 25%).  Microbench deltas whose confidence \
-             intervals overlap never regress, whatever the ratio.")
-  in
-  let run baseline current threshold =
-    if threshold <= 0.0 then begin
-      Printf.eprintf "ccsim: --threshold must be positive\n";
-      exit 2
-    end;
-    let load path =
-      match Experiments.Telemetry.of_json (read_file path) with
-      | Ok s -> s
-      | Error e ->
-          Printf.eprintf "ccsim: %s: %s\n" path e;
-          exit 2
-    in
-    let b = load baseline in
-    let c = load current in
-    Format.printf "# baseline: %s@.# current:  %s@." b.Experiments.Telemetry.s_repro
-      c.Experiments.Telemetry.s_repro;
-    let v = Experiments.Telemetry.diff ~threshold ~baseline:b ~current:c () in
-    Format.printf "%a" Experiments.Telemetry.pp_verdict v;
-    exit (if Experiments.Telemetry.ok v then 0 else 1)
-  in
-  Cmd.v
-    (Cmd.info "bench-diff"
-       ~doc:
-         "Compare two benchmark telemetry snapshots (bench --json) with \
-          noise awareness and exit non-zero when the current one regressed \
-          beyond the threshold.")
-    Term.(const run $ baseline $ current $ threshold)
-
-(* ------------------------------------------------------------------ *)
 (* ccsim list                                                          *)
 (* ------------------------------------------------------------------ *)
 
 let list_cmd =
-  let run () =
-    List.iter
-      (fun (id, descr, _) -> Printf.printf "%-14s %s\n" id descr)
-      Experiments.Suite.all;
-    Printf.printf "%-14s %s\n" "client-sweep"
-      "scalability: engine events/s and heap vs client population \
-       (excluded from 'all')"
-  in
+  let run () = Format.printf "%a" Experiments.Suite.pp_list () in
   Cmd.v (Cmd.info "list" ~doc:"List experiment ids.") Term.(const run $ const ())
 
 let () =
@@ -1303,6 +1227,5 @@ let () =
             causal_cmd;
             exp_cmd;
             chaos_cmd;
-            bench_diff_cmd;
             list_cmd;
           ]))

@@ -25,8 +25,6 @@ type cell = {
           population; the collection is not counted in [sw_wall_s] *)
 }
 
-val events_per_sec : cell -> float
-
 (** Populations swept: [quick] is the seconds-scale CI set, full reaches
     100k clients. *)
 val populations : quick:bool -> int list

@@ -142,8 +142,8 @@ let figure_csv (fig : figure) =
   in
   header :: rows
 
-(* One-line provenance header for experiment and benchmark output, so a
-   printed figure can be traced back to the exact run that produced it. *)
+(* One-line provenance header for experiment output, so a printed figure
+   can be traced back to the exact run that produced it. *)
 let git_describe () =
   let tmp = Filename.temp_file "ccsim" ".git" in
   let cmd =
@@ -162,7 +162,7 @@ let git_describe () =
   if out = "" then "unknown" else out
 
 (* Hostname without a unix dependency: the kernel's view first (Linux),
-   then the environment, so snapshots from different machines are
+   then the environment, so outputs from different machines are
    distinguishable. *)
 let hostname () =
   let from_proc =

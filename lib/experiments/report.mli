@@ -1,5 +1,5 @@
-(** Rendering of experiment outputs as the paper-style tables the bench
-    harness prints, plus CSV for external plotting. *)
+(** Rendering of experiment outputs as the paper-style tables
+    [ccsim exp] prints, plus CSV and gnuplot files for external plotting. *)
 
 (** Print one figure as a table: one row per x value, one column per
     algorithm.  Every cell carries its 95 % replication confidence
@@ -32,16 +32,8 @@ val figure_csv : Exp_defs.figure -> string list
 (** [repro_line ~seed ~jobs] is a
     ["# repro: seed=… jobs=… git=… ocaml=… host=…"] provenance comment
     ([git describe --always --dirty], or "unknown" outside a git
-    checkout; hostname from the kernel or [$HOSTNAME]).  Also the
-    provenance header of benchmark telemetry snapshots
-    ({!Telemetry}). *)
+    checkout; hostname from the kernel or [$HOSTNAME]). *)
 val repro_line : seed:int -> jobs:int -> string
-
-(** The hostname {!repro_line} reports ("unknown" when undiscoverable). *)
-val hostname : unit -> string
-
-(** [git describe --always --dirty], or "unknown" outside a checkout. *)
-val git_describe : unit -> string
 
 (** [write_gnuplot ~dir fig] writes [<id>.dat] (x column plus one column
     per series) and a ready-to-run [<id>.gp] script into [dir] (created if

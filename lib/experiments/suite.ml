@@ -666,14 +666,35 @@ let all =
       shard_sweep );
   ]
 
-(* The registry is looked up per id from the CLI and the bench harness;
-   index it once instead of rescanning the list on every call. *)
-let by_id =
-  lazy
-    (let h = Hashtbl.create 64 in
-     List.iter
-       (fun ((i, _, _) as e) -> if not (Hashtbl.mem h i) then Hashtbl.add h i e)
-       all;
-     h)
+let find id = List.find_opt (fun (i, _, _) -> i = id) all
 
-let find id = Hashtbl.find_opt (Lazy.force by_id) id
+let client_sweep_id = "client-sweep"
+
+type selection = {
+  figures : (string * string * (runner -> output)) list;
+  client_sweep : bool;
+}
+
+let resolve ids =
+  let known id = id = "all" || id = client_sweep_id || find id <> None in
+  match (ids, List.find_opt (fun id -> not (known id)) ids) with
+  | _, Some id -> Error (Printf.sprintf "unknown experiment %S (try 'ccsim list')" id)
+  | [], None -> Error "no experiment ids given (try 'ccsim list')"
+  | _, None ->
+      Ok
+        {
+          figures = (if List.mem "all" ids then all else List.filter_map find ids);
+          client_sweep = List.mem client_sweep_id ids;
+        }
+
+let pp_list ppf () =
+  let entries =
+    List.map (fun (id, descr, _) -> (id, descr)) all
+    @ [
+        ( client_sweep_id,
+          "scalability: engine events/s and heap vs client population \
+           (excluded from 'all')" );
+      ]
+  in
+  let width = List.fold_left (fun w (id, _) -> max w (String.length id)) 0 entries in
+  List.iter (fun (id, descr) -> Format.fprintf ppf "%-*s %s@." width id descr) entries

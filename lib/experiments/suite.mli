@@ -86,3 +86,23 @@ val mix_extension : runner -> output
 val all : (string * string * (runner -> output)) list
 
 val find : string -> (string * string * (runner -> output)) option
+
+(** The shard counts of the [shard-sweep] experiment. *)
+val shard_counts : int list
+
+(** What a list of [ccsim exp] ids selects. *)
+type selection = {
+  figures : (string * string * (runner -> output)) list;
+      (** in the order given; every figure of {!all} for ["all"] *)
+  client_sweep : bool;
+      (** ["client-sweep"], the simulator scalability sweep
+          ({!Client_sweep}), was given; ["all"] never implies it *)
+}
+
+(** Resolve [ccsim exp] ids before anything runs: an empty list or any
+    unknown id is an [Error] naming it, even when ["all"] is given too. *)
+val resolve : string list -> (selection, string) result
+
+(** Every experiment id with its description, one per line, ids padded to
+    the longest; ["client-sweep"] last. *)
+val pp_list : Format.formatter -> unit -> unit

@@ -43,7 +43,7 @@ val trace_only : t
 (** Every layer on. *)
 val full : t
 
-(** Spans + metrics: what [ccsim metrics] and the latency telemetry use. *)
+(** Spans + metrics: what [ccsim metrics] and the golden latency rows use. *)
 val latency : t
 
 (** Spans + metrics + causal message DAGs: what [ccsim causal] uses. *)

@@ -244,9 +244,8 @@ let series_of_csv text =
 
 (* A recursive-descent parser for RFC 8259 JSON.  Originally a pure
    validator for the Perfetto smoke job; it now builds a value so the
-   benchmark-telemetry pipeline (Experiments.Telemetry / ccsim
-   bench-diff) can read its own snapshots back without any external JSON
-   dependency. *)
+   benchmark (perfbench/) can read its own result lines back without any
+   external JSON dependency. *)
 
 type json =
   | Null
@@ -444,7 +443,7 @@ let parse_json text =
 let validate_json text =
   match parse_json text with Ok _ -> Ok () | Error e -> Error e
 
-(* field accessors for readers of parsed snapshots *)
+(* field accessor for readers of parsed JSON *)
 let member k = function Obj kvs -> List.assoc_opt k kvs | _ -> None
 
 (* ------------------------------------------------------------------ *)

@@ -53,8 +53,8 @@ type json =
   | Arr of json list
   | Obj of (string * json) list
 
-(** Parse RFC 8259 JSON text (the subset {!perfetto} and the benchmark
-    telemetry pipeline emit; [\u] escapes are decoded to UTF-8). *)
+(** Parse RFC 8259 JSON text (the subset {!perfetto} and the benchmark's
+    result lines use; [\u] escapes are decoded to UTF-8). *)
 val parse_json : string -> (json, string) result
 
 (** [member k (Obj ...)] looks up a field; [None] on missing key or

@@ -254,6 +254,81 @@ let test_experiment_catalog () =
   Alcotest.(check (option reject)) "unknown id" None
     (Option.map (fun _ -> ()) (Experiments.Suite.find "nope"))
 
+let test_resolve_ids () =
+  let resolve = Experiments.Suite.resolve in
+  let ids = function
+    | Ok (sel : Experiments.Suite.selection) ->
+        (List.map (fun (id, _, _) -> id) sel.figures, sel.client_sweep)
+    | Error e -> Alcotest.failf "unexpected error: %s" e
+  in
+  let rejects what r =
+    match r with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.failf "%s: accepted" what
+  in
+  Alcotest.(check (pair (list string) bool))
+    "order kept, sweep flagged" ([ "fig9"; "acl" ], true)
+    (ids (resolve [ "fig9"; "client-sweep"; "acl" ]));
+  Alcotest.(check (pair int bool))
+    "all is every figure, never the sweep"
+    (List.length Experiments.Suite.all, false)
+    (let f, sw = ids (resolve [ "all" ]) in
+     (List.length f, sw));
+  rejects "unknown id" (resolve [ "fig99" ]);
+  rejects "unknown id next to all" (resolve [ "all"; "fig99" ]);
+  rejects "no ids" (resolve [])
+
+let test_list_aligned () =
+  let text = Format.asprintf "%a" Experiments.Suite.pp_list () in
+  let lines = String.split_on_char '\n' text |> List.filter (( <> ) "") in
+  Alcotest.(check int) "every figure plus client-sweep"
+    (List.length Experiments.Suite.all + 1)
+    (List.length lines);
+  let ids = List.map (fun (id, _, _) -> id) Experiments.Suite.all @ [ "client-sweep" ] in
+  let width = List.fold_left (fun w id -> max w (String.length id)) 0 ids in
+  List.iter2
+    (fun id line ->
+      Alcotest.(check string) "id first" id (String.sub line 0 (String.length id));
+      Alcotest.(check bool) (id ^ ": description at one column") true
+        (String.length line > width + 1
+        && String.trim (String.sub line 0 (width + 1)) = id
+        && line.[width + 1] <> ' '))
+    ids lines
+
+let test_client_sweep_quick () =
+  let cells =
+    Experiments.Client_sweep.run ~quick:true
+      ~seed:Experiments.Exp_defs.quick_opts.seed ()
+  in
+  List.iter
+    (fun (c : Experiments.Client_sweep.cell) ->
+      let at = Printf.sprintf "%s@%d" c.sw_algo c.sw_clients in
+      Alcotest.(check bool) (at ^ " events > 0") true (c.sw_events > 0);
+      Alcotest.(check bool) (at ^ " heap_hwm > 0") true (c.sw_heap_hwm > 0);
+      Alcotest.(check bool) (at ^ " live words/client > 0") true
+        (c.sw_live_words_per_client > 0);
+      Alcotest.(check bool) (at ^ " wall >= 0") true (c.sw_wall_s >= 0.0))
+    cells;
+  let pops =
+    List.sort_uniq compare
+      (List.map (fun (c : Experiments.Client_sweep.cell) -> c.sw_clients) cells)
+  in
+  Alcotest.(check bool) ">= 3 populations" true (List.length pops >= 3);
+  (* the budget of test_core's "per-client memory budget", on the sweep
+     cell with the same protocol and population; smaller populations
+     spread the server's fixed state over fewer clients *)
+  match
+    List.find_opt
+      (fun (c : Experiments.Client_sweep.cell) ->
+        c.sw_algo = "2PL" && c.sw_clients = 2_000)
+      cells
+  with
+  | None -> Alcotest.fail "no 2PL cell at 2000 clients"
+  | Some c ->
+      if c.sw_live_words_per_client > 640 then
+        Alcotest.failf "2PL@2000: %d live words per client, budget 640"
+          c.sw_live_words_per_client
+
 let test_fig13_runs_quick () =
   (* the decision map exercises the full grid; run it at tiny depth *)
   let runner = Experiments.Exp_defs.make_runner
@@ -304,6 +379,9 @@ let suites =
     ( "suite",
       [
         case "experiment catalog" test_experiment_catalog;
+        case "ids resolved before running" test_resolve_ids;
+        case "one aligned listing" test_list_aligned;
+        case "client-sweep quick cells" test_client_sweep_quick;
         case "fig13 decision map" test_fig13_runs_quick;
       ] );
   ]
