@@ -32,6 +32,16 @@ let platform_conv =
   in
   Arg.conv (parse, Format.pp_print_string)
 
+(* Counts on the command line (clients, shards, seeds, replications, ring
+   capacity) are rejected with a usage error before anything runs. *)
+let pos_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let jobs_arg =
   Arg.(
     value
@@ -70,7 +80,9 @@ let cell_term ?(commits_default = 2000) () =
              callback, no-wait, no-wait-notify, no-wait-inval.")
   in
   let clients =
-    Arg.(value & opt int 10 & info [ "c"; "clients" ] ~docv:"N" ~doc:"Client count.")
+    Arg.(
+      value & opt pos_int 10
+      & info [ "c"; "clients" ] ~docv:"N" ~doc:"Client count.")
   in
   let loc =
     Arg.(
@@ -106,7 +118,9 @@ let cell_term ?(commits_default = 2000) () =
   in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N" ~doc:"Random seed.") in
   let reps =
-    Arg.(value & opt int 1 & info [ "reps" ] ~docv:"N" ~doc:"Replications to average.")
+    Arg.(
+      value & opt pos_int 1
+      & info [ "reps" ] ~docv:"N" ~doc:"Replications to average.")
   in
   let make cell_algo cell_clients cell_loc cell_pw cell_platform cell_large
       cell_interactive cell_commits cell_warmup cell_seed cell_reps =
@@ -129,10 +143,6 @@ let cell_term ?(commits_default = 2000) () =
     $ commits $ warmup $ seed $ reps)
 
 let cell_spec ?(obs = Obs.Config.off) c =
-  if c.cell_clients <= 0 then begin
-    Printf.eprintf "ccsim: --clients must be positive\n";
-    exit 1
-  end;
   if c.cell_loc < 0.0 || c.cell_loc > 1.0 || c.cell_pw < 0.0 || c.cell_pw > 1.0
   then begin
     Printf.eprintf "ccsim: --loc and --pw must lie in [0, 1]\n";
@@ -194,24 +204,23 @@ let run_cmd =
     (Cmd.info "run" ~doc:"Run one simulation and print its metrics.")
     Term.(const run $ cell_term () $ jobs_arg)
 
-(* The recorder ring drops its oldest entries past the limit; if that
-   happened the trace the user is looking at is TRUNCATED, which must be
-   shouted, not buried in a struct field.  Printed to both streams so it
-   is visible in piped and interactive use alike. *)
-let warn_if_ring_wrapped (o : Obs.Run.t) =
-  let dropped =
-    List.fold_left (fun a rp -> a + rp.Obs.Run.trace_dropped) 0 o.Obs.Run.reps
-  in
-  if dropped > 0 then begin
-    Format.printf
-      "WARNING: trace ring wrapped — %d oldest events were dropped; only \
-       the tail survives (raise --limit)@."
-      dropped;
-    Printf.eprintf
-      "ccsim: WARNING: trace ring wrapped — %d oldest events dropped (raise \
-       --limit)\n%!"
-      dropped
-  end
+(* Each channel's ring drops its oldest entries past the limit; if that
+   happened the record the user is looking at is TRUNCATED, which must be
+   shouted, not buried in a struct field.  One line per wrapped channel,
+   printed to both streams so it is visible in piped and interactive use
+   alike.  [hint] names the option that raises the limit, where there
+   is one. *)
+let warn_if_ring_wrapped ?(hint = "") (o : Obs.Run.t) =
+  List.iter
+    (fun (channel, dropped) ->
+      Format.printf
+        "WARNING: %s ring wrapped — %d oldest entries were dropped; only the \
+         tail survives%s@."
+        channel dropped hint;
+      Printf.eprintf
+        "ccsim: WARNING: %s ring wrapped — %d oldest entries dropped%s\n%!"
+        channel dropped hint)
+    (Obs.Run.wrapped o)
 
 (* ------------------------------------------------------------------ *)
 (* ccsim trace                                                         *)
@@ -239,11 +248,11 @@ let trace_cmd =
   in
   let limit =
     Arg.(
-      value & opt int Obs.Recorder.default_limit
+      value & opt pos_int Obs.Ring.default_limit
       & info [ "limit" ] ~docv:"N"
           ~doc:
-            "Ring capacity per replication; past it the oldest events are \
-             dropped.")
+            "Ring capacity per replication (trace and, with $(b,--spans), \
+             spans); past it the oldest entries are dropped.")
   in
   let check =
     Arg.(
@@ -265,10 +274,7 @@ let trace_cmd =
              lanes, server phases on one lane per shard).")
   in
   let run cell perfetto_file text_file events limit check spans jobs =
-    let obs =
-      Obs.Config.make ~trace:true ~trace_limit:limit ~spans
-        ~span_limit:limit ()
-    in
+    let obs = Obs.Config.make ~trace:true ~spans ~limit () in
     let spec = cell_spec ~obs cell in
     let r = Shard.Shard_sim.run_replicated ~jobs spec ~reps:cell.cell_reps in
     match r.Core.Simulator.obs with
@@ -293,7 +299,7 @@ let trace_cmd =
                 (Obs.Event.to_string e.Obs.Recorder.ev))
             (Array.sub merged 0 n)
         end;
-        warn_if_ring_wrapped o;
+        warn_if_ring_wrapped ~hint:" (raise --limit)" o;
         let json = Obs.Export.perfetto ~spans:span_entries merged in
         Obs.Export.write_file perfetto_file json;
         Format.printf "@.perfetto trace (%d events%s) written to %s@."
@@ -553,7 +559,7 @@ let stats_cmd =
 let metrics_cmd =
   let shards =
     Arg.(
-      value & opt int 1
+      value & opt pos_int 1
       & info [ "shards" ] ~docv:"N"
           ~doc:
             "Partition the database over N shard servers; cross-shard \
@@ -584,10 +590,6 @@ let metrics_cmd =
              histogram must count exactly the committed transactions.")
   in
   let run cell shards out_file spans_file check jobs =
-    if shards < 1 then begin
-      Printf.eprintf "ccsim: --shards must be positive\n";
-      exit 1
-    end;
     let spec =
       { (cell_spec ~obs:Obs.Config.latency cell) with
         Core.Simulator.n_shards = shards }
@@ -599,6 +601,7 @@ let metrics_cmd =
         exit 1
     | Some o ->
         Format.printf "%a@." Core.Simulator.pp_result r;
+        warn_if_ring_wrapped o;
         let cp = Obs.Critical_path.analyze (Obs.Run.merged_spans o) in
         Format.printf "@.%a@." Obs.Critical_path.pp cp;
         let m =
@@ -699,7 +702,7 @@ let metrics_cmd =
 let causal_cmd =
   let shards =
     Arg.(
-      value & opt int 1
+      value & opt pos_int 1
       & info [ "shards" ] ~docv:"N"
           ~doc:
             "Partition the database over N shard servers; 2PC \
@@ -753,10 +756,6 @@ let causal_cmd =
              end-to-end commit latency to 1e-9.")
   in
   let run cell shards faults dag_file perfetto_file chains check jobs =
-    if shards < 1 then begin
-      Printf.eprintf "ccsim: --shards must be positive\n";
-      exit 1
-    end;
     let spec =
       { (cell_spec ~obs:Obs.Config.causal cell) with
         Core.Simulator.n_shards = shards;
@@ -784,6 +783,7 @@ let causal_cmd =
         exit 1
     | Some o ->
         Format.printf "%a@." Core.Simulator.pp_result r;
+        warn_if_ring_wrapped o;
         let mc = Obs.Run.merged_causal o in
         let an =
           Obs.Causal.analyze ~dropped:(Obs.Run.causal_dropped o) mc
@@ -955,7 +955,7 @@ let exp_cmd =
   in
   let reps =
     Arg.(
-      value & opt int 1
+      value & opt pos_int 1
       & info [ "reps" ] ~docv:"N"
           ~doc:
             "Replications per cell (default 1).  At N >= 2 every figure \
@@ -982,10 +982,6 @@ let exp_cmd =
           Printf.eprintf "ccsim: %s\n" e;
           exit 1
     in
-    if reps < 1 then begin
-      Printf.eprintf "ccsim: --reps must be >= 1\n";
-      exit 1
-    end;
     let opts =
       let base =
         if quick then Experiments.Exp_defs.quick_opts
@@ -1051,7 +1047,7 @@ let exp_cmd =
 let chaos_cmd =
   let seeds =
     Arg.(
-      value & opt int 20
+      value & opt pos_int 20
       & info [ "seeds" ] ~docv:"N"
           ~doc:"Seeded fault plans per algorithm (seeds 1..N).")
   in
@@ -1078,7 +1074,7 @@ let chaos_cmd =
   in
   let shards =
     Arg.(
-      value & opt int 1
+      value & opt pos_int 1
       & info [ "shards" ] ~docv:"N"
           ~doc:
             "Partition the database over N shard servers (default 1). \
@@ -1108,14 +1104,6 @@ let chaos_cmd =
              catches protocol violations (expected to FAIL).")
   in
   let run seeds algos drop crash_mean quick shards server_faults unsafe jobs =
-    if seeds <= 0 then begin
-      Printf.eprintf "ccsim: --seeds must be positive\n";
-      exit 1
-    end;
-    if shards < 1 then begin
-      Printf.eprintf "ccsim: --shards must be positive\n";
-      exit 1
-    end;
     let measured_commits = if quick then 150 else 400 in
     let plan seed =
       let p =

@@ -164,7 +164,7 @@ let charge_pages t n = Comms.use_cpu t.cport (t.cfg.Sys_params.client_proc_inst 
    to float-addition rounding ({!Obs.Critical_path.reconciles}).
 
    [sp_attempt >= 0] implies a span sink is installed (the id came from
-   [Obs.Span.open_span]); everything here is a no-op — not even a clock
+   [Obs.Sink.open_span]); everything here is a no-op — not even a clock
    read — when spans are off. *)
 
 let sp_track t = Obs.Span.Client t.id
@@ -173,36 +173,36 @@ let sp_track t = Obs.Span.Client t.id
 let sp_enter_leaf t kind =
   if t.sp_attempt >= 0 then begin
     let now = Sim.Engine.now t.eng in
-    if t.sp_leaf >= 0 then Obs.Span.close_span ~time:now t.sp_leaf;
+    if t.sp_leaf >= 0 then Obs.Sink.close_span ~time:now t.sp_leaf;
     t.sp_leaf <-
-      Obs.Span.open_span ~time:now ~track:(sp_track t) ~kind
+      Obs.Sink.open_span ~time:now ~track:(sp_track t) ~kind
         ~parent:t.sp_attempt ~xid:t.xid
   end
 
 let sp_open_attempt t =
-  if Obs.Span.active () then begin
+  if Obs.Sink.spans_on () then begin
     let now = Sim.Engine.now t.eng in
     t.sp_attempt <-
-      Obs.Span.open_span ~time:now ~track:(sp_track t) ~kind:Obs.Span.Attempt
+      Obs.Sink.open_span ~time:now ~track:(sp_track t) ~kind:Obs.Span.Attempt
         ~parent:t.sp_xact ~xid:t.xid;
     t.sp_leaf <-
-      Obs.Span.open_span ~time:now ~track:(sp_track t)
+      Obs.Sink.open_span ~time:now ~track:(sp_track t)
         ~kind:Obs.Span.Client_cpu ~parent:t.sp_attempt ~xid:t.xid
   end
 
 let sp_close_attempt t ~time ~ok =
   if t.sp_leaf >= 0 then begin
-    Obs.Span.close_span ~time ~ok t.sp_leaf;
+    Obs.Sink.close_span ~time ~ok t.sp_leaf;
     t.sp_leaf <- -1
   end;
   if t.sp_attempt >= 0 then begin
-    Obs.Span.close_span ~time ~ok t.sp_attempt;
+    Obs.Sink.close_span ~time ~ok t.sp_attempt;
     t.sp_attempt <- -1
   end
 
 let sp_close_xact t ~time ~ok =
   if t.sp_xact >= 0 then begin
-    Obs.Span.close_span ~time ~ok t.sp_xact;
+    Obs.Sink.close_span ~time ~ok t.sp_xact;
     t.sp_xact <- -1
   end
 
@@ -448,9 +448,9 @@ let await_reply_faulty t ~crashable =
     | None ->
         if crashable && t.crash_requested then raise Crashed;
         Metrics.record_retry t.metrics;
-        if Trace.active () then
-          Trace.emit (Sim.Engine.now t.eng)
-            (Trace.Retransmit { client = t.id; xid = t.xid });
+        if Obs.Sink.trace_on () then
+          Obs.Sink.emit (Sim.Engine.now t.eng)
+            (Obs.Event.Retransmit { client = t.id; xid = t.xid });
         incr retries;
         (match t.last_req with
         | Some m -> t.to_server ~parent:t.cz_parent ~retry:!retries m
@@ -519,9 +519,10 @@ let describe_c2s = function
   | Proto.Outcome_query { xid; _ } -> Printf.sprintf "2pc outcome query x%d" xid
 
 let send_xact_msg t msg =
-  if Trace.active () then
-    Trace.emit (Sim.Engine.now t.eng)
-      (Trace.Client_send { client = t.id; xid = t.xid; what = describe_c2s msg });
+  if Obs.Sink.trace_on () then
+    Obs.Sink.emit (Sim.Engine.now t.eng)
+      (Obs.Event.Client_send
+         { client = t.id; xid = t.xid; what = describe_c2s msg });
   t.contacted <- true;
   if t.faulty then (
     match msg with
@@ -1041,14 +1042,15 @@ let crash_cleanup t =
   (* the causal group dies with the crash, marked failed; the crash has
      no causing message, so the End keeps whatever cause came last *)
   if t.cz_root >= 0 then begin
-    Obs.Causal.finish ~time:(Sim.Engine.now t.eng) ~parent:t.cz_parent
+    Obs.Sink.finish ~time:(Sim.Engine.now t.eng) ~parent:t.cz_parent
       ~xid:t.xid ~client:t.id ~ok:false;
     t.cz_root <- -1;
     t.cz_parent <- -1
   end;
   Metrics.record_crash t.metrics ~in_xact:t.in_xact;
-  if Trace.active () then
-    Trace.emit (Sim.Engine.now t.eng) (Trace.Client_crash { client = t.id });
+  if Obs.Sink.trace_on () then
+    Obs.Sink.emit (Sim.Engine.now t.eng)
+      (Obs.Event.Client_crash { client = t.id });
   Storage.Lru_pool.unpin_all t.cache_pool;
   Storage.Lru_pool.clear t.cache_pool;
   Sim.Lazy_tbl.reset t.vers;
@@ -1083,9 +1085,9 @@ let recover t ~downtime =
   in
   drain ();
   Metrics.record_recovery t.metrics ~downtime;
-  if Trace.active () then
-    Trace.emit (Sim.Engine.now t.eng)
-      (Trace.Client_recover { client = t.id; downtime });
+  if Obs.Sink.trace_on () then
+    Obs.Sink.emit (Sim.Engine.now t.eng)
+      (Obs.Event.Client_recover { client = t.id; downtime });
   (* tell the server we rebooted cold, so it aborts our in-flight
      transaction and frees every lock we held.  Best effort: if this
      message is dropped, the lease sweep reclaims them instead (an active
@@ -1100,13 +1102,13 @@ let main_loop t () =
   let rec xact_loop () =
     let profile = Db.Workload.next t.workload in
     let first_start = Sim.Engine.now t.eng in
-    if Obs.Span.active () then
+    if Obs.Sink.spans_on () then
       t.sp_xact <-
-        Obs.Span.open_span ~time:first_start ~track:(sp_track t)
+        Obs.Sink.open_span ~time:first_start ~track:(sp_track t)
           ~kind:Obs.Span.Xact ~parent:(-1) ~xid:(-1);
     (* the causal Root shares the Xact span's exact open instant, so the
        DAG chain length reconciles with the span decomposition *)
-    t.cz_root <- Obs.Causal.root ~time:first_start ~client:t.id;
+    t.cz_root <- Obs.Sink.root ~time:first_start ~client:t.id;
     t.cz_parent <- t.cz_root;
     let rec attempt () =
       begin_attempt t;
@@ -1124,12 +1126,12 @@ let main_loop t () =
           sp_close_xact t ~time:now ~ok:true;
           (* the End shares the Xact span's exact close instant *)
           if t.cz_root >= 0 then begin
-            Obs.Causal.finish ~time:now ~parent:t.cz_parent ~xid:t.xid
+            Obs.Sink.finish ~time:now ~parent:t.cz_parent ~xid:t.xid
               ~client:t.id ~ok:true;
             t.cz_root <- -1;
             t.cz_parent <- -1
           end;
-          Obs.Metrics.observe_s "ccsim_commit_latency_seconds" response;
+          Obs.Sink.observe "ccsim_commit_latency_seconds" response;
           clear_xact_state t;
           t.on_commit ()
       | exception Restart ->
@@ -1139,12 +1141,12 @@ let main_loop t () =
           sp_close_attempt t ~time:after_cleanup ~ok:false;
           let sp_restart =
             if t.sp_xact >= 0 then
-              Obs.Span.open_span ~time:after_cleanup ~track:(sp_track t)
+              Obs.Sink.open_span ~time:after_cleanup ~track:(sp_track t)
                 ~kind:Obs.Span.Restart_wait ~parent:t.sp_xact ~xid:(-1)
             else -1
           in
           Sim.Engine.hold (restart_delay t);
-          Obs.Span.close_span ~time:(Sim.Engine.now t.eng) sp_restart;
+          Obs.Sink.close_span ~time:(Sim.Engine.now t.eng) sp_restart;
           attempt ()
     in
     attempt ();

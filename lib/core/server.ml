@@ -269,14 +269,14 @@ let sharded t = Array.length t.peers > 0
    the engine clock — no hold, no randomness — and the whole wrapper is
    a bare [f ()] when no span sink is installed. *)
 let sspan t kind f =
-  if not (Obs.Span.active ()) then f ()
+  if not (Obs.Sink.spans_on ()) then f ()
   else begin
     let id =
-      Obs.Span.open_span ~time:(Sim.Engine.now t.eng)
+      Obs.Sink.open_span ~time:(Sim.Engine.now t.eng)
         ~track:(Obs.Span.Server t.shard_id) ~kind ~parent:(-1) ~xid:(-1)
     in
     Fun.protect
-      ~finally:(fun () -> Obs.Span.close_span ~time:(Sim.Engine.now t.eng) id)
+      ~finally:(fun () -> Obs.Sink.close_span ~time:(Sim.Engine.now t.eng) id)
       f
   end
 
@@ -396,18 +396,20 @@ let describe_s2c = function
    nags).  The tag is always built: per-kind network accounting runs
    even without a causal sink, like the aggregate message counters. *)
 let send_to_client ?(ctx = -1) ?xid ?(retry = 0) t cid msg =
-  if Trace.active () then begin
+  if Obs.Sink.trace_on () then begin
     let time = Sim.Engine.now t.eng in
     match msg with
     | Proto.Callback_request { page } ->
-        Trace.emit time (Trace.Callback { holder = cid; page })
+        Obs.Sink.emit time (Obs.Event.Callback { holder = cid; page })
     | Proto.Update_push { page; _ } ->
-        Trace.emit time (Trace.Notify { client = cid; page; push = true })
+        Obs.Sink.emit time
+          (Obs.Event.Notify { client = cid; page; push = true })
     | Proto.Invalidate_page { page } ->
-        Trace.emit time (Trace.Notify { client = cid; page; push = false })
+        Obs.Sink.emit time
+          (Obs.Event.Notify { client = cid; page; push = false })
     | m ->
-        Trace.emit time
-          (Trace.Server_reply
+        Obs.Sink.emit time
+          (Obs.Event.Server_reply
              { client = cid; xid = (match m with
                  | Proto.Fetch_reply { xid; _ } | Proto.Cert_reply { xid; _ }
                  | Proto.Commit_reply { xid; _ } | Proto.Aborted { xid; _ } -> xid
@@ -584,8 +586,8 @@ let rec ensure_resident t page =
         let cond = Sim.Condition.create t.eng in
         Hashtbl.replace t.in_flight page cond;
         Comms.use_cpu t.sport t.cfg.Sys_params.init_disk_inst;
-        if Trace.active () then
-          Trace.emit (Sim.Engine.now t.eng) (Trace.Disk_read { page });
+        if Obs.Sink.trace_on () then
+          Obs.Sink.emit (Sim.Engine.now t.eng) (Obs.Event.Disk_read { page });
         sspan t Obs.Span.Disk_io (fun () ->
             Storage.Disk.access (disk_for t page) ~seeks:1 ~pages:1);
         (* a crash while the I/O was in flight wiped [in_flight] and the
@@ -690,9 +692,9 @@ let abort_xact ?(ctx = -1) ?(record = true) ?(notify = true) t xs ~reason
   if not xs.x_aborted then begin
     xs.x_aborted <- true;
     Hashtbl.replace t.tombstones xs.x_xid ();
-    if Trace.active () then
-      Trace.emit (Sim.Engine.now t.eng)
-        (Trace.Abort
+    if Obs.Sink.trace_on () then
+      Obs.Sink.emit (Sim.Engine.now t.eng)
+        (Obs.Event.Abort
            {
              client = xs.x_client;
              xid = xs.x_xid;
@@ -704,8 +706,8 @@ let abort_xact ?(ctx = -1) ?(record = true) ?(notify = true) t xs ~reason
                | Metrics.Lease_reclaim -> "lease reclaimed");
            });
     if record then Metrics.record_abort t.metrics reason;
-    if Obs.Metrics.active () then
-      Obs.Metrics.incr_s
+    if Obs.Sink.metrics_on () then
+      Obs.Sink.incr
         (match reason with
         | Metrics.Deadlock -> "ccsim_aborts_total{cause=\"deadlock\"}"
         | Metrics.Stale_read -> "ccsim_aborts_total{cause=\"stale_read\"}"
@@ -804,9 +806,9 @@ let check_deadlock t ~requester =
         let victim =
           Cc.Waits_for.pick_victim ~start_time:(start_time_of t) cycle
         in
-        if Trace.active () then
-          Trace.emit (Sim.Engine.now t.eng)
-            (Trace.Deadlock { victim_client = victim; cycle });
+        if Obs.Sink.trace_on () then
+          Obs.Sink.emit (Sim.Engine.now t.eng)
+            (Obs.Event.Deadlock { victim_client = victim; cycle });
         if abort_victim t ~victim ~reason:Metrics.Deadlock then begin
           if victim <> requester then break ()
         end
@@ -941,9 +943,9 @@ let acquire ?(ctx = -1) t xs ~page ~mode =
           ~after:(Cc.Lock_table.held t.lock_table ~page client);
         Lock_granted
     | Cc.Lock_table.Blocked holders ->
-        if Trace.active () then
-          Trace.emit (Sim.Engine.now t.eng)
-            (Trace.Lock_wait
+        if Obs.Sink.trace_on () then
+          Obs.Sink.emit (Sim.Engine.now t.eng)
+            (Obs.Event.Lock_wait
                {
                  client;
                  page;
@@ -1018,9 +1020,9 @@ let acquire ?(ctx = -1) t xs ~page ~mode =
             undo_grant t ~page ~client ~before;
             Lock_aborted
         | Lock_granted ->
-            if Trace.active () then
-              Trace.emit (Sim.Engine.now t.eng)
-                (Trace.Lock_grant
+            if Obs.Sink.trace_on () then
+              Obs.Sink.emit (Sim.Engine.now t.eng)
+                (Obs.Event.Lock_grant
                    {
                      client;
                      page;
@@ -1389,9 +1391,9 @@ let commit_locking t ~ctx xs ~client ~xid ~req ~read_set ~update_pages
   remember_reply t xid reply;
   t.local_commits <- t.local_commits + 1;
   close_xact t xs;
-  if Trace.active () then
-    Trace.emit (Sim.Engine.now t.eng)
-      (Trace.Commit { client; xid; n_updates = List.length update_pages });
+  if Obs.Sink.trace_on () then
+    Obs.Sink.emit (Sim.Engine.now t.eng)
+      (Obs.Event.Commit { client; xid; n_updates = List.length update_pages });
   send_to_client ~ctx t client reply;
   (let notify_mode =
      match t.algo with
@@ -1535,9 +1537,9 @@ let resolve_prepared ?(ctx = -1) t pr ~xid ~commit =
         (* a slice rebuilt from the log owns plain re-acquired locks *)
         ignore (Cc.Lock_table.release_all t.lock_table pr.p_client));
     t.local_commits <- t.local_commits + 1;
-    if Trace.active () then
-      Trace.emit (Sim.Engine.now t.eng)
-        (Trace.Commit
+    if Obs.Sink.trace_on () then
+      Obs.Sink.emit (Sim.Engine.now t.eng)
+        (Obs.Event.Commit
            {
              client = pr.p_client;
              xid;
@@ -1901,9 +1903,9 @@ let reclaim_client t ~client =
     let freed = Cc.Lock_table.release_all t.lock_table client in
     if freed <> [] then begin
       Metrics.record_reclaimed t.metrics ~locks:(List.length freed);
-      if Trace.active () then
-        Trace.emit (Sim.Engine.now t.eng)
-          (Trace.Lock_reclaimed { client; pages = freed })
+      if Obs.Sink.trace_on () then
+        Obs.Sink.emit (Sim.Engine.now t.eng)
+          (Obs.Event.Lock_reclaimed { client; pages = freed })
     end
   end
 
@@ -1935,8 +1937,8 @@ let lease_sweep t =
 let crash_server t =
   let killed = t.n_active in
   Metrics.record_server_crash t.metrics ~killed;
-  if Trace.active () then
-    Trace.emit (Sim.Engine.now t.eng) (Trace.Server_crash { killed });
+  if Obs.Sink.trace_on () then
+    Obs.Sink.emit (Sim.Engine.now t.eng) (Obs.Event.Server_crash { killed });
   t.epoch <- t.epoch + 1;
   t.down <- true;
   t.down_since <- Sim.Engine.now t.eng;
@@ -2033,9 +2035,9 @@ let recover_server t =
               };
             nag_in_doubt t xid)
           (Storage.Log_manager.in_doubt log);
-      if Trace.active () then
-        Trace.emit (Sim.Engine.now t.eng)
-          (Trace.Log_replayed
+      if Obs.Sink.trace_on () then
+        Obs.Sink.emit (Sim.Engine.now t.eng)
+          (Obs.Event.Log_replayed
              {
                records = stats.Storage.Log_manager.records_replayed;
                pages = stats.Storage.Log_manager.pages_read;
@@ -2046,8 +2048,8 @@ let recover_server t =
   let recovery = now -. replay_start in
   let downtime = now -. t.down_since in
   Metrics.record_server_recovery t.metrics ~downtime ~recovery;
-  if Trace.active () then
-    Trace.emit now (Trace.Server_recover { downtime; recovery });
+  if Obs.Sink.trace_on () then
+    Obs.Sink.emit now (Obs.Event.Server_recover { downtime; recovery });
   Array.iteri
     (fun cid _ ->
       send_to_client t cid (Proto.Server_restart { epoch = t.epoch }))
@@ -2090,9 +2092,9 @@ let start ?crash_rng t =
             | Some log when not t.down ->
                 Metrics.record_checkpoint t.metrics;
                 let versions = Storage.Log_manager.checkpoint log in
-                if Trace.active () then
-                  Trace.emit (Sim.Engine.now t.eng)
-                    (Trace.Checkpoint { versions })
+                if Obs.Sink.trace_on () then
+                  Obs.Sink.emit (Sim.Engine.now t.eng)
+                    (Obs.Event.Checkpoint { versions })
             | Some _ | None -> ());
             loop ()
           in

@@ -293,32 +293,33 @@ let shrink ?(max_steps = 32) (sp : Core.Simulator.spec) =
   in
   go max_steps sp.Core.Simulator.fault
 
-(* Re-run a failing spec with a recorder installed in this domain and dump
-   the merged trace.  The recorder is installed directly (not via the
-   spec's [obs] config) so a run that raises mid-flight still yields its
-   partial trace; the ring keeps the LAST [limit] events — the tail that
+(* Re-run a failing spec with a sink installed in this domain and dump
+   the merged trace.  The sink is installed directly (not via the spec's
+   [obs] config) so a run that raises mid-flight still yields its partial
+   trace; each ring keeps the LAST [limit] entries — the tail that
    actually led up to the failure. *)
 let write_repro_trace ?(limit = 200_000) ~file (sp : Core.Simulator.spec) =
-  let (((((), causal), spans), metrics), rec_) =
-    Obs.Recorder.with_recorder ~limit (fun () ->
-        Obs.Metrics.with_metrics (fun () ->
-            Obs.Span.with_spans ~limit (fun () ->
-                Obs.Causal.with_causal ~limit (fun () ->
-                    try ignore (Shard.Shard_sim.run sp) with _ -> ()))))
+  let sink =
+    Obs.Sink.of_config
+      (Obs.Config.make ~trace:true ~spans:true ~metrics:true ~causal:true
+         ~limit ())
   in
-  let tagged = Array.map (fun e -> (0, e)) (Obs.Recorder.entries rec_) in
-  Obs.Export.write_file file (Obs.Export.trace_text tagged);
+  Obs.Sink.with_ sink (fun () ->
+      try ignore (Shard.Shard_sim.run sp) with _ -> ());
+  let tagged entries b = Array.map (fun e -> (0, e)) (entries (Option.get b)) in
+  let trace = tagged Obs.Recorder.entries sink.Obs.Sink.trace in
+  Obs.Export.write_file file (Obs.Export.trace_text trace);
   (* the snapshot rides along: what each phase was doing, the counter
      state, and the causal DAG of every message, at the moment the audit
      failure fired *)
   let base = Filename.remove_extension file in
-  let span_tagged = Array.map (fun e -> (0, e)) (Obs.Span.entries spans) in
-  Obs.Export.write_file (base ^ ".spans") (Obs.Export.span_text span_tagged);
-  Obs.Export.write_file (base ^ ".metrics") (Obs.Metrics.to_openmetrics metrics);
+  let spans = tagged Obs.Span.entries sink.Obs.Sink.spans in
+  Obs.Export.write_file (base ^ ".spans") (Obs.Export.span_text spans);
+  Obs.Export.write_file (base ^ ".metrics")
+    (Obs.Metrics.to_openmetrics (Option.get sink.Obs.Sink.metrics));
   Obs.Export.write_file (base ^ ".dag")
-    (Obs.Export.dag_text
-       (Array.map (fun e -> (0, e)) (Obs.Causal.entries causal)));
-  (Array.length tagged, Array.length span_tagged)
+    (Obs.Export.dag_text (tagged Obs.Causal.entries sink.Obs.Sink.causal));
+  (Array.length trace, Array.length spans)
 
 let sweep ?(jobs = 1) specs =
   if jobs > 1 then Sim.Pool.map ~jobs audit_run specs

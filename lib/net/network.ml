@@ -75,8 +75,8 @@ let kind_account t (tag : Obs.Causal.tag) ~pkts ~bytes ~copies =
 (* Record one copy's Send node; -1 when no causal sink is installed. *)
 let causal_send t tag ~pkts ~bytes ~dup =
   match tag with
-  | Some tag when Obs.Causal.active () ->
-      Obs.Causal.send ~time:(Sim.Engine.now t.eng) ~tag ~bytes ~pkts ~dup
+  | Some tag when Obs.Sink.causal_on () ->
+      Obs.Sink.send ~time:(Sim.Engine.now t.eng) ~tag ~bytes ~pkts ~dup
   | _ -> -1
 
 let transmit t n ~extra_delay ~node ~deliver =
@@ -87,7 +87,7 @@ let transmit t n ~extra_delay ~node ~deliver =
         let service = Sim.Rng.exponential t.rng ~mean:t.prm.net_delay in
         Sim.Facility.use t.wire service
       done;
-      if node >= 0 then Obs.Causal.recv ~time:(Sim.Engine.now t.eng) node;
+      if node >= 0 then Obs.Sink.recv ~time:(Sim.Engine.now t.eng) node;
       deliver node)
 
 let post ?tag t ~bytes ~deliver =
@@ -107,7 +107,7 @@ let post ?tag t ~bytes ~deliver =
             let service = Sim.Rng.exponential t.rng ~mean:t.prm.net_delay in
             Sim.Facility.use t.wire service
           done;
-          if node >= 0 then Obs.Causal.recv ~time:(Sim.Engine.now t.eng) node;
+          if node >= 0 then Obs.Sink.recv ~time:(Sim.Engine.now t.eng) node;
           deliver node)
   | Some hook ->
       let f = hook ~bytes in
@@ -116,7 +116,7 @@ let post ?tag t ~bytes ~deliver =
         | Some tag -> kind_account t tag ~pkts:n ~bytes ~copies:0
         | None -> ());
         let node = causal_send t tag ~pkts:n ~bytes ~dup:0 in
-        if node >= 0 then Obs.Causal.drop ~time:(Sim.Engine.now t.eng) node
+        if node >= 0 then Obs.Sink.drop ~time:(Sim.Engine.now t.eng) node
       end
       else begin
         let copies = max 1 f.copies in

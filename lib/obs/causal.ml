@@ -11,15 +11,14 @@
    per transaction — from first request to final commit/abort ack,
    retransmissions, callback rounds and 2PC fan-out included.
 
-   The buffer mirrors {!Span}: chunked ring storage with a monotone
-   sequence number, a domain-local sink slot installed around
-   [Sim.Engine.run], and payloads that travel back to the caller by
-   value — identical at any [Sim.Pool] job count.  Emission only reads
-   the clock it is handed; it never holds or draws randomness, so
-   causal-off runs are bit-identical to causal-on runs modulo the
-   buffer.  Node ids are allocated monotonically, so a parent id is
-   always smaller than its children's ids: the DAG is acyclic by
-   construction, and [analyze] checks it stayed that way. *)
+   The buffer is a {!Ring} reached through the {!Sink} installed around
+   [Sim.Engine.run], and travels back to the caller by value — identical
+   at any [Sim.Pool] job count.  Emission only reads the clock it is
+   handed; it never holds or draws randomness, so causal-off runs are
+   bit-identical to causal-on runs modulo the buffer.  Node ids are
+   allocated monotonically, so a parent id is always smaller than its
+   children's ids: the DAG is acyclic by construction, and [analyze]
+   checks it stayed that way. *)
 
 type ep = Client of int | Shard of int
 
@@ -66,132 +65,52 @@ type tag = {
 (* The buffer                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let chunk_size = 4096
-
 type t = {
-  limit : int;
-  mutable chunks : entry array array;
-  mutable written : int;
+  ring : entry Ring.t;
   mutable next_id : int;  (* node ids, unique within this buffer/rep *)
 }
 
-let default_limit = 2_000_000
-let dummy_entry = { cz_time = 0.0; cz_seq = -1; cz_ev = Recv { id = -1 } }
-
-let create ?(limit = default_limit) () =
-  if limit < 1 then invalid_arg "Causal.create: limit < 1";
-  { limit; chunks = [||]; written = 0; next_id = 0 }
-
-let length t = min t.written t.limit
-let dropped t = max 0 (t.written - t.limit)
+let create ?limit () = { ring = Ring.create ?limit (); next_id = 0 }
+let entries t = Ring.to_array t.ring
+let dropped t = Ring.dropped t.ring
 
 let add t ~time ev =
-  let pos = t.written mod t.limit in
-  let ci = pos / chunk_size and co = pos mod chunk_size in
-  if ci >= Array.length t.chunks then begin
-    let cap = max 4 (2 * Array.length t.chunks) in
-    let chunks = Array.make cap [||] in
-    Array.blit t.chunks 0 chunks 0 (Array.length t.chunks);
-    t.chunks <- chunks
-  end;
-  if Array.length t.chunks.(ci) = 0 then
-    t.chunks.(ci) <- Array.make chunk_size dummy_entry;
-  t.chunks.(ci).(co) <- { cz_time = time; cz_seq = t.written; cz_ev = ev };
-  t.written <- t.written + 1
+  Ring.push t.ring { cz_time = time; cz_seq = Ring.written t.ring; cz_ev = ev }
 
-let entries t =
-  let n = length t in
-  let out = Array.make n dummy_entry in
-  let k = ref 0 in
-  Array.iter
-    (fun chunk ->
-      Array.iter
-        (fun e ->
-          if e.cz_seq >= 0 && !k < n then begin
-            out.(!k) <- e;
-            incr k
-          end)
-        chunk)
-    t.chunks;
-  Array.sort (fun a b -> Int.compare a.cz_seq b.cz_seq) out;
-  out
+let fresh_id t =
+  let id = t.next_id in
+  t.next_id <- id + 1;
+  id
 
-(* ------------------------------------------------------------------ *)
-(* The domain-local sink                                               *)
-(* ------------------------------------------------------------------ *)
+let root t ~time ~client =
+  let id = fresh_id t in
+  add t ~time (Root { id; client });
+  id
 
-type saved = t option
+let send t ~time ~(tag : tag) ~bytes ~pkts ~dup =
+  let id = fresh_id t in
+  add t ~time
+    (Send
+       {
+         id;
+         parent = tag.tg_parent;
+         xid = tag.tg_xid;
+         owner = tag.tg_owner;
+         kind = tag.tg_kind;
+         src = tag.tg_src;
+         dst = tag.tg_dst;
+         bytes;
+         pkts;
+         retry = tag.tg_retry;
+         dup;
+       });
+  id
 
-let slot : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+let recv t ~time id = add t ~time (Recv { id })
+let drop t ~time id = add t ~time (Drop { id })
 
-let install t = Domain.DLS.set slot (Some t)
-let clear () = Domain.DLS.set slot None
-let active () = Option.is_some (Domain.DLS.get slot)
-let save () = Domain.DLS.get slot
-let restore s = Domain.DLS.set slot s
-
-(* Every emitter returns the fresh node id, or -1 when no sink is
-   installed; -1 is also a valid parent (no known cause), so
-   instrumentation threads ids around unconditionally. *)
-
-let root ~time ~client =
-  match Domain.DLS.get slot with
-  | None -> -1
-  | Some t ->
-      let id = t.next_id in
-      t.next_id <- id + 1;
-      add t ~time (Root { id; client });
-      id
-
-let send ~time ~(tag : tag) ~bytes ~pkts ~dup =
-  match Domain.DLS.get slot with
-  | None -> -1
-  | Some t ->
-      let id = t.next_id in
-      t.next_id <- id + 1;
-      add t ~time
-        (Send
-           {
-             id;
-             parent = tag.tg_parent;
-             xid = tag.tg_xid;
-             owner = tag.tg_owner;
-             kind = tag.tg_kind;
-             src = tag.tg_src;
-             dst = tag.tg_dst;
-             bytes;
-             pkts;
-             retry = tag.tg_retry;
-             dup;
-           });
-      id
-
-let recv ~time id =
-  if id >= 0 then
-    match Domain.DLS.get slot with
-    | None -> ()
-    | Some t -> add t ~time (Recv { id })
-
-let drop ~time id =
-  if id >= 0 then
-    match Domain.DLS.get slot with
-    | None -> ()
-    | Some t -> add t ~time (Drop { id })
-
-let finish ~time ~parent ~xid ~client ~ok =
-  match Domain.DLS.get slot with
-  | None -> ()
-  | Some t ->
-      let id = t.next_id in
-      t.next_id <- id + 1;
-      add t ~time (End { id; parent; xid; client; ok })
-
-let with_causal ?limit f =
-  let t = create ?limit () in
-  let prev = save () in
-  install t;
-  let v = Fun.protect ~finally:(fun () -> restore prev) f in
-  (v, t)
+let finish t ~time ~parent ~xid ~client ~ok =
+  add t ~time (End { id = fresh_id t; parent; xid; client; ok })
 
 (* ------------------------------------------------------------------ *)
 (* Reconstruction, validation, critical chain                          *)
@@ -574,16 +493,15 @@ let amplification (tagged : (int * entry) array) =
     tbl []
   |> List.sort (fun a b -> String.compare a.am_kind b.am_kind)
 
-(* Register per-transaction critical-chain shape into the active metrics
-   registry (no-op without a metrics sink).  Hops count message links
-   only (root and end excluded). *)
-let register_chain_metrics an =
+(* Register per-transaction critical-chain shape into [registry].  Hops
+   count message links only (root and end excluded). *)
+let register_chain_metrics registry an =
   Array.iter
     (fun d ->
       if d.dg_ok then begin
         let hops = max 0 (List.length d.dg_chain - 2) in
-        Metrics.observe_s "ccsim_causal_chain_hops" (float_of_int hops);
-        Metrics.observe_s "ccsim_causal_chain_seconds"
+        Metrics.observe registry "ccsim_causal_chain_hops" (float_of_int hops);
+        Metrics.observe registry "ccsim_causal_chain_seconds"
           (d.dg_finish -. d.dg_start)
       end)
     an.an_dags

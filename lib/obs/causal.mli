@@ -11,9 +11,9 @@
     and extracts the gating chain from the final ack back to the first
     request.
 
-    The sink discipline is {!Span}'s: a chunked ring buffer in a
-    domain-local slot, installed around [Sim.Engine.run], travelling
-    back by value so artifacts are byte-identical at any [-j].
+    The buffer is a {!Ring} reached through the {!Sink} installed around
+    [Sim.Engine.run], travelling back by value so artifacts are
+    byte-identical at any [-j].
     Emission only reads the clock it is handed — no holds, no
     randomness — so enabling causal tracing never perturbs simulation
     results. *)
@@ -63,45 +63,36 @@ type tag = {
 
 type t
 
-val default_limit : int
+(** An empty buffer; [limit] as in {!Ring.create}. *)
 val create : ?limit:int -> unit -> t
 
 (** Entries in emission order (ring-truncated to the last [limit]). *)
 val entries : t -> entry array
 
-val length : t -> int
 val dropped : t -> int
 
-(** {2 Domain-local sink} *)
+(** {2 Recording}
 
-type saved
+    Instrumentation reaches these through the {!Sink} emitters of the
+    same names. *)
 
-val install : t -> unit
-val clear : unit -> unit
-val active : unit -> bool
-val save : unit -> saved
-val restore : saved -> unit
+(** Open a transaction's causal group; returns the Root node id. *)
+val root : t -> time:float -> client:int -> int
 
-(** Open a transaction's causal group; returns the Root node id, or -1
-    (and no record) when no sink is installed. *)
-val root : time:float -> client:int -> int
+(** Record one transmitted copy; returns its node id.  [dup] is the
+    fault-injection duplicate index (0 = the original copy). *)
+val send : t -> time:float -> tag:tag -> bytes:int -> pkts:int -> dup:int -> int
 
-(** Record one transmitted copy; returns its node id or -1.  [dup] is
-    the fault-injection duplicate index (0 = the original copy). *)
-val send : time:float -> tag:tag -> bytes:int -> pkts:int -> dup:int -> int
-
-(** Record delivery of node [id]; a no-op for [id < 0] or with no sink. *)
-val recv : time:float -> int -> unit
+(** Record delivery of node [id]. *)
+val recv : t -> time:float -> int -> unit
 
 (** Record a fault-injected drop of node [id]. *)
-val drop : time:float -> int -> unit
+val drop : t -> time:float -> int -> unit
 
 (** Close a transaction's causal group; [parent] is the node whose
     receipt completed it (the final reply), [ok] whether it committed. *)
-val finish : time:float -> parent:int -> xid:int -> client:int -> ok:bool -> unit
-
-(** Run [f] with a fresh buffer installed; restores the previous sink. *)
-val with_causal : ?limit:int -> (unit -> 'a) -> 'a * t
+val finish :
+  t -> time:float -> parent:int -> xid:int -> client:int -> ok:bool -> unit
 
 (** {2 Reconstruction, validation and the critical chain} *)
 
@@ -170,5 +161,5 @@ val amplification : (int * entry) array -> amp list
 
 (** Observe per-committed-transaction chain shape
     ([ccsim_causal_chain_hops], [ccsim_causal_chain_seconds]) into the
-    active metrics registry; a no-op without a metrics sink. *)
-val register_chain_metrics : analysis -> unit
+    registry. *)
+val register_chain_metrics : Metrics.t -> analysis -> unit

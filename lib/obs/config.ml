@@ -1,14 +1,12 @@
 type t = {
   trace : bool;
-  trace_limit : int;
   series : bool;
   sample_interval : float;
   profile : bool;
   spans : bool;
-  span_limit : int;
   metrics : bool;
   causal : bool;
-  causal_limit : int;
+  limit : int;
 }
 
 let default_interval = 10.0
@@ -16,28 +14,22 @@ let default_interval = 10.0
 let off =
   {
     trace = false;
-    trace_limit = Recorder.default_limit;
     series = false;
     sample_interval = default_interval;
     profile = false;
     spans = false;
-    span_limit = Span.default_limit;
     metrics = false;
     causal = false;
-    causal_limit = Causal.default_limit;
+    limit = Ring.default_limit;
   }
 
-let make ?(trace = false) ?(trace_limit = Recorder.default_limit)
-    ?(series = false) ?(sample_interval = default_interval) ?(profile = false)
-    ?(spans = false) ?(span_limit = Span.default_limit) ?(metrics = false)
-    ?(causal = false) ?(causal_limit = Causal.default_limit) () =
-  if trace_limit < 1 then invalid_arg "Obs.Config.make: trace_limit < 1";
-  if span_limit < 1 then invalid_arg "Obs.Config.make: span_limit < 1";
-  if causal_limit < 1 then invalid_arg "Obs.Config.make: causal_limit < 1";
+let make ?(trace = false) ?(series = false)
+    ?(sample_interval = default_interval) ?(profile = false) ?(spans = false)
+    ?(metrics = false) ?(causal = false) ?(limit = Ring.default_limit) () =
+  if limit < 1 then invalid_arg "Obs.Config.make: limit < 1";
   if sample_interval <= 0.0 then
     invalid_arg "Obs.Config.make: sample_interval <= 0";
-  { trace; trace_limit; series; sample_interval; profile; spans; span_limit;
-    metrics; causal; causal_limit }
+  { trace; series; sample_interval; profile; spans; metrics; causal; limit }
 
 let trace_only = make ~trace:true ()
 let full = make ~trace:true ~series:true ~profile:true ~spans:true ~metrics:true ()

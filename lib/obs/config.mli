@@ -1,21 +1,21 @@
 (** Per-run observability switches, carried inside the simulator spec.
 
-    {!off} (the default everywhere) turns every layer off: no recorder,
-    span buffer, or metrics registry is installed, no sampler process is
-    spawned, no profiling is enabled, and the simulation is bit-identical
-    to one run before this subsystem existed. *)
+    {!off} (the default everywhere) turns every layer off: no {!Sink} is
+    installed, no sampler process is spawned, no profiling is enabled,
+    and the simulation is bit-identical to one run before this subsystem
+    existed. *)
 
 type t = {
   trace : bool;  (** record typed events into a {!Recorder} buffer *)
-  trace_limit : int;  (** ring capacity; oldest entries drop past it *)
   series : bool;  (** spawn the fixed-interval facility/lock sampler *)
   sample_interval : float;  (** sampler period, simulated seconds *)
   profile : bool;  (** enable per-process engine profiling *)
   spans : bool;  (** record typed transaction spans into a {!Span} buffer *)
-  span_limit : int;  (** span ring capacity *)
   metrics : bool;  (** install an online {!Metrics} registry *)
   causal : bool;  (** record causal message DAGs into a {!Causal} buffer *)
-  causal_limit : int;  (** causal ring capacity *)
+  limit : int;
+      (** capacity of each of the trace, span and causal rings; past it a
+          ring drops its oldest entries *)
 }
 
 (** Everything disabled — the default. *)
@@ -25,15 +25,13 @@ val default_interval : float
 
 val make :
   ?trace:bool ->
-  ?trace_limit:int ->
   ?series:bool ->
   ?sample_interval:float ->
   ?profile:bool ->
   ?spans:bool ->
-  ?span_limit:int ->
   ?metrics:bool ->
   ?causal:bool ->
-  ?causal_limit:int ->
+  ?limit:int ->
   unit ->
   t
 

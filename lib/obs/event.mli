@@ -3,9 +3,8 @@
     One constructor per observable protocol action: client requests,
     server replies, lock waits and grants, deadlocks, aborts, callbacks,
     notifications, commits, disk reads, and the fault-injection events.
-    {!Core.Trace} re-exports this type, so call sites emit events through
-    the compatibility shim while every analysis and export layer consumes
-    them from here. *)
+    Call sites emit them through {!Sink.emit}; every analysis and export
+    layer consumes them from the trace channel's {!Recorder}. *)
 
 type t =
   | Client_send of { client : int; xid : int; what : string }

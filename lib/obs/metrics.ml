@@ -7,9 +7,8 @@
    makes per-replication registries recorded in different domains
    mergeable into one deterministic artifact regardless of [-j].
 
-   The domain-local sink slot mirrors {!Recorder}: a registry installed
-   around [Sim.Engine.run] collects that run's samples and returns by
-   value inside the run's payload. *)
+   A registry installed in the {!Sink} around [Sim.Engine.run] collects
+   that run's samples and returns by value inside the run's payload. *)
 
 (* ------------------------------------------------------------------ *)
 (* Log-bucketed histogram                                              *)
@@ -263,33 +262,3 @@ let to_openmetrics t =
     (sorted t);
   Buffer.add_string buf "# EOF\n";
   Buffer.contents buf
-
-(* ------------------------------------------------------------------ *)
-(* The domain-local sink                                               *)
-(* ------------------------------------------------------------------ *)
-
-type saved = t option
-
-let slot : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
-
-let install t = Domain.DLS.set slot (Some t)
-let clear () = Domain.DLS.set slot None
-let active () = Option.is_some (Domain.DLS.get slot)
-let save () = Domain.DLS.get slot
-let restore s = Domain.DLS.set slot s
-
-let incr_s name n =
-  match Domain.DLS.get slot with None -> () | Some t -> incr t name n
-
-let set_gauge_s name v =
-  match Domain.DLS.get slot with None -> () | Some t -> set_gauge t name v
-
-let observe_s name v =
-  match Domain.DLS.get slot with None -> () | Some t -> observe t name v
-
-let with_metrics f =
-  let t = create () in
-  let prev = save () in
-  install t;
-  let v = Fun.protect ~finally:(fun () -> restore prev) f in
-  (v, t)

@@ -62,22 +62,3 @@ val equal : t -> t -> bool
     cumulative [_bucket]/[_count]/[_sum] series with empty buckets
     elided. *)
 val to_openmetrics : t -> string
-
-(** {2 Domain-local sink} *)
-
-type saved
-
-val install : t -> unit
-val clear : unit -> unit
-val active : unit -> bool
-val save : unit -> saved
-val restore : saved -> unit
-
-(** Sink-targeted recording: no-ops when no registry is installed. *)
-val incr_s : string -> int -> unit
-
-val set_gauge_s : string -> float -> unit
-val observe_s : string -> float -> unit
-
-(** Run [f] with a fresh registry installed; restores the previous sink. *)
-val with_metrics : (unit -> 'a) -> 'a * t

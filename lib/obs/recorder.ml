@@ -1,100 +1,12 @@
-(* A per-domain trace recorder.
-
-   Storage is a growable array of fixed-size chunks: appending writes one
-   cell and allocates a fresh chunk only every [chunk_size] events, so
-   recording costs one record allocation per event (the entry) on top of
-   the event value itself.  Once [limit] entries have been written the
-   buffer wraps and overwrites the oldest entries ring-style — for a
-   failing run the tail of the trace is the interesting part.
-
-   The domain-local sink slot below is what makes tracing safe under
-   [Sim.Pool]: each worker domain installs its own recorder around the
-   simulation it runs, so recorders neither race nor observe another
-   domain's events, and the filled buffer travels back to the caller by
-   value inside the run's result. *)
+(* The protocol-event channel: typed events keyed by [(sim_time, seq)]
+   in a {!Ring}.  Recording costs one entry allocation per event on top
+   of the event value itself. *)
 
 type entry = { time : float; seq : int; ev : Event.t }
+type t = entry Ring.t
 
-let chunk_size = 4096
-
-type t = {
-  limit : int;
-  mutable chunks : entry array array;  (* chunk pointers, grown by doubling *)
-  mutable written : int;  (* total entries ever written *)
-}
-
-let default_limit = 2_000_000
-
-let dummy_entry = { time = 0.0; seq = -1; ev = Event.Disk_read { page = -1 } }
-
-let create ?(limit = default_limit) () =
-  if limit < 1 then invalid_arg "Recorder.create: limit < 1";
-  { limit; chunks = [||]; written = 0 }
-
-let length t = min t.written t.limit
-let dropped t = max 0 (t.written - t.limit)
-
-let add t ~time ev =
-  let pos = t.written mod t.limit in
-  let ci = pos / chunk_size and co = pos mod chunk_size in
-  if ci >= Array.length t.chunks then begin
-    let cap = max 4 (2 * Array.length t.chunks) in
-    let chunks = Array.make cap [||] in
-    Array.blit t.chunks 0 chunks 0 (Array.length t.chunks);
-    t.chunks <- chunks
-  end;
-  if Array.length t.chunks.(ci) = 0 then
-    t.chunks.(ci) <- Array.make chunk_size dummy_entry;
-  t.chunks.(ci).(co) <- { time; seq = t.written; ev };
-  t.written <- t.written + 1
-
-(* Entries in emission order.  After a wrap the live window is the last
-   [limit] entries; sorting by [seq] restores order without tracking the
-   ring head. *)
-let entries t =
-  let n = length t in
-  let out = Array.make n dummy_entry in
-  let k = ref 0 in
-  Array.iter
-    (fun chunk ->
-      Array.iter
-        (fun e ->
-          if e.seq >= 0 && !k < n then begin
-            out.(!k) <- e;
-            incr k
-          end)
-        chunk)
-    t.chunks;
-  Array.sort (fun a b -> Int.compare a.seq b.seq) out;
-  out
-
-let iter t f = Array.iter f (entries t)
-
-(* ------------------------------------------------------------------ *)
-(* The domain-local sink                                               *)
-(* ------------------------------------------------------------------ *)
-
-type target = Fn of (float -> Event.t -> unit) | Buffer of t
-type saved = target option
-
-let slot : target option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
-
-let set_sink f = Domain.DLS.set slot (Some (Fn f))
-let clear_sink () = Domain.DLS.set slot None
-let install t = Domain.DLS.set slot (Some (Buffer t))
-let active () = Option.is_some (Domain.DLS.get slot)
-let save () = Domain.DLS.get slot
-let restore s = Domain.DLS.set slot s
-
-let emit time ev =
-  match Domain.DLS.get slot with
-  | None -> ()
-  | Some (Fn f) -> f time ev
-  | Some (Buffer t) -> add t ~time ev
-
-let with_recorder ?limit f =
-  let r = create ?limit () in
-  let prev = save () in
-  install r;
-  let v = Fun.protect ~finally:(fun () -> restore prev) f in
-  (v, r)
+let create = Ring.create
+let length = Ring.length
+let dropped = Ring.dropped
+let add t ~time ev = Ring.push t { time; seq = Ring.written t; ev }
+let entries = Ring.to_array

@@ -76,6 +76,16 @@ let total_causal t =
 let causal_dropped t =
   List.fold_left (fun a r -> a + r.causal_dropped) 0 t.reps
 
+let wrapped t =
+  let sum f = List.fold_left (fun a r -> a + f r) 0 t.reps in
+  List.filter
+    (fun (_, n) -> n > 0)
+    [
+      ("trace", sum (fun r -> r.trace_dropped));
+      ("span", sum (fun r -> r.spans_dropped));
+      ("causal", causal_dropped t);
+    ]
+
 let pp_fac_snapshot fmt f =
   Format.fprintf fmt
     "%-14s cap=%-2d util=%.3f mean-q=%.3f max-q=%-4d busy=%.1fs done=%d"

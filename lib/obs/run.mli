@@ -58,3 +58,8 @@ val total_events : t -> int
 val total_spans : t -> int
 val total_causal : t -> int
 val causal_dropped : t -> int
+
+(** The channels whose ring wrapped in some replication — ["trace"],
+    ["span"], ["causal"], in that order — each with the entries it
+    dropped over all replications. *)
+val wrapped : t -> (string * int) list

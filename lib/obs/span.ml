@@ -6,12 +6,11 @@
    spans on the same track (two server handlers, a fetch racing a
    callback) never produce false containment violations.
 
-   The buffer mirrors {!Recorder}: chunked ring storage with a monotone
-   sequence number, a domain-local sink slot installed around
-   [Sim.Engine.run], and payloads that travel back to the caller by
-   value — identical at any [Sim.Pool] job count.  Emission only reads
-   the clock it is handed; it never holds or draws randomness, so
-   span-off runs are bit-identical to spans-on runs modulo the buffer. *)
+   The buffer is a {!Ring} reached through the {!Sink} installed around
+   [Sim.Engine.run], and travels back to the caller by value — identical
+   at any [Sim.Pool] job count.  Emission only reads the clock it is
+   handed; it never holds or draws randomness, so span-off runs are
+   bit-identical to spans-on runs modulo the buffer. *)
 
 type track = Client of int | Server of int
 
@@ -59,95 +58,24 @@ type ev =
 
 type entry = { sp_time : float; sp_seq : int; sp_ev : ev }
 
-let chunk_size = 4096
-
 type t = {
-  limit : int;
-  mutable chunks : entry array array;
-  mutable written : int;
+  ring : entry Ring.t;
   mutable next_id : int;  (* span ids, unique within this buffer/rep *)
 }
 
-let default_limit = 2_000_000
-
-let dummy_entry = { sp_time = 0.0; sp_seq = -1; sp_ev = Close { id = -1; ok = false } }
-
-let create ?(limit = default_limit) () =
-  if limit < 1 then invalid_arg "Span.create: limit < 1";
-  { limit; chunks = [||]; written = 0; next_id = 0 }
-
-let length t = min t.written t.limit
-let dropped t = max 0 (t.written - t.limit)
-
+let create ?limit () = { ring = Ring.create ?limit (); next_id = 0 }
+let entries t = Ring.to_array t.ring
+let dropped t = Ring.dropped t.ring
 let add t ~time ev =
-  let pos = t.written mod t.limit in
-  let ci = pos / chunk_size and co = pos mod chunk_size in
-  if ci >= Array.length t.chunks then begin
-    let cap = max 4 (2 * Array.length t.chunks) in
-    let chunks = Array.make cap [||] in
-    Array.blit t.chunks 0 chunks 0 (Array.length t.chunks);
-    t.chunks <- chunks
-  end;
-  if Array.length t.chunks.(ci) = 0 then
-    t.chunks.(ci) <- Array.make chunk_size dummy_entry;
-  t.chunks.(ci).(co) <- { sp_time = time; sp_seq = t.written; sp_ev = ev };
-  t.written <- t.written + 1
+  Ring.push t.ring { sp_time = time; sp_seq = Ring.written t.ring; sp_ev = ev }
 
-let entries t =
-  let n = length t in
-  let out = Array.make n dummy_entry in
-  let k = ref 0 in
-  Array.iter
-    (fun chunk ->
-      Array.iter
-        (fun e ->
-          if e.sp_seq >= 0 && !k < n then begin
-            out.(!k) <- e;
-            incr k
-          end)
-        chunk)
-    t.chunks;
-  Array.sort (fun a b -> Int.compare a.sp_seq b.sp_seq) out;
-  out
+let open_span t ~time ~track ~kind ~parent ~xid =
+  let id = t.next_id in
+  t.next_id <- id + 1;
+  add t ~time (Open { id; parent; track; kind; xid });
+  id
 
-(* ------------------------------------------------------------------ *)
-(* The domain-local sink                                               *)
-(* ------------------------------------------------------------------ *)
-
-type saved = t option
-
-let slot : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
-
-let install t = Domain.DLS.set slot (Some t)
-let clear () = Domain.DLS.set slot None
-let active () = Option.is_some (Domain.DLS.get slot)
-let save () = Domain.DLS.get slot
-let restore s = Domain.DLS.set slot s
-
-(* Returns the fresh span id, or -1 when no sink is installed.  [-1] is
-   also a valid [parent] (a root span), so instrumentation can thread
-   ids around unconditionally. *)
-let open_span ~time ~track ~kind ~parent ~xid =
-  match Domain.DLS.get slot with
-  | None -> -1
-  | Some t ->
-      let id = t.next_id in
-      t.next_id <- id + 1;
-      add t ~time (Open { id; parent; track; kind; xid });
-      id
-
-let close_span ~time ?(ok = true) id =
-  if id >= 0 then
-    match Domain.DLS.get slot with
-    | None -> ()
-    | Some t -> add t ~time (Close { id; ok })
-
-let with_spans ?limit f =
-  let t = create ?limit () in
-  let prev = save () in
-  install t;
-  let v = Fun.protect ~finally:(fun () -> restore prev) f in
-  (v, t)
+let close_span t ~time ~ok id = add t ~time (Close { id; ok })
 
 (* ------------------------------------------------------------------ *)
 (* Self-validation                                                     *)

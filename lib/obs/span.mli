@@ -3,12 +3,12 @@
     A span is an [Open]/[Close] pair in a per-domain ring buffer,
     identified by an id unique within one replication, with an explicit
     parent id (so concurrent spans on one track cannot produce false
-    containment violations).  The sink discipline is {!Recorder}'s:
-    install a buffer around [Sim.Engine.run] in whatever domain runs the
-    simulation, and the filled buffer travels back by value — span
-    artifacts are byte-identical at any [-j].  Emission only reads the
-    clock it is handed: no holds, no randomness, so enabling spans never
-    perturbs simulation results. *)
+    containment violations).  The buffer is a {!Ring} reached through
+    the {!Sink} installed around [Sim.Engine.run] in whatever domain
+    runs the simulation, and the filled buffer travels back by value —
+    span artifacts are byte-identical at any [-j].  Emission only reads
+    the clock it is handed: no holds, no randomness, so enabling spans
+    never perturbs simulation results. *)
 
 type track =
   | Client of int  (** a client's timeline (its router included) *)
@@ -42,36 +42,22 @@ type entry = { sp_time : float; sp_seq : int; sp_ev : ev }
 
 type t
 
-val default_limit : int
+(** An empty buffer; [limit] as in {!Ring.create}. *)
 val create : ?limit:int -> unit -> t
 
 (** Entries in emission order (ring-truncated to the last [limit]). *)
 val entries : t -> entry array
 
-val length : t -> int
 val dropped : t -> int
 
-(** {2 Domain-local sink} *)
-
-type saved
-
-val install : t -> unit
-val clear : unit -> unit
-val active : unit -> bool
-val save : unit -> saved
-val restore : saved -> unit
-
-(** Allocate an id and record the open; [-1] (and no record) when no
-    sink is installed.  [parent = -1] makes a root span. *)
+(** Allocate an id and record the open.  [parent = -1] makes a root
+    span.  Instrumentation reaches this through {!Sink.open_span}. *)
 val open_span :
-  time:float -> track:track -> kind:kind -> parent:int -> xid:int -> int
+  t -> time:float -> track:track -> kind:kind -> parent:int -> xid:int -> int
 
-(** Record the close; a no-op for [id < 0] or with no sink installed.
-    [ok:false] marks a span ended by an abort or a crash. *)
-val close_span : time:float -> ?ok:bool -> int -> unit
-
-(** Run [f] with a fresh buffer installed; restores the previous sink. *)
-val with_spans : ?limit:int -> (unit -> 'a) -> 'a * t
+(** Record the close; [ok:false] marks a span ended by an abort or a
+    crash. *)
+val close_span : t -> time:float -> ok:bool -> int -> unit
 
 (** {2 Self-validation} *)
 

@@ -98,20 +98,20 @@ let contradiction t kind =
    are re-entrant under retransmission. *)
 let close_prepare t a ~ok =
   if a.sp_prepare >= 0 then begin
-    Obs.Span.close_span ~time:(t.now ()) ~ok a.sp_prepare;
+    Obs.Sink.close_span ~time:(t.now ()) ~ok a.sp_prepare;
     a.sp_prepare <- -1
   end
 
 let open_decide t a =
-  if a.sp_decide < 0 && Obs.Span.active () then
+  if a.sp_decide < 0 && Obs.Sink.spans_on () then
     a.sp_decide <-
-      Obs.Span.open_span ~time:(t.now ())
+      Obs.Sink.open_span ~time:(t.now ())
         ~track:(Obs.Span.Client t.client_id) ~kind:Obs.Span.Decide_2pc
         ~parent:(-1) ~xid:a.a_xid
 
 let close_decide t a ~ok =
   if a.sp_decide >= 0 then begin
-    Obs.Span.close_span ~time:(t.now ()) ~ok a.sp_decide;
+    Obs.Sink.close_span ~time:(t.now ()) ~ok a.sp_decide;
     a.sp_decide <- -1
   end
 
@@ -120,7 +120,7 @@ let finish t a ~ok =
    else Core.Metrics.record_xshard_abort t.metrics);
   close_prepare t a ~ok;
   close_decide t a ~ok;
-  Obs.Metrics.observe_s "ccsim_2pc_indoubt_seconds" (t.now () -. a.a_start);
+  Obs.Sink.observe "ccsim_2pc_indoubt_seconds" (t.now () -. a.a_start);
   let new_versions =
     if not ok then []
     else
@@ -181,7 +181,7 @@ let decide t a ~commit =
        spans end here, marked failed *)
     close_prepare t a ~ok:false;
     close_decide t a ~ok:false;
-    Obs.Metrics.incr_s "ccsim_2pc_amnesia_total" 1;
+    Obs.Sink.incr "ccsim_2pc_amnesia_total" 1;
     t.attempt <- None
   end
   else if commit then begin
@@ -317,14 +317,14 @@ let start_2pc t ~parent ~retry ~client ~xid ~req ~read_set ~update_pages
       a_start = t.now ();
       a_last_ctx = parent;
       sp_prepare =
-        Obs.Span.open_span ~time:(t.now ())
+        Obs.Sink.open_span ~time:(t.now ())
           ~track:(Obs.Span.Client t.client_id) ~kind:Obs.Span.Prepare_2pc
           ~parent:(-1) ~xid;
       sp_decide = -1;
     }
   in
   t.attempt <- Some a;
-  Obs.Metrics.observe_s "ccsim_2pc_fanout"
+  Obs.Sink.observe "ccsim_2pc_fanout"
     (float_of_int (List.length participants));
   List.iter (fun (s, m) -> t.send s ~parent ~retry m) slices
 

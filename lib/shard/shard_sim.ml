@@ -5,7 +5,6 @@ module Metrics = Core.Metrics
 module Sys_params = Core.Sys_params
 module Proto = Core.Proto
 module Comms = Core.Comms
-module Trace = Core.Trace
 
 (* One client request on the wire to [server], tagged for causal tracing. *)
 let post_c2s net (cfg : Sys_params.t) ~client ~i ~server ~dst ~parent ~retry
@@ -60,21 +59,22 @@ let run_with_stats ?audit ?inspect (spec : Simulator.spec) =
         let v = Fault.Injector.message inj in
         if v.Fault.Injector.drop then begin
           Metrics.record_msg_dropped metrics;
-          if Trace.active () then
-            Trace.emit (Sim.Engine.now eng) (Trace.Msg_dropped { bytes })
+          if Obs.Sink.trace_on () then
+            Obs.Sink.emit (Sim.Engine.now eng) (Obs.Event.Msg_dropped { bytes })
         end
         else begin
           if v.Fault.Injector.extra_delay > 0.0 then begin
             Metrics.record_msg_delayed metrics;
-            if Trace.active () then
-              Trace.emit (Sim.Engine.now eng)
-                (Trace.Msg_delayed { bytes; by = v.Fault.Injector.extra_delay })
+            if Obs.Sink.trace_on () then
+              Obs.Sink.emit (Sim.Engine.now eng)
+                (Obs.Event.Msg_delayed
+                   { bytes; by = v.Fault.Injector.extra_delay })
           end;
           if v.Fault.Injector.copies > 1 then begin
             Metrics.record_msg_duplicated metrics;
-            if Trace.active () then
-              Trace.emit (Sim.Engine.now eng)
-                (Trace.Msg_duplicated
+            if Obs.Sink.trace_on () then
+              Obs.Sink.emit (Sim.Engine.now eng)
+                (Obs.Event.Msg_duplicated
                    { bytes; copies = v.Fault.Injector.copies })
           end
         end;
@@ -142,7 +142,7 @@ let run_with_stats ?audit ?inspect (spec : Simulator.spec) =
       else begin
         let send s ~parent ~retry msg =
           let c = Option.get !client in
-          if Obs.Metrics.active () then Obs.Metrics.incr_s shard_msg_name.(s) 1;
+          if Obs.Sink.metrics_on () then Obs.Sink.incr shard_msg_name.(s) 1;
           post_c2s net cfg ~client:c ~i ~server:servers.(s)
             ~dst:(Obs.Causal.Shard s) ~parent ~retry msg
         in
@@ -228,35 +228,16 @@ let run_with_stats ?audit ?inspect (spec : Simulator.spec) =
     servers;
   Array.iter (function Some c -> Client.start c | None -> ()) clients;
   (* Observability, all opt-in ([Obs.Config.off] installs nothing).  The
-     recorder goes into THIS domain's sink slot — which is the pool
-     worker's slot when the run was dispatched by [Sim.Pool] — and the
-     filled buffer returns by value in [result.obs], so tracing works at
-     any [-j].  Sampler sources only read statistics (no hold, no RNG),
-     so sampled runs compute exactly the results of unsampled ones. *)
+     sink goes into THIS domain's slot — which is the pool worker's slot
+     when the run was dispatched by [Sim.Pool] — and the filled buffers
+     return by value in [result.obs], so observation works at any [-j].
+     Sampler sources only read statistics (no hold, no RNG), so sampled
+     runs compute exactly the results of unsampled ones. *)
   let ocfg = spec.obs in
-  let recorder =
-    if ocfg.Obs.Config.trace then
-      Some (Obs.Recorder.create ~limit:ocfg.Obs.Config.trace_limit ())
-    else None
-  in
-  let span_buf =
-    if ocfg.Obs.Config.spans then
-      Some (Obs.Span.create ~limit:ocfg.Obs.Config.span_limit ())
-    else None
-  in
-  let causal_buf =
-    if ocfg.Obs.Config.causal then
-      Some (Obs.Causal.create ~limit:ocfg.Obs.Config.causal_limit ())
-    else None
-  in
-  let registry =
-    if ocfg.Obs.Config.metrics then begin
-      let r = Obs.Metrics.create () in
-      Obs.Metrics.set_gauge r "ccsim_shards" (float_of_int n_shards);
-      Some r
-    end
-    else None
-  in
+  let sink = Obs.Sink.of_config ocfg in
+  Option.iter
+    (fun r -> Obs.Metrics.set_gauge r "ccsim_shards" (float_of_int n_shards))
+    sink.Obs.Sink.metrics;
   if ocfg.Obs.Config.profile then Sim.Engine.enable_profiling eng;
   let series =
     if not ocfg.Obs.Config.series then None
@@ -333,29 +314,13 @@ let run_with_stats ?audit ?inspect (spec : Simulator.spec) =
     end
   in
   let sim_time =
-    (* Each sink goes into THIS domain's slot for the duration of the run;
-       composable wrapping keeps recorder-off runs on the bare path. *)
     let run_sim () = Sim.Engine.run eng ~until:spec.max_sim_time () in
-    let with_sink save install restore v f =
-      match v with
-      | None -> f ()
-      | Some x ->
-          let saved = save () in
-          install x;
-          Fun.protect ~finally:(fun () -> restore saved) f
-    in
-    with_sink Obs.Recorder.save Obs.Recorder.install Obs.Recorder.restore
-      recorder (fun () ->
-        with_sink Obs.Span.save Obs.Span.install Obs.Span.restore span_buf
-          (fun () ->
-            with_sink Obs.Causal.save Obs.Causal.install Obs.Causal.restore
-              causal_buf (fun () ->
-                with_sink Obs.Metrics.save Obs.Metrics.install
-                  Obs.Metrics.restore registry run_sim)))
+    (* a run that observes nothing leaves the caller's sink installed *)
+    if Obs.Sink.is_empty sink then run_sim () else Obs.Sink.with_ sink run_sim
   in
   (* Per-kind wire accounting and causal critical-chain shape land in the
      registry after the run: pure counter folds, no engine interaction. *)
-  (match registry with
+  (match sink.Obs.Sink.metrics with
   | Some r ->
       List.iter
         (fun (kind, ks) ->
@@ -375,16 +340,12 @@ let run_with_stats ?audit ?inspect (spec : Simulator.spec) =
               (lbl "ccsim_net_duplicates_total")
               ks.Net.Network.ks_dups)
         (Net.Network.kind_stats net);
-      (match causal_buf with
-      | Some b ->
+      Option.iter
+        (fun b ->
           let tagged = Array.map (fun e -> (0, e)) (Obs.Causal.entries b) in
-          let an = Obs.Causal.analyze ~dropped:(Obs.Causal.dropped b) tagged in
-          let saved = Obs.Metrics.save () in
-          Obs.Metrics.install r;
-          Fun.protect
-            ~finally:(fun () -> Obs.Metrics.restore saved)
-            (fun () -> Obs.Causal.register_chain_metrics an)
-      | None -> ())
+          Obs.Causal.register_chain_metrics r
+            (Obs.Causal.analyze ~dropped:(Obs.Causal.dropped b) tagged))
+        sink.Obs.Sink.causal
   | None -> ());
   (match inspect with
   | Some f -> f servers (Array.init n_clients client_of)
@@ -445,20 +406,16 @@ let run_with_stats ?audit ?inspect (spec : Simulator.spec) =
             };
           ]
       in
+      let drain entries dropped = function
+        | Some b -> (entries b, dropped b)
+        | None -> ([||], 0)
+      in
       let trace, trace_dropped =
-        match recorder with
-        | Some r -> (Obs.Recorder.entries r, Obs.Recorder.dropped r)
-        | None -> ([||], 0)
-      in
-      let spans, spans_dropped =
-        match span_buf with
-        | Some b -> (Obs.Span.entries b, Obs.Span.dropped b)
-        | None -> ([||], 0)
-      in
-      let causal, causal_dropped =
-        match causal_buf with
-        | Some b -> (Obs.Causal.entries b, Obs.Causal.dropped b)
-        | None -> ([||], 0)
+        drain Obs.Recorder.entries Obs.Recorder.dropped sink.Obs.Sink.trace
+      and spans, spans_dropped =
+        drain Obs.Span.entries Obs.Span.dropped sink.Obs.Sink.spans
+      and causal, causal_dropped =
+        drain Obs.Causal.entries Obs.Causal.dropped sink.Obs.Sink.causal
       in
       Some
         {
@@ -478,7 +435,7 @@ let run_with_stats ?audit ?inspect (spec : Simulator.spec) =
                 spans_dropped;
                 causal;
                 causal_dropped;
-                metrics = registry;
+                metrics = sink.Obs.Sink.metrics;
               };
             ];
         }

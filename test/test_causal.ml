@@ -30,24 +30,30 @@ let tag ?(parent = -1) ?(xid = 0) ?(owner = 0) ?(kind = "read_req")
     tg_retry = retry;
   }
 
+(* Run [f] with a fresh causal buffer installed; the filled buffer. *)
+let record_causal f =
+  let buf = Obs.Causal.create () in
+  Obs.Sink.with_ { Obs.Sink.none with Obs.Sink.causal = Some buf } f;
+  buf
+
 let test_sink_roundtrip () =
-  let (), buf =
-    Obs.Causal.with_causal (fun () ->
-        let root = Obs.Causal.root ~time:1.0 ~client:0 in
+  let buf =
+    record_causal (fun () ->
+        let root = Obs.Sink.root ~time:1.0 ~client:0 in
         let req =
-          Obs.Causal.send ~time:1.0 ~tag:(tag ~parent:root ()) ~bytes:200
+          Obs.Sink.send ~time:1.0 ~tag:(tag ~parent:root ()) ~bytes:200
             ~pkts:1 ~dup:0
         in
-        Obs.Causal.recv ~time:1.5 req;
+        Obs.Sink.recv ~time:1.5 req;
         let reply =
-          Obs.Causal.send ~time:1.5
+          Obs.Sink.send ~time:1.5
             ~tag:
               (tag ~parent:req ~kind:"read_reply" ~src:(Obs.Causal.Shard 0)
                  ~dst:(Obs.Causal.Client 0) ())
             ~bytes:4200 ~pkts:2 ~dup:0
         in
-        Obs.Causal.recv ~time:2.0 reply;
-        Obs.Causal.finish ~time:2.0 ~parent:reply ~xid:0 ~client:0 ~ok:true)
+        Obs.Sink.recv ~time:2.0 reply;
+        Obs.Sink.finish ~time:2.0 ~parent:reply ~xid:0 ~client:0 ~ok:true)
   in
   let es = Obs.Causal.entries buf in
   Alcotest.(check int) "six entries" 6 (Array.length es);
@@ -72,13 +78,13 @@ let test_sink_roundtrip () =
 
 let test_no_sink_is_noop () =
   Alcotest.(check int) "root sentinel" (-1)
-    (Obs.Causal.root ~time:0.0 ~client:0);
+    (Obs.Sink.root ~time:0.0 ~client:0);
   Alcotest.(check int) "send sentinel" (-1)
-    (Obs.Causal.send ~time:0.0 ~tag:(tag ()) ~bytes:1 ~pkts:1 ~dup:0);
-  Obs.Causal.recv ~time:0.0 7;
-  Obs.Causal.drop ~time:0.0 7;
-  Obs.Causal.finish ~time:0.0 ~parent:7 ~xid:0 ~client:0 ~ok:true;
-  Alcotest.(check bool) "inactive" false (Obs.Causal.active ())
+    (Obs.Sink.send ~time:0.0 ~tag:(tag ()) ~bytes:1 ~pkts:1 ~dup:0);
+  Obs.Sink.recv ~time:0.0 7;
+  Obs.Sink.drop ~time:0.0 7;
+  Obs.Sink.finish ~time:0.0 ~parent:7 ~xid:0 ~client:0 ~ok:true;
+  Alcotest.(check bool) "inactive" false (Obs.Sink.causal_on ())
 
 (* ------------------------------------------------------------------ *)
 (* Validation catches malformed records                                *)
@@ -323,13 +329,13 @@ let test_duplicates_tagged_under_dup_faults () =
    result back to the original. *)
 let test_flow_json_escaping () =
   let weird = "we\"ird\\kind\nwith\tcontrol\x01chars" in
-  let (), buf =
-    Obs.Causal.with_causal (fun () ->
+  let buf =
+    record_causal (fun () ->
         let id =
-          Obs.Causal.send ~time:1.0 ~tag:(tag ~kind:weird ()) ~bytes:10 ~pkts:1
+          Obs.Sink.send ~time:1.0 ~tag:(tag ~kind:weird ()) ~bytes:10 ~pkts:1
             ~dup:0
         in
-        Obs.Causal.recv ~time:2.0 id)
+        Obs.Sink.recv ~time:2.0 id)
   in
   let flows = Array.map (fun e -> (0, e)) (Obs.Causal.entries buf) in
   let json = Obs.Export.perfetto ~flows [||] in
@@ -360,13 +366,13 @@ let test_flow_json_escaping () =
         (List.exists is_weird_flow events)
 
 let test_dropped_copies_draw_no_arrow () =
-  let (), buf =
-    Obs.Causal.with_causal (fun () ->
+  let buf =
+    record_causal (fun () ->
         let id =
-          Obs.Causal.send ~time:1.0 ~tag:(tag ~kind:"lost_req" ()) ~bytes:10
+          Obs.Sink.send ~time:1.0 ~tag:(tag ~kind:"lost_req" ()) ~bytes:10
             ~pkts:1 ~dup:0
         in
-        Obs.Causal.drop ~time:1.2 id)
+        Obs.Sink.drop ~time:1.2 id)
   in
   let flows = Array.map (fun e -> (0, e)) (Obs.Causal.entries buf) in
   let json = Obs.Export.perfetto ~flows [||] in

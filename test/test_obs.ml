@@ -1,7 +1,8 @@
-(* Tests for the observability subsystem: the typed trace recorder and
-   its domain-local sink, recording across Sim.Pool workers, deterministic
-   merging at any job count, sampler purity, analysis breakdowns, and the
-   exporters (Perfetto JSON, series CSV). *)
+(* Tests for the observability subsystem: the typed trace recorder, the
+   ring behind every channel and the one domain-local sink, recording
+   across Sim.Pool workers, deterministic merging at any job count,
+   sampler purity, analysis breakdowns, and the exporters (Perfetto JSON,
+   series CSV). *)
 
 let case name f = Alcotest.test_case name `Quick f
 
@@ -63,28 +64,94 @@ let test_recorder_wrap_large () =
   Alcotest.(check int) "last kept seq" (n - 1)
     es.(limit - 1).Obs.Recorder.seq
 
+(* ------------------------------------------------------------------ *)
+(* Ring                                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* For any limit up to a little over two chunks and any push count, the
+   ring holds the last min(n, limit) pushes in order and counts the rest
+   as dropped. *)
+let ring_keeps_last =
+  let max_limit = (2 * Obs.Ring.chunk_size) + 3 in
+  QCheck.Test.make ~name:"ring keeps the last limit pushes" ~count:200
+    QCheck.(pair (int_range 1 max_limit) (int_range 0 (3 * max_limit)))
+    (fun (limit, n) ->
+      let r = Obs.Ring.create ~limit () in
+      for i = 0 to n - 1 do
+        Obs.Ring.push r i
+      done;
+      let kept = min n limit in
+      Obs.Ring.to_array r = Array.init kept (fun i -> n - kept + i)
+      && Obs.Ring.length r = kept
+      && Obs.Ring.dropped r = max 0 (n - limit)
+      && Obs.Ring.written r = n)
+
+(* ------------------------------------------------------------------ *)
+(* Sink                                                                *)
+(* ------------------------------------------------------------------ *)
+
+let trace_sink r = { Obs.Sink.none with Obs.Sink.trace = Some r }
+
 let test_sink_dispatch_and_restore () =
-  Obs.Recorder.clear_sink ();
-  Alcotest.(check bool) "inactive" false (Obs.Recorder.active ());
-  let got = ref [] in
-  Obs.Recorder.set_sink (fun t ev -> got := (t, ev) :: !got);
-  Alcotest.(check bool) "fn active" true (Obs.Recorder.active ());
-  Obs.Recorder.emit 1.5 (ev_page 7);
-  (* with_recorder shadows the callback, then restores it *)
-  let (), r =
-    Obs.Recorder.with_recorder (fun () ->
-        Obs.Recorder.emit 2.0 (ev_page 8);
-        Obs.Recorder.emit 3.0 (ev_page 9))
+  Alcotest.(check bool) "inactive" false (Obs.Sink.trace_on ());
+  (* emitting with no sink installed is a no-op *)
+  Obs.Sink.emit 0.5 (ev_page 6);
+  let outer = Obs.Recorder.create () in
+  Obs.Sink.with_ (trace_sink outer) (fun () ->
+      Alcotest.(check bool) "recorder active" true (Obs.Sink.trace_on ());
+      Obs.Sink.emit 1.5 (ev_page 7);
+      (* a nested sink shadows the outer recorder, then restores it *)
+      let inner = Obs.Recorder.create () in
+      Obs.Sink.with_ (trace_sink inner) (fun () ->
+          Obs.Sink.emit 2.0 (ev_page 8);
+          Obs.Sink.emit 3.0 (ev_page 9));
+      Alcotest.(check int) "inner recorder captured" 2
+        (Obs.Recorder.length inner);
+      Obs.Sink.emit 4.0 (ev_page 10));
+  Alcotest.(check int) "outer saw only its own" 2 (Obs.Recorder.length outer);
+  Alcotest.(check bool) "slot cleared on exit" false (Obs.Sink.trace_on ())
+
+let test_sink_restored_on_raise () =
+  let outer = trace_sink (Obs.Recorder.create ()) in
+  Obs.Sink.with_ outer (fun () ->
+      (try
+         Obs.Sink.with_ (trace_sink (Obs.Recorder.create ())) (fun () ->
+             failwith "boom")
+       with Failure _ -> ());
+      Alcotest.(check bool) "outer sink back after a raise" true
+        (Obs.Sink.current () == outer));
+  Alcotest.(check bool) "empty slot back" true
+    (Obs.Sink.is_empty (Obs.Sink.current ()))
+
+let test_sink_one_slot_for_all_channels () =
+  let s =
+    Obs.Sink.of_config
+      (Obs.Config.make ~trace:true ~spans:true ~causal:true ~metrics:true ())
   in
-  Alcotest.(check int) "recorder captured" 2 (Obs.Recorder.length r);
-  Obs.Recorder.emit 4.0 (ev_page 10);
-  Alcotest.(check int) "callback saw only its own" 2 (List.length !got);
-  Obs.Recorder.clear_sink ();
-  (* Core.Trace is a shim over the same slot *)
-  Core.Trace.set_sink (fun _ _ -> ());
-  Alcotest.(check bool) "shim shares slot" true (Obs.Recorder.active ());
-  Core.Trace.clear_sink ();
-  Alcotest.(check bool) "shim clears slot" false (Obs.Recorder.active ())
+  Obs.Sink.with_ s (fun () ->
+      Obs.Sink.emit 1.0 (ev_page 1);
+      let id =
+        Obs.Sink.open_span ~time:1.0 ~track:(Obs.Span.Client 0)
+          ~kind:Obs.Span.Xact ~parent:(-1) ~xid:0
+      in
+      Obs.Sink.close_span ~time:2.0 id;
+      ignore (Obs.Sink.root ~time:1.0 ~client:0);
+      Obs.Sink.incr "c" 2;
+      Obs.Sink.observe "h" 0.5);
+  let get = Option.get in
+  Alcotest.(check int) "trace" 1
+    (Array.length (Obs.Recorder.entries (get s.Obs.Sink.trace)));
+  Alcotest.(check int) "spans" 2
+    (Array.length (Obs.Span.entries (get s.Obs.Sink.spans)));
+  Alcotest.(check int) "causal" 1
+    (Array.length (Obs.Causal.entries (get s.Obs.Sink.causal)));
+  let m = get s.Obs.Sink.metrics in
+  Alcotest.(check (option int))
+    "counter" (Some 2)
+    (Obs.Metrics.counter_value m "c");
+  Alcotest.(check bool) "histogram" true (Obs.Metrics.histogram m "h" <> None);
+  Alcotest.(check bool) "off config builds an empty sink" true
+    (Obs.Sink.is_empty (Obs.Sink.of_config Obs.Config.off))
 
 (* ------------------------------------------------------------------ *)
 (* Traced simulations, including across Sim.Pool                       *)
@@ -101,6 +168,50 @@ let small_spec ?(obs = Obs.Config.off) ?(seed = 7) () =
     Core.Simulator.db_params =
       Db.Db_params.uniform ~n_classes:4 ~pages_per_class:25 ();
   }
+
+(* A run that observes nothing leaves the caller's sink installed, so its
+   events reach the caller's recorder; a run that observes keeps its
+   events to itself. *)
+let test_run_keeps_caller_sink () =
+  let outer = Obs.Recorder.create () in
+  let sink = trace_sink outer in
+  Obs.Sink.with_ sink (fun () ->
+      let r = Shard.Shard_sim.run (small_spec ()) in
+      Alcotest.(check bool) "no payload" true (r.Core.Simulator.obs = None);
+      Alcotest.(check bool) "caller sink still installed" true
+        (Obs.Sink.current () == sink));
+  let seen = Array.length (Obs.Recorder.entries outer) in
+  Alcotest.(check bool) "events reach the caller's recorder" true (seen > 0);
+  Obs.Sink.with_ sink (fun () ->
+      ignore (Shard.Shard_sim.run (small_spec ~obs:Obs.Config.trace_only ())));
+  Alcotest.(check int) "an observed run records into its own sink" seen
+    (Array.length (Obs.Recorder.entries outer))
+
+(* A small ring wraps on every channel, and each wrapped channel is
+   reported with its own drop count. *)
+let test_wrapped_channels_reported () =
+  let obs = Obs.Config.make ~trace:true ~spans:true ~causal:true ~limit:50 () in
+  match (Shard.Shard_sim.run (small_spec ~obs ())).Core.Simulator.obs with
+  | None -> Alcotest.fail "no obs payload"
+  | Some o ->
+      let rep = List.hd o.Obs.Run.reps in
+      Alcotest.(check int) "span ring holds the limit" 50
+        (Array.length rep.Obs.Run.spans);
+      Alcotest.(check (list (pair string int)))
+        "every wrapped channel named with its drop count"
+        [
+          ("trace", rep.Obs.Run.trace_dropped);
+          ("span", rep.Obs.Run.spans_dropped);
+          ("causal", rep.Obs.Run.causal_dropped);
+        ]
+        (Obs.Run.wrapped o);
+      Alcotest.(check bool) "each dropped something" true
+        (List.for_all (fun (_, n) -> n > 0) (Obs.Run.wrapped o));
+      let unwrapped =
+        Shard.Shard_sim.run (small_spec ~obs:Obs.Config.trace_only ())
+      in
+      Alcotest.(check (list (pair string int))) "default limit: none" []
+        (Obs.Run.wrapped (Option.get unwrapped.Core.Simulator.obs))
 
 let test_traced_run_payload () =
   let r = Shard.Shard_sim.run (small_spec ~obs:Obs.Config.trace_only ()) in
@@ -422,6 +533,14 @@ let suites =
         case "ring keeps tail" test_recorder_ring_keeps_tail;
         case "wrap across chunks" test_recorder_wrap_large;
         case "sink dispatch and restore" test_sink_dispatch_and_restore;
+      ] );
+    ("ring-props", [ QCheck_alcotest.to_alcotest ring_keeps_last ]);
+    ( "sink",
+      [
+        case "restored when the body raises" test_sink_restored_on_raise;
+        case "one slot for all channels" test_sink_one_slot_for_all_channels;
+        case "unobserved run keeps caller sink" test_run_keeps_caller_sink;
+        case "wrapped channels reported" test_wrapped_channels_reported;
       ] );
     ( "traced-runs",
       [

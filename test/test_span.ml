@@ -152,10 +152,9 @@ let test_openmetrics_text () =
 
 let sp_entries ops =
   (* build a record through the sink API *)
-  let (), buf =
-    Obs.Span.with_spans (fun () ->
-        List.iter (fun f -> f ()) ops)
-  in
+  let buf = Obs.Span.create () in
+  Obs.Sink.with_ { Obs.Sink.none with Obs.Sink.spans = Some buf } (fun () ->
+      List.iter (fun f -> f ()) ops);
   Obs.Span.entries buf
 
 let test_span_sink_roundtrip () =
@@ -165,12 +164,12 @@ let test_span_sink_roundtrip () =
       [
         (fun () ->
           let id =
-            Obs.Span.open_span ~time:1.0 ~track:(Obs.Span.Client 0)
+            Obs.Sink.open_span ~time:1.0 ~track:(Obs.Span.Client 0)
               ~kind:Obs.Span.Xact ~parent:(-1) ~xid:(-1)
           in
           ids := [ id ]);
         (fun () ->
-          Obs.Span.close_span ~time:2.0 (List.hd !ids));
+          Obs.Sink.close_span ~time:2.0 (List.hd !ids));
       ]
   in
   Alcotest.(check int) "two entries" 2 (Array.length es);
@@ -182,12 +181,12 @@ let test_span_sink_roundtrip () =
 
 let test_span_no_sink_is_noop () =
   let id =
-    Obs.Span.open_span ~time:0.0 ~track:(Obs.Span.Client 1)
+    Obs.Sink.open_span ~time:0.0 ~track:(Obs.Span.Client 1)
       ~kind:Obs.Span.Think ~parent:(-1) ~xid:0
   in
   Alcotest.(check int) "sentinel id" (-1) id;
-  Obs.Span.close_span ~time:1.0 id;
-  Alcotest.(check bool) "inactive" false (Obs.Span.active ())
+  Obs.Sink.close_span ~time:1.0 id;
+  Alcotest.(check bool) "inactive" false (Obs.Sink.spans_on ())
 
 let mk_entry sp_time sp_seq sp_ev = { Obs.Span.sp_time; sp_seq; sp_ev }
 

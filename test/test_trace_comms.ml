@@ -1,6 +1,6 @@
-(* Tests for protocol tracing (Core.Trace), charged messaging (Core.Comms),
-   and a few cross-cutting behaviours that need a full simulation to
-   observe. *)
+(* Tests for protocol tracing (the trace channel of Obs.Sink), charged
+   messaging (Core.Comms), and a few cross-cutting behaviours that need a
+   full simulation to observe. *)
 
 let case name f = Alcotest.test_case name `Quick f
 
@@ -9,35 +9,42 @@ let case name f = Alcotest.test_case name `Quick f
 (* ------------------------------------------------------------------ *)
 
 let test_trace_inactive_by_default () =
-  Core.Trace.clear_sink ();
-  Alcotest.(check bool) "inactive" false (Core.Trace.active ());
+  Alcotest.(check bool) "inactive" false (Obs.Sink.trace_on ());
   (* emitting with no sink is a no-op *)
-  Core.Trace.emit 1.0 (Core.Trace.Disk_read { page = 3 })
+  Obs.Sink.emit 1.0 (Obs.Event.Disk_read { page = 3 })
+
+(* Run [f] with a fresh recorder installed; its (time, event) pairs in
+   emission order. *)
+let recorded f =
+  let r = Obs.Recorder.create () in
+  Obs.Sink.with_ { Obs.Sink.none with Obs.Sink.trace = Some r } f;
+  Array.to_list (Obs.Recorder.entries r)
+  |> List.map (fun e -> (e.Obs.Recorder.time, e.Obs.Recorder.ev))
 
 let test_trace_sink_receives_events () =
-  let events = ref [] in
-  Core.Trace.set_sink (fun time ev -> events := (time, ev) :: !events);
-  Alcotest.(check bool) "active" true (Core.Trace.active ());
   let cfg = Core.Sys_params.table5 ~n_clients:2 () in
   let xp = Db.Xact_params.short_batch ~prob_write:0.2 ~inter_xact_loc:0.5 () in
   let spec =
     Core.Simulator.default_spec ~seed:4 ~warmup_commits:0 ~measured_commits:10
       ~cfg ~xact_params:xp (Core.Proto.Two_phase Core.Proto.Inter)
   in
-  ignore (Shard.Shard_sim.run spec);
-  Core.Trace.clear_sink ();
-  let evs = List.rev_map snd !events in
+  let events =
+    recorded (fun () ->
+        Alcotest.(check bool) "active" true (Obs.Sink.trace_on ());
+        ignore (Shard.Shard_sim.run spec))
+  in
+  let evs = List.map snd events in
   let has pred = List.exists pred evs in
   Alcotest.(check bool) "client sends seen" true
-    (has (function Core.Trace.Client_send _ -> true | _ -> false));
+    (has (function Obs.Event.Client_send _ -> true | _ -> false));
   Alcotest.(check bool) "server replies seen" true
-    (has (function Core.Trace.Server_reply _ -> true | _ -> false));
+    (has (function Obs.Event.Server_reply _ -> true | _ -> false));
   Alcotest.(check bool) "commits seen" true
-    (has (function Core.Trace.Commit _ -> true | _ -> false));
+    (has (function Obs.Event.Commit _ -> true | _ -> false));
   Alcotest.(check bool) "disk reads seen" true
-    (has (function Core.Trace.Disk_read _ -> true | _ -> false));
+    (has (function Obs.Event.Disk_read _ -> true | _ -> false));
   (* timestamps are non-decreasing *)
-  let times = List.rev_map fst !events in
+  let times = List.map fst events in
   let rec mono = function
     | a :: b :: rest -> a <= b && mono (b :: rest)
     | _ -> true
@@ -45,21 +52,20 @@ let test_trace_sink_receives_events () =
   Alcotest.(check bool) "monotone timestamps" true (mono times)
 
 let test_trace_callback_events () =
-  let cbs = ref 0 in
-  Core.Trace.set_sink (fun _ ev ->
-      match ev with Core.Trace.Callback _ -> incr cbs | _ -> ());
   let cfg = Core.Sys_params.table5 ~n_clients:4 () in
   let xp = Db.Xact_params.short_batch ~prob_write:0.5 ~inter_xact_loc:0.75 () in
   let spec =
     Core.Simulator.default_spec ~seed:4 ~warmup_commits:0 ~measured_commits:80
       ~cfg ~xact_params:xp Core.Proto.Callback
   in
-  ignore (Shard.Shard_sim.run spec);
-  Core.Trace.clear_sink ();
-  Alcotest.(check bool) "callback requests traced" true (!cbs > 0)
+  let cbs =
+    recorded (fun () -> ignore (Shard.Shard_sim.run spec))
+    |> List.filter (function _, Obs.Event.Callback _ -> true | _ -> false)
+  in
+  Alcotest.(check bool) "callback requests traced" true (cbs <> [])
 
 let test_trace_event_strings () =
-  let open Core.Trace in
+  let open Obs.Event in
   let contains hay needle =
     let lh = String.length hay and ln = String.length needle in
     let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
@@ -67,7 +73,7 @@ let test_trace_event_strings () =
   in
   List.iter
     (fun (ev, frag) ->
-      let s = event_to_string ev in
+      let s = to_string ev in
       if not (contains s frag) then
         Alcotest.failf "%S should mention %S" s frag)
     [
