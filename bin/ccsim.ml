@@ -198,7 +198,20 @@ let run_cmd =
     else
       Format.printf
         "  95%% CI: ±n/a — single replication has no dispersion; rerun with \
-         --reps N>=2@."
+         --reps N>=2@.";
+    (* a run that stops before its commit target must not pass for one
+       that reached it: its numbers describe a wedged or truncated run *)
+    let short why =
+      Printf.eprintf "ccsim: ended short: %d of %d commits (%s)\n"
+        r.Core.Simulator.commits
+        (cell.cell_commits * cell.cell_reps)
+        why;
+      exit 1
+    in
+    match r.Core.Simulator.stop with
+    | Core.Simulator.Target_reached -> ()
+    | Time_limit -> short "time limit"
+    | Heap_drained -> short "heap drained"
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run one simulation and print its metrics.")
@@ -405,10 +418,10 @@ let stats_cmd =
         | Some p ->
             Format.printf
               "@.engine: %d events, %d processes, %d holds, %d wakes, \
-               event-heap high-water %d@."
+               event-heap high-water %d, live-process high-water %d@."
               p.Sim.Engine.pr_events p.Sim.Engine.pr_spawned
               p.Sim.Engine.pr_holds p.Sim.Engine.pr_wakes
-              p.Sim.Engine.pr_heap_hwm;
+              p.Sim.Engine.pr_heap_hwm p.Sim.Engine.pr_live_hwm;
             let top = 12 in
             Format.printf "  %-24s %10s %10s %14s@." "process" "events"
               "holds" "hold-time (s)";

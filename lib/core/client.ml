@@ -137,10 +137,7 @@ let create ?audit ?(fault = Fault.Plan.none) ?(down_gauge = ref 0) eng ~id
 let port t = t.cport
 let inbox t = t.inbox_mb
 let cache t = t.cache_pool
-let commits t = t.n_commits
-let restarts t = t.n_restarts
 let cpu_utilization t = Sim.Facility.utilization t.cport.Proto.cpu
-let retained_count t = Sim.Lazy_tbl.length t.retained
 
 let reset_stats t =
   Sim.Facility.reset_stats t.cport.Proto.cpu;
@@ -358,13 +355,6 @@ let dispatch t (ctx, msg) =
       (* 2PC traffic terminates at the shard router; it never reaches a
          client transaction loop *)
       ()
-
-let dispatcher_loop t () =
-  let rec loop () =
-    dispatch t (Sim.Mailbox.recv t.inbox_mb);
-    loop ()
-  in
-  loop ()
 
 let drain_deferred t =
   let n = Queue.length t.deferred in
@@ -1031,12 +1021,11 @@ let begin_attempt t =
 (* Crash / recovery                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let request_crash t = t.crash_requested <- true
-
 (* A crash loses every bit of volatile state: the cache, version table,
-   retained locks, and any in-flight transaction.  The dispatcher keeps
-   running but drops messages while [crashed] — a down workstation hears
-   nothing, and whatever queued meanwhile is gone on reboot. *)
+   retained locks, and any in-flight transaction.  The inbox is still
+   served, but [dispatch] drops messages while [crashed] — a down
+   workstation hears nothing, and whatever queued meanwhile is gone on
+   reboot. *)
 let crash_cleanup t =
   sp_crash t;
   (* the causal group dies with the crash, marked failed; the crash has
@@ -1094,88 +1083,97 @@ let recover t ~downtime =
      crash plan requires a lease, see Fault.Plan.validate). *)
   t.to_server ~parent:(-1) ~retry:0 (Proto.Recovered { client = t.id })
 
-let main_loop t () =
-  (* stagger client start-up so the fleet does not move in lockstep *)
-  Sim.Engine.hold
-    (Sim.Rng.exponential t.rng
-       ~mean:(Db.Workload.params t.workload).Db.Xact_params.external_delay);
-  let rec xact_loop () =
-    let profile = Db.Workload.next t.workload in
-    let first_start = Sim.Engine.now t.eng in
-    if Obs.Sink.spans_on () then
-      t.sp_xact <-
-        Obs.Sink.open_span ~time:first_start ~track:(sp_track t)
-          ~kind:Obs.Span.Xact ~parent:(-1) ~xid:(-1);
-    (* the causal Root shares the Xact span's exact open instant, so the
-       DAG chain length reconciles with the span decomposition *)
-    t.cz_root <- Obs.Sink.root ~time:first_start ~client:t.id;
-    t.cz_parent <- t.cz_root;
-    let rec attempt () =
-      begin_attempt t;
-      sp_open_attempt t;
-      match run_profile t profile with
-      | () ->
-          (* the same clock read closes the spans and measures the
-             response, so the Xact span's duration IS the recorded
-             end-to-end latency *)
-          let now = Sim.Engine.now t.eng in
-          let response = now -. first_start in
-          t.n_commits <- t.n_commits + 1;
-          Metrics.record_commit t.metrics ~response;
-          sp_close_attempt t ~time:now ~ok:true;
-          sp_close_xact t ~time:now ~ok:true;
-          (* the End shares the Xact span's exact close instant *)
-          if t.cz_root >= 0 then begin
-            Obs.Sink.finish ~time:now ~parent:t.cz_parent ~xid:t.xid
-              ~client:t.id ~ok:true;
-            t.cz_root <- -1;
-            t.cz_parent <- -1
-          end;
-          Obs.Sink.observe "ccsim_commit_latency_seconds" response;
-          clear_xact_state t;
-          t.on_commit ()
-      | exception Restart ->
-          sp_enter_leaf t Obs.Span.Abort_work;
-          abort_cleanup t;
-          let after_cleanup = Sim.Engine.now t.eng in
-          sp_close_attempt t ~time:after_cleanup ~ok:false;
-          let sp_restart =
-            if t.sp_xact >= 0 then
-              Obs.Sink.open_span ~time:after_cleanup ~track:(sp_track t)
-                ~kind:Obs.Span.Restart_wait ~parent:t.sp_xact ~xid:(-1)
-            else -1
-          in
-          Sim.Engine.hold (restart_delay t);
-          Obs.Sink.close_span ~time:(Sim.Engine.now t.eng) sp_restart;
-          attempt ()
-    in
-    attempt ();
-    Sim.Engine.hold profile.Db.Workload.external_delay;
-    xact_loop ()
+(* One transaction, from drawing its profile to its commit, restarts
+   included; returns the think time before the next one. *)
+let transaction t =
+  let profile = Db.Workload.next t.workload in
+  let first_start = Sim.Engine.now t.eng in
+  if Obs.Sink.spans_on () then
+    t.sp_xact <-
+      Obs.Sink.open_span ~time:first_start ~track:(sp_track t)
+        ~kind:Obs.Span.Xact ~parent:(-1) ~xid:(-1);
+  (* the causal Root shares the Xact span's exact open instant, so the
+     DAG chain length reconciles with the span decomposition *)
+  t.cz_root <- Obs.Sink.root ~time:first_start ~client:t.id;
+  t.cz_parent <- t.cz_root;
+  let rec attempt () =
+    begin_attempt t;
+    sp_open_attempt t;
+    match run_profile t profile with
+    | () ->
+        (* the same clock read closes the spans and measures the
+           response, so the Xact span's duration IS the recorded
+           end-to-end latency *)
+        let now = Sim.Engine.now t.eng in
+        let response = now -. first_start in
+        t.n_commits <- t.n_commits + 1;
+        Metrics.record_commit t.metrics ~response;
+        sp_close_attempt t ~time:now ~ok:true;
+        sp_close_xact t ~time:now ~ok:true;
+        (* the End shares the Xact span's exact close instant *)
+        if t.cz_root >= 0 then begin
+          Obs.Sink.finish ~time:now ~parent:t.cz_parent ~xid:t.xid
+            ~client:t.id ~ok:true;
+          t.cz_root <- -1;
+          t.cz_parent <- -1
+        end;
+        Obs.Sink.observe "ccsim_commit_latency_seconds" response;
+        clear_xact_state t;
+        t.on_commit ()
+    | exception Restart ->
+        sp_enter_leaf t Obs.Span.Abort_work;
+        abort_cleanup t;
+        let after_cleanup = Sim.Engine.now t.eng in
+        sp_close_attempt t ~time:after_cleanup ~ok:false;
+        let sp_restart =
+          if t.sp_xact >= 0 then
+            Obs.Sink.open_span ~time:after_cleanup ~track:(sp_track t)
+              ~kind:Obs.Span.Restart_wait ~parent:t.sp_xact ~xid:(-1)
+          else -1
+        in
+        Sim.Engine.hold (restart_delay t);
+        Obs.Sink.close_span ~time:(Sim.Engine.now t.eng) sp_restart;
+        attempt ()
   in
-  if not t.faulty then xact_loop ()
-  else
-    let down_rng = Sim.Rng.split t.frng "downtime" in
-    let rec life () =
-      match xact_loop () with
-      | () -> ()
-      | exception Crashed ->
-          crash_cleanup t;
-          let downtime =
-            Float.max 1e-4
-              (Sim.Rng.exponential down_rng
-                 ~mean:t.fault.Fault.Plan.restart_mean)
-          in
-          Sim.Engine.hold downtime;
-          recover t ~downtime;
-          life ()
-    in
-    life ()
+  attempt ();
+  profile.Db.Workload.external_delay
+
+(* A client is a process only while it has work: each transaction ends by
+   spawning the next one, in the (time, seq) slot a think [hold] would
+   take.  After a crash the same process sits out the downtime. *)
+let rec xact_process t ~name ~down_rng () =
+  match transaction t with
+  | think ->
+      Sim.Engine.spawn t.eng ~name
+        ~at:(Sim.Engine.now t.eng +. think)
+        (xact_process t ~name ~down_rng)
+  | exception Crashed when t.faulty ->
+      crash_cleanup t;
+      let downtime =
+        Float.max 1e-4
+          (Sim.Rng.exponential down_rng ~mean:t.fault.Fault.Plan.restart_mean)
+      in
+      Sim.Engine.hold downtime;
+      recover t ~downtime;
+      xact_process t ~name ~down_rng ()
 
 let start t =
-  Sim.Engine.spawn t.eng ~name:(Printf.sprintf "client-%d-dispatch" t.id)
-    (dispatcher_loop t);
-  Sim.Engine.spawn t.eng ~name:(Printf.sprintf "client-%d-main" t.id) (main_loop t);
+  Sim.Mailbox.serve t.inbox_mb
+    ~name:(Printf.sprintf "client-%d-dispatch" t.id)
+    (dispatch t);
+  let name = Printf.sprintf "client-%d-main" t.id in
+  let down_rng =
+    if t.faulty then Sim.Rng.split t.frng "downtime" else t.frng
+  in
+  (* a plain start event staggers the fleet out of lockstep *)
+  Sim.Engine.schedule t.eng ~at:(Sim.Engine.now t.eng) (fun () ->
+      let stagger =
+        Sim.Rng.exponential t.rng
+          ~mean:(Db.Workload.params t.workload).Db.Xact_params.external_delay
+      in
+      Sim.Engine.spawn t.eng ~name
+        ~at:(Sim.Engine.now t.eng +. stagger)
+        (xact_process t ~name ~down_rng));
   if t.faulty && t.fault.Fault.Plan.crash_mean > 0.0 then begin
     let sched = Sim.Rng.split t.frng "crash-schedule" in
     Sim.Engine.spawn t.eng ~name:(Printf.sprintf "client-%d-gremlin" t.id)

@@ -1,15 +1,15 @@
 (** A client workstation (paper §3.3.3): transaction generator, cache
     manager, and the algorithm-dependent client transaction manager.
 
-    Each client runs two simulation processes:
+    A client is a simulation process only while it has work:
 
-    - the {e main} process executes the Figure 3 transaction loop —
-      generate a profile, run its read/update steps under the configured
-      consistency algorithm, commit, think, repeat — restarting the same
-      profile after every abort until it commits;
-    - the {e dispatcher} process consumes asynchronous server messages
-      (callback requests, update pushes, aborts) so the client can answer
-      callbacks even while the main process is blocked on a fetch.
+    - one {e transaction} process per Figure 3 transaction generates a
+      profile, runs its steps under the configured algorithm, restarts it
+      after every abort until it commits, and spawns the next one after
+      the think time;
+    - an inbox {e dispatcher} ({!Sim.Mailbox.serve}), spawned while server
+      messages are queued, answers callbacks even while the transaction
+      is blocked on a fetch.
 
     Protocol state (which cached pages are locked by the current
     transaction, checked by certification, retained under callback locking,
@@ -24,7 +24,7 @@ type t
 
     [?fault] — an active {!Fault.Plan} arms the recovery machinery:
     request timeouts with capped exponential backoff and idempotent
-    retransmission, crash/restart handling (a third process, the crash
+    retransmission, crash/restart handling (a separate process, the crash
     gremlin, schedules crashes off the plan seed), and — under callback
     locking — lease-bounded trust in retained locks.  With the default
     {!Fault.Plan.none} every one of those paths is dormant and behavior
@@ -63,17 +63,11 @@ val inbox : t -> (int * Proto.s2c) Sim.Mailbox.t
 (** The cache, as the server's notification-directory view. *)
 val cache : t -> Storage.Lru_pool.t
 
-(** Spawn the main and dispatcher processes.  Call once. *)
+(** Serve the inbox and schedule the start event, which staggers the
+    client's first transaction.  Call once. *)
 val start : t -> unit
 
 (** {1 Introspection (stats, tests)} *)
-
-val commits : t -> int
-val restarts : t -> int
-
-(** Ask the client to crash at its next checkpoint (used by the crash
-    gremlin; harmless to call directly in tests). *)
-val request_crash : t -> unit
 
 (** Is the client currently down? *)
 val crashed : t -> bool
@@ -82,7 +76,6 @@ val crashed : t -> bool
     cache-coherence sweep compares them against the server's versions. *)
 val cached_versions : t -> (int * int) list
 val cpu_utilization : t -> float
-val retained_count : t -> int
 val reset_stats : t -> unit
 
 (** One-line debug summary of the client's protocol state. *)

@@ -31,6 +31,8 @@ let default_spec ?(seed = 1) ?(warmup_commits = 300) ?(measured_commits = 2000)
     obs;
   }
 
+type stop = Target_reached | Time_limit | Heap_drained
+
 type result = {
   algo : Proto.algorithm;
   n_clients : int;
@@ -92,6 +94,7 @@ type result = {
      before. *)
   rep_mean_responses : float array;
   rep_throughputs : float array;
+  stop : stop;
   obs : Obs.Run.t option;
 }
 
@@ -217,6 +220,8 @@ let aggregate runs =
         Array.of_list (List.map (fun r -> r.mean_response) results);
       rep_throughputs =
         Array.of_list (List.map (fun r -> r.throughput) results);
+      (* constructors are declared in order of severity *)
+      stop = List.fold_left (fun s r -> max s r.stop) Target_reached results;
       obs =
         (* [Pool.map] preserves submission order, so replication payloads
            concatenate in seed order at any [jobs] — the merged trace is

@@ -59,6 +59,12 @@ val default_spec :
   Proto.algorithm ->
   spec
 
+(** Why a run ended, in order of severity. *)
+type stop =
+  | Target_reached  (** warmup and measured commits all happened *)
+  | Time_limit  (** [max_sim_time] passed first *)
+  | Heap_drained  (** no event was left: every process ended or blocked *)
+
 type result = {
   algo : Proto.algorithm;
   n_clients : int;
@@ -124,6 +130,7 @@ type result = {
           singleton for a single run) — the raw material for
           {!Obs.Run_stats.mean_ci} replication confidence intervals *)
   rep_throughputs : float array;  (** likewise for throughput *)
+  stop : stop;  (** over replications, the most severe *)
   obs : Obs.Run.t option;
       (** observability payload — one {!Obs.Run.rep} per replication, in
           seed order — when [spec.obs] enabled anything; [None] otherwise *)

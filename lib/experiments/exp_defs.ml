@@ -135,6 +135,7 @@ let placeholder_result (s : Core.Simulator.spec) : Core.Simulator.result =
     shard_commits = [||];
     rep_mean_responses = [||];
     rep_throughputs = [||];
+    stop = Target_reached;
     obs = None;
   }
 

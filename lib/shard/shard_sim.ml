@@ -180,15 +180,9 @@ let run_with_stats ?audit ?inspect (spec : Simulator.spec) =
         for s = 0 to n_shards - 1 do
           let mb = Sim.Mailbox.create eng in
           relay.(i).(s) <- Some mb;
-          Sim.Engine.spawn eng
+          Sim.Mailbox.serve mb
             ~name:(Printf.sprintf "relay-%d-%d" i s)
-            (fun () ->
-              let rec loop () =
-                let ctx, msg = Sim.Mailbox.recv mb in
-                Router.on_s2c router ~shard:s ~ctx msg;
-                loop ()
-              in
-              loop ())
+            (fun (ctx, msg) -> Router.on_s2c router ~shard:s ~ctx msg)
         done)
       router
   done;
@@ -503,6 +497,11 @@ let run_with_stats ?audit ?inspect (spec : Simulator.spec) =
       shard_commits = Array.map Server.local_commits servers;
       rep_mean_responses = [| Metrics.mean_response metrics |];
       rep_throughputs = [| Metrics.throughput metrics ~now |];
+      stop =
+        (if Metrics.total_commits metrics >= commit_target then
+           Simulator.Target_reached
+         else if sim_time >= spec.max_sim_time then Time_limit
+         else Heap_drained);
       obs = obs_payload;
     }
   in

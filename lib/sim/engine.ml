@@ -25,6 +25,7 @@ type profile = {
   pr_holds : int;
   pr_wakes : int;
   pr_heap_hwm : int;
+  pr_live_hwm : int;
   pr_per_process : process_profile list;
 }
 
@@ -64,6 +65,8 @@ type t = {
   mutable holds : int;
   mutable wakes : int;
   mutable heap_hwm : int;  (* pending events in both lanes *)
+  mutable live : int;  (* processes started and not yet finished *)
+  mutable live_hwm : int;
   mutable profiling : bool;
   mutable current : string;  (* owner of the event being executed *)
   pstats : (string, pstat) Hashtbl.t;
@@ -75,6 +78,7 @@ let nop () = ()
 let now t = t.clock
 let events_executed t = t.executed
 let processes_spawned t = t.spawned
+let live_processes t = t.live
 
 let enable_profiling t = t.profiling <- true
 
@@ -108,6 +112,7 @@ let profile t =
     pr_holds = t.holds;
     pr_wakes = t.wakes;
     pr_heap_hwm = t.heap_hwm;
+    pr_live_hwm = t.live_hwm;
     pr_per_process = per;
   }
 
@@ -261,8 +266,8 @@ let schedule t ~at fn = schedule_owned t ~owner:t.current ~at fn
    handler needs nothing else from the process, so one serves them all. *)
 let make_handler t =
   {
-    retc = (fun () -> ());
-    exnc = (function Process_exit -> () | e -> raise e);
+    retc = (fun () -> t.live <- t.live - 1);
+    exnc = (function Process_exit -> t.live <- t.live - 1 | e -> raise e);
     effc =
       (fun (type a) (eff : a Effect.t) ->
         match eff with
@@ -321,6 +326,8 @@ let create () =
       holds = 0;
       wakes = 0;
       heap_hwm = 0;
+      live = 0;
+      live_hwm = 0;
       profiling = false;
       current = "";
       pstats = Hashtbl.create 32;
@@ -334,7 +341,10 @@ let spawn t ?at ?name body =
   let at = match at with Some a -> a | None -> t.clock in
   t.spawned <- t.spawned + 1;
   let owner = match name with Some n -> n | None -> t.current in
-  schedule_owned t ~owner ~at (fun () -> match_with body () t.handler)
+  schedule_owned t ~owner ~at (fun () ->
+      t.live <- t.live + 1;
+      if t.live > t.live_hwm then t.live_hwm <- t.live;
+      match_with body () t.handler)
 
 let[@inline] execute t owner run =
   t.executed <- t.executed + 1;

@@ -34,16 +34,20 @@ val events_executed : t -> int
 (** Number of processes spawned so far (diagnostics). *)
 val processes_spawned : t -> int
 
+(** Processes started and not yet finished (a spawn for a later time is
+    only a pending event until then). *)
+val live_processes : t -> int
+
 (** {1 Profiling}
 
     The engine always keeps its cheap global counters (events, spawns,
-    holds, wakes, pending-event high-water mark).  {!enable_profiling}
-    additionally attributes every executed event to the process that
-    scheduled it — by the [?name] given at {!spawn}; unnamed processes
-    inherit the name of the process whose execution spawned them — which
-    is how the simulator's hot paths are located before optimizing them.
-    Profiling never changes scheduling order; it only fills a counter
-    table. *)
+    holds, wakes, pending-event and live-process high-water marks).
+    {!enable_profiling} additionally attributes every executed event to
+    the process that scheduled it — by the [?name] given at {!spawn};
+    unnamed processes inherit the name of the process whose execution
+    spawned them — which is how the simulator's hot paths are located
+    before optimizing them.  Profiling never changes scheduling order; it
+    only fills a counter table. *)
 
 type process_profile = {
   pp_name : string;
@@ -54,12 +58,13 @@ type process_profile = {
 
 type profile = {
   pr_events : int;
-  pr_spawned : int;
-  pr_holds : int;
+  pr_spawned : int;  (** {!spawn} calls, served mailbox consumers included *)
+  pr_holds : int;  (** {!hold} calls: a live process sleeping in place *)
   pr_wakes : int;  (** suspend-resume completions *)
   pr_heap_hwm : int;
       (** pending-event high-water mark: the most events ever waiting at
           once, in the heap and the ring together *)
+  pr_live_hwm : int;  (** the most {!live_processes} at any instant *)
   pr_per_process : process_profile list;
       (** sorted by [pp_runs] descending then name; empty unless
           {!enable_profiling} was called before the run *)

@@ -753,6 +753,50 @@ let test_per_client_memory_budget () =
     Alcotest.failf "%d live words per client, budget %d" !per_client
       live_words_per_client_budget
 
+(* A client is a process only while it has work: a thinking client is one
+   pending event, and its inbox dispatcher exists only while messages are
+   queued.  On the memory-budget configuration above nearly every client
+   has sent its first request, so each is at most two processes: its
+   transaction, blocked on the reply, and the one process carrying its
+   outstanding request (a network transfer or a server handler, never
+   both at once).  The allowance covers the server's own short-lived
+   processes (abort cleanup).  Seeds 1-5 peak at 3,996-4,000 live
+   processes for 2,000 clients; a long-lived dispatcher per client would
+   add 2,000 more. *)
+let live_process_allowance = 20
+
+let test_live_processes_per_client () =
+  let n_clients = 2_000 in
+  let cfg = Core.Sys_params.table5 ~n_clients () in
+  let xp = Db.Xact_params.short_batch ~prob_write:0.2 ~inter_xact_loc:0.25 () in
+  let spec =
+    Core.Simulator.default_spec ~seed:1 ~warmup_commits:0 ~measured_commits:20
+      ~obs:(Obs.Config.make ~profile:true ())
+      ~cfg ~xact_params:xp (Core.Proto.Two_phase Core.Proto.Inter)
+  in
+  let hwm =
+    match (Shard.Shard_sim.run spec).Core.Simulator.obs with
+    | Some { Obs.Run.reps = { Obs.Run.profile = Some p; _ } :: _ } ->
+        p.Sim.Engine.pr_live_hwm
+    | _ -> Alcotest.fail "no engine profile"
+  in
+  let bound = (2 * n_clients) + live_process_allowance in
+  if hwm > bound then
+    Alcotest.failf "%d live processes at %d clients, bound %d" hwm n_clients
+      bound
+
+(* A run records why it ended, so a short run cannot pass for a full one
+   (a full one is checked by "random small configs run to completion"). *)
+let test_stop_time_limit () =
+  let spec =
+    { (quick_spec Core.Proto.Callback) with Core.Simulator.max_sim_time = 2.0 }
+  in
+  let r = Shard.Shard_sim.run_replicated spec ~reps:2 in
+  Alcotest.(check bool) "time limit, over both replications" true
+    (r.Core.Simulator.stop = Core.Simulator.Time_limit);
+  Alcotest.(check (float 0.0)) "stopped at the limit" 2.0
+    r.Core.Simulator.sim_time
+
 let prop_random_configs_complete =
   QCheck.Test.make ~name:"random small configs run to completion" ~count:12
     QCheck.(
@@ -767,7 +811,8 @@ let prop_random_configs_complete =
           ~measured_commits:120 ~cfg ~xact_params:xp algo
       in
       let r = Shard.Shard_sim.run spec in
-      r.Core.Simulator.commits >= 120)
+      r.Core.Simulator.commits >= 120
+      && r.Core.Simulator.stop = Core.Simulator.Target_reached)
 
 
 (* ------------------------------------------------------------------ *)
@@ -1216,6 +1261,8 @@ let suites =
         case "replication jobs invariant" test_replication_jobs_invariant;
         case "hot database stays in buffer" test_hot_spot_buffer_sharing;
         case "per-client memory budget" test_per_client_memory_budget;
+        case "live processes per client" test_live_processes_per_client;
+        case "stop: time limit" test_stop_time_limit;
       ] );
     qsuite "integration-props" [ prop_random_configs_complete ];
     ( "serializability",

@@ -249,6 +249,148 @@ let test_mailbox_two_receivers () =
   ignore (Engine.run eng ());
   Alcotest.(check int) "both received" 2 (List.length !got)
 
+(* ---- served mailboxes ---- *)
+
+let test_serve_no_process_until_send () =
+  let eng = Engine.create () in
+  let mb = Mailbox.create eng in
+  let got = ref [] in
+  Mailbox.serve mb ~name:"consumer" (fun v -> got := (v, Engine.now eng) :: !got);
+  ignore (Engine.run eng ());
+  Alcotest.(check int) "nothing spawned" 0 (Engine.processes_spawned eng);
+  Alcotest.(check int) "no event" 0 (Engine.events_executed eng);
+  Engine.spawn eng (fun () ->
+      Engine.hold 1.0;
+      Mailbox.send mb "a");
+  ignore (Engine.run eng ());
+  Alcotest.(check (list (pair string (float 0.0))))
+    "handled at send time" [ ("a", 1.0) ] !got;
+  Alcotest.(check int) "sender and one consumer" 2
+    (Engine.processes_spawned eng);
+  Alcotest.(check int) "consumer finished" 0 (Engine.live_processes eng)
+
+let test_serve_one_spawn_while_busy () =
+  let eng = Engine.create () in
+  Engine.enable_profiling eng;
+  let mb = Mailbox.create eng in
+  let got = ref [] in
+  Mailbox.serve mb ~name:"consumer" (fun v ->
+      got := (v, Engine.now eng) :: !got;
+      Engine.hold 1.0);
+  Engine.spawn eng ~name:"sender" (fun () ->
+      Mailbox.send mb "a";
+      Engine.hold 0.5;
+      Mailbox.send mb "b";
+      Mailbox.send mb "c");
+  ignore (Engine.run eng ());
+  Alcotest.(check (list (pair string (float 0.0))))
+    "queued behind the running consumer"
+    [ ("a", 0.0); ("b", 1.0); ("c", 2.0) ]
+    (List.rev !got);
+  Alcotest.(check int) "one consumer for the burst" 2
+    (Engine.processes_spawned eng);
+  let p = Engine.profile eng in
+  Alcotest.(check int) "sender and consumer live together" 2
+    p.Engine.pr_live_hwm;
+  (* spawn, three holds' resumptions *)
+  Alcotest.(check int) "consumer events" 4
+    (List.find (fun pp -> pp.Engine.pp_name = "consumer") p.Engine.pr_per_process)
+      .Engine.pp_runs
+
+let test_serve_send_from_consumer () =
+  let eng = Engine.create () in
+  let mb = Mailbox.create eng in
+  let got = ref [] in
+  Mailbox.serve mb ~name:"consumer" (fun v ->
+      got := v :: !got;
+      if v = 1 then begin
+        Mailbox.send mb 2;
+        Mailbox.send mb 3
+      end);
+  Engine.spawn eng (fun () ->
+      Mailbox.send mb 1;
+      Mailbox.send mb 4);
+  ignore (Engine.run eng ());
+  Alcotest.(check (list int)) "fifo, self-sends last" [ 1; 4; 2; 3 ]
+    (List.rev !got);
+  Alcotest.(check int) "sender and one consumer" 2
+    (Engine.processes_spawned eng)
+
+let test_serve_rejects_receivers () =
+  let eng = Engine.create () in
+  let mb = Mailbox.create eng in
+  Mailbox.serve mb ~name:"consumer" ignore;
+  Alcotest.check_raises "recv"
+    (Invalid_argument "Mailbox.recv: the mailbox is served") (fun () ->
+      ignore (Mailbox.recv mb));
+  Alcotest.check_raises "recv_opt"
+    (Invalid_argument "Mailbox.recv_opt: the mailbox is served") (fun () ->
+      ignore (Mailbox.recv_opt mb));
+  Alcotest.check_raises "recv_timeout"
+    (Invalid_argument "Mailbox.recv_timeout: the mailbox is served")
+    (fun () -> ignore (Mailbox.recv_timeout mb ~timeout:1.0));
+  Alcotest.check_raises "served twice"
+    (Invalid_argument "Mailbox.serve: mailbox in use") (fun () ->
+      Mailbox.serve mb ~name:"again" ignore)
+
+(* A served consumer is a [recv] loop without the loop's start event: for
+   any send schedule both handle the same values at the same instants in
+   the same order, and the loop executes exactly one event more.  Senders
+   hold multiples of 0.5 (zero included), so same-instant sends and sends
+   that land while the consumer is busy are common; the consumer holds a
+   per-value service time, some of them zero. *)
+let gen_sends =
+  let open QCheck.Gen in
+  let time = map (fun k -> 0.5 *. float_of_int k) (int_range 0 3) in
+  pair
+    (list_size (int_range 1 3)
+       (list_size (int_range 0 6) (pair time (int_range 1 3))))
+    (array_size (return 16) time)
+
+let run_consumer ~served (senders, service) =
+  let eng = Engine.create () in
+  let mb = Mailbox.create eng in
+  let log = ref [] in
+  let f v =
+    log := (v, Engine.now eng) :: !log;
+    Engine.hold service.(v land 15)
+  in
+  if served then Mailbox.serve mb ~name:"consumer" f
+  else
+    Engine.spawn eng (fun () ->
+        let rec loop () =
+          f (Mailbox.recv mb);
+          loop ()
+        in
+        loop ());
+  let next = ref 0 in
+  List.iter
+    (fun script ->
+      Engine.spawn eng (fun () ->
+          List.iter
+            (fun (gap, k) ->
+              Engine.hold gap;
+              for _ = 1 to k do
+                incr next;
+                Mailbox.send mb !next
+              done)
+            script))
+    senders;
+  ignore (Engine.run eng ());
+  (List.rev !log, Engine.events_executed eng)
+
+let prop_serve_matches_recv_loop =
+  QCheck.Test.make ~name:"served consumer matches a recv loop" ~count:300
+    (QCheck.make gen_sends) (fun sends ->
+      let served, served_events = run_consumer ~served:true sends in
+      let looped, looped_events = run_consumer ~served:false sends in
+      if served <> looped then
+        QCheck.Test.fail_report "handled values or instants differ";
+      if looped_events - served_events <> 1 then
+        QCheck.Test.fail_reportf "events: loop %d, served %d" looped_events
+          served_events;
+      true)
+
 (* ------------------------------------------------------------------ *)
 (* Facility                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -887,6 +1029,26 @@ let test_profile_name_inherited () =
   Alcotest.(check string) "parent owns all" "parent" pp.Engine.pp_name;
   Alcotest.(check int) "both holds counted" 2 pp.Engine.pp_holds
 
+(* A process is live from its first event to its return (or
+   [exit_process]); a spawn for a later time is only a pending event. *)
+let test_live_processes () =
+  let eng = Engine.create () in
+  let seen = ref [] in
+  let probe () = seen := Engine.live_processes eng :: !seen in
+  Engine.spawn eng (fun () ->
+      probe ();
+      Engine.spawn eng ~at:5.0 probe;
+      Engine.hold 1.0;
+      probe ());
+  Engine.spawn eng (fun () ->
+      probe ();
+      Engine.exit_process ());
+  ignore (Engine.run eng ());
+  Alcotest.(check (list int)) "live at each probe" [ 1; 2; 1; 1 ]
+    (List.rev !seen);
+  Alcotest.(check int) "all finished" 0 (Engine.live_processes eng);
+  Alcotest.(check int) "high-water" 2 (Engine.profile eng).Engine.pr_live_hwm
+
 let test_facility_high_water_and_busy () =
   let eng = Engine.create () in
   let fac = Facility.create eng ~name:"cpu" () in
@@ -1123,6 +1285,7 @@ let suites =
         case "profile global counters" test_profile_global_counters;
         case "profile per process" test_profile_per_process;
         case "profile name inherited" test_profile_name_inherited;
+        case "live processes" test_live_processes;
       ] );
     qsuite "engine-props" [ prop_engine_matches_reference ];
     ( "condition",
@@ -1140,7 +1303,13 @@ let suites =
         case "recv_timeout delivers" test_mailbox_recv_timeout_delivers;
         case "stale waiter forwards wake" test_mailbox_stale_waiter_forwards_wake;
         case "wake order fifo" test_mailbox_wake_order_fifo;
+        case "serve: no process until the first send"
+          test_serve_no_process_until_send;
+        case "serve: one consumer while busy" test_serve_one_spawn_while_busy;
+        case "serve: send from the consumer" test_serve_send_from_consumer;
+        case "serve: receives rejected" test_serve_rejects_receivers;
       ] );
+    qsuite "mailbox-props" [ prop_serve_matches_recv_loop ];
     ( "facility",
       [
         case "serializes unit capacity" test_facility_serializes;
