@@ -1196,10 +1196,3 @@ let cached_versions t =
     (fun p v acc ->
       if Storage.Lru_pool.mem t.cache_pool p then (p, v) :: acc else acc)
     t.vers []
-
-let debug_state t =
-  let keys h = Sim.Lazy_tbl.fold (fun k _ acc -> string_of_int k :: acc) h [] |> String.concat "," in
-  Printf.sprintf
-    "client %d: in_xact=%b xid=%d contacted=%b abort=%b locked=[%s] dirty=[%s] retained=%d pending_cb=[%s] commits=%d restarts=%d"
-    t.id t.in_xact t.xid t.contacted t.abort_flag (keys t.locked) (keys t.dirty)
-    (Sim.Lazy_tbl.length t.retained) (keys t.pending_cb) t.n_commits t.n_restarts

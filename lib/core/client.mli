@@ -77,6 +77,3 @@ val crashed : t -> bool
 val cached_versions : t -> (int * int) list
 val cpu_utilization : t -> float
 val reset_stats : t -> unit
-
-(** One-line debug summary of the client's protocol state. *)
-val debug_state : t -> string

@@ -12,8 +12,6 @@ type t = {
   mutable n_cert : int;
   mutable n_lookups : int;
   mutable n_hits : int;
-  mutable n_callbacks : int;
-  mutable n_pushes : int;
   (* fault-injection availability counters (all zero under Fault.none) *)
   mutable n_lease : int;
   mutable n_retries : int;
@@ -22,9 +20,6 @@ type t = {
   mutable n_lost_xacts : int;
   mutable n_reclaimed_locks : int;
   mutable n_lease_lapses : int;
-  mutable n_msgs_dropped : int;
-  mutable n_msgs_delayed : int;
-  mutable n_msgs_duplicated : int;
   recovery : Sim.Stats.t;
   (* server-fault availability counters (all zero unless the plan can
      crash the server) *)
@@ -54,8 +49,6 @@ let create eng =
     n_cert = 0;
     n_lookups = 0;
     n_hits = 0;
-    n_callbacks = 0;
-    n_pushes = 0;
     n_lease = 0;
     n_retries = 0;
     n_crashes = 0;
@@ -63,9 +56,6 @@ let create eng =
     n_lost_xacts = 0;
     n_reclaimed_locks = 0;
     n_lease_lapses = 0;
-    n_msgs_dropped = 0;
-    n_msgs_delayed = 0;
-    n_msgs_duplicated = 0;
     recovery = Sim.Stats.create ();
     n_server_crashes = 0;
     n_server_recoveries = 0;
@@ -97,8 +87,6 @@ let record_lookup t ~hit =
   t.n_lookups <- t.n_lookups + 1;
   if hit then t.n_hits <- t.n_hits + 1
 
-let record_callback_sent t = t.n_callbacks <- t.n_callbacks + 1
-let record_push_sent t = t.n_pushes <- t.n_pushes + 1
 let record_retry t = t.n_retries <- t.n_retries + 1
 
 let record_crash t ~in_xact =
@@ -111,9 +99,6 @@ let record_recovery t ~downtime =
 
 let record_reclaimed t ~locks = t.n_reclaimed_locks <- t.n_reclaimed_locks + locks
 let record_lease_lapse t = t.n_lease_lapses <- t.n_lease_lapses + 1
-let record_msg_dropped t = t.n_msgs_dropped <- t.n_msgs_dropped + 1
-let record_msg_delayed t = t.n_msgs_delayed <- t.n_msgs_delayed + 1
-let record_msg_duplicated t = t.n_msgs_duplicated <- t.n_msgs_duplicated + 1
 
 let record_server_crash t ~killed =
   t.n_server_crashes <- t.n_server_crashes + 1;
@@ -146,17 +131,12 @@ let response_stats t = t.response
 let response_samples t = t.response_samples
 let lookups t = t.n_lookups
 let hits t = t.n_hits
-let callbacks_sent t = t.n_callbacks
-let pushes_sent t = t.n_pushes
 let retries t = t.n_retries
 let crashes t = t.n_crashes
 let recoveries t = t.n_recoveries
 let lost_xacts t = t.n_lost_xacts
 let reclaimed_locks t = t.n_reclaimed_locks
 let lease_lapses t = t.n_lease_lapses
-let msgs_dropped t = t.n_msgs_dropped
-let msgs_delayed t = t.n_msgs_delayed
-let msgs_duplicated t = t.n_msgs_duplicated
 let mean_recovery t = Sim.Stats.mean t.recovery
 let server_crashes t = t.n_server_crashes
 let server_recoveries t = t.n_server_recoveries
@@ -183,8 +163,6 @@ let reset t =
   t.n_cert <- 0;
   t.n_lookups <- 0;
   t.n_hits <- 0;
-  t.n_callbacks <- 0;
-  t.n_pushes <- 0;
   t.n_lease <- 0;
   t.n_retries <- 0;
   t.n_crashes <- 0;
@@ -192,9 +170,6 @@ let reset t =
   t.n_lost_xacts <- 0;
   t.n_reclaimed_locks <- 0;
   t.n_lease_lapses <- 0;
-  t.n_msgs_dropped <- 0;
-  t.n_msgs_delayed <- 0;
-  t.n_msgs_duplicated <- 0;
   Sim.Stats.reset t.recovery;
   t.n_server_crashes <- 0;
   t.n_server_recoveries <- 0;

@@ -2,7 +2,9 @@
 
     One [Metrics.t] is shared by all clients and the server.  The runner
     resets it (and every facility) at the warmup boundary so reported
-    numbers cover only the steady-state window. *)
+    numbers cover only the steady-state window.  Messages are not counted
+    here: [Net.Network.post] counts every post, fault verdict, callback
+    request and notification. *)
 
 type t
 
@@ -25,9 +27,6 @@ val record_abort : t -> abort_reason -> unit
     served locally, with no server message. *)
 val record_lookup : t -> hit:bool -> unit
 
-val record_callback_sent : t -> unit
-val record_push_sent : t -> unit
-
 (** {1 Fault-injection availability accounting}
 
     All zero when fault injection is off. *)
@@ -47,10 +46,6 @@ val record_reclaimed : t -> locks:int -> unit
 (** A client stopped trusting its retained state because its lease
     lapsed, and voluntarily restarted the transaction. *)
 val record_lease_lapse : t -> unit
-
-val record_msg_dropped : t -> unit
-val record_msg_delayed : t -> unit
-val record_msg_duplicated : t -> unit
 
 (** {1 Server-fault availability accounting}
 
@@ -102,17 +97,12 @@ val response_samples : t -> Sim.Stats.Samples.t
 val response_quantile : t -> float -> float
 val lookups : t -> int
 val hits : t -> int
-val callbacks_sent : t -> int
-val pushes_sent : t -> int
 val retries : t -> int
 val crashes : t -> int
 val recoveries : t -> int
 val lost_xacts : t -> int
 val reclaimed_locks : t -> int
 val lease_lapses : t -> int
-val msgs_dropped : t -> int
-val msgs_delayed : t -> int
-val msgs_duplicated : t -> int
 
 (** Mean client downtime over recorded recoveries (0 if none). *)
 val mean_recovery : t -> float

@@ -961,11 +961,9 @@ let acquire ?(ctx = -1) t xs ~page ~mode =
         | Proto.Callback ->
             List.iter
               (fun holder ->
-                if holder <> client then begin
-                  Metrics.record_callback_sent t.metrics;
+                if holder <> client then
                   send_to_client ~ctx ~xid:xs.x_xid t holder
-                    (Proto.Callback_request { page })
-                end)
+                    (Proto.Callback_request { page }))
               holders;
             (* under message loss a callback request (or its reply) can
                vanish; re-nag the surviving holders until the wait ends *)
@@ -980,11 +978,9 @@ let acquire ?(ctx = -1) t xs ~page ~mode =
                     then begin
                       List.iter
                         (fun (holder, _m) ->
-                          if holder <> client then begin
-                            Metrics.record_callback_sent t.metrics;
+                          if holder <> client then
                             send_to_client ~ctx ~xid:xs.x_xid ~retry:n t
-                              holder (Proto.Callback_request { page })
-                          end)
+                              holder (Proto.Callback_request { page }))
                         (Cc.Lock_table.holders t.lock_table ~page);
                       nag (n + 1)
                     end
@@ -1276,15 +1272,14 @@ let notify_clients ?(ctx = -1) t ~updater ~xid ~mode new_versions =
         | None -> ()
         | Some cid ->
             if cid <> updater then begin
-              Metrics.record_push_sent t.metrics;
-              (match mode with
+              match mode with
               | Proto.Push ->
                   charge_pages_sent t 1;
                   send_to_client ~ctx ~xid t cid
                     (Proto.Update_push { page; version })
               | Proto.Invalidate ->
                   send_to_client ~ctx ~xid t cid
-                    (Proto.Invalidate_page { page }))
+                    (Proto.Invalidate_page { page })
             end;
             loop cid
       in
@@ -2146,9 +2141,7 @@ let deliver t ~ctx msg =
   end
 
 let () = deliver_ref := deliver
-let server_epoch t = t.epoch
 let server_down t = t.down
 let log_manager t = t.log
 let shard_id t = t.shard_id
 let local_commits t = t.local_commits
-let prepared_count t = Hashtbl.length t.prepared

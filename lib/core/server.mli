@@ -126,10 +126,6 @@ val cpu_utilization : t -> float
 val mean_disk_utilization : t -> float
 val reset_stats : t -> unit
 
-(** Crash count so far (0 until the first crash).  Bumped atomically at
-    each crash; transactions admitted under an older epoch are dead. *)
-val server_epoch : t -> int
-
 (** Is the server currently crashed (between crash and recovery)? *)
 val server_down : t -> bool
 
@@ -143,6 +139,3 @@ val shard_id : t -> int
 (** Commits applied on this shard since the last {!reset_stats} — both
     one-round commits and 2PC decision-commits. *)
 val local_commits : t -> int
-
-(** In-doubt prepared 2PC slices currently held (tests, audits). *)
-val prepared_count : t -> int

@@ -79,11 +79,11 @@ type result = {
   aborts_stale : int;
   aborts_cert : int;
   hit_ratio : float;  (** page accesses served with no server message *)
-  messages : int;
+  messages : int;  (** messages posted, dropped ones included *)
   packets : int;
   msgs_per_commit : float;
-  callbacks_sent : int;
-  pushes_sent : int;
+  callbacks_sent : int;  (** callback requests posted *)
+  pushes_sent : int;  (** update pushes and invalidations posted *)
   server_cpu_util : float;
   client_cpu_util : float;  (** mean over clients *)
   disk_util : float;  (** mean over data disks *)
@@ -99,9 +99,9 @@ type result = {
   lost_xacts : int;  (** crashes that killed an in-flight transaction *)
   reclaimed_locks : int;
   lease_lapses : int;  (** client-side retained-lock lease expirations *)
-  msgs_dropped : int;
-  msgs_delayed : int;
-  msgs_duplicated : int;
+  msgs_dropped : int;  (** posts the fault injector dropped *)
+  msgs_delayed : int;  (** posts it held back by an extra delay *)
+  msgs_duplicated : int;  (** posts it duplicated (once per post) *)
   mean_recovery : float;  (** mean crash-to-recovery downtime, seconds *)
   server_crashes : int;
       (** server failures (plans with server faults); like every

@@ -2,8 +2,6 @@ type params = { net_delay : float; packet_size : int; msg_inst : int }
 
 let default_params = { net_delay = 0.002; packet_size = 4096; msg_inst = 5000 }
 
-type fault = { drop : bool; extra_delay : float; copies : int }
-
 type kind_stat = {
   ks_msgs : int;
   ks_pkts : int;
@@ -26,13 +24,16 @@ type t = {
   rng : Sim.Rng.t;
   prm : params;
   wire : Sim.Facility.t;
+  faults : Fault.Injector.t option;
   mutable msgs : int;
   mutable pkts : int;
-  mutable fault_hook : (bytes:int -> fault) option;
+  mutable dropped : int;
+  mutable delayed : int;
+  mutable duplicated : int;
   kinds : (string, kind_acc) Hashtbl.t;
 }
 
-let create eng ~rng prm =
+let create ?faults eng ~rng prm =
   if prm.packet_size <= 0 then invalid_arg "Network.create: packet_size <= 0";
   if prm.net_delay < 0.0 then invalid_arg "Network.create: net_delay < 0";
   {
@@ -40,13 +41,14 @@ let create eng ~rng prm =
     rng;
     prm;
     wire = Sim.Facility.create eng ~name:"network" ();
+    faults;
     msgs = 0;
     pkts = 0;
-    fault_hook = None;
+    dropped = 0;
+    delayed = 0;
+    duplicated = 0;
     kinds = Hashtbl.create 32;
   }
-
-let set_fault_hook t f = t.fault_hook <- Some f
 
 let params t = t.prm
 
@@ -90,47 +92,60 @@ let transmit t n ~extra_delay ~node ~deliver =
       if node >= 0 then Obs.Sink.recv ~time:(Sim.Engine.now t.eng) node;
       deliver node)
 
+(* Without an injector every message is one on-time copy: no draw, and
+   [transmit] adds no hold, so fault-free runs keep their event order. *)
+let no_fault = { Fault.Injector.drop = false; extra_delay = 0.0; copies = 1 }
+
+(* Draw, count and trace one verdict, in the sender's context before any
+   copy is spawned. *)
+let draw t inj ~bytes =
+  let v = Fault.Injector.message inj in
+  if v.drop then begin
+    t.dropped <- t.dropped + 1;
+    if Obs.Sink.trace_on () then
+      Obs.Sink.emit (Sim.Engine.now t.eng) (Obs.Event.Msg_dropped { bytes })
+  end
+  else begin
+    if v.extra_delay > 0.0 then begin
+      t.delayed <- t.delayed + 1;
+      if Obs.Sink.trace_on () then
+        Obs.Sink.emit (Sim.Engine.now t.eng)
+          (Obs.Event.Msg_delayed { bytes; by = v.extra_delay })
+    end;
+    if v.copies > 1 then begin
+      t.duplicated <- t.duplicated + 1;
+      if Obs.Sink.trace_on () then
+        Obs.Sink.emit (Sim.Engine.now t.eng)
+          (Obs.Event.Msg_duplicated { bytes; copies = v.copies })
+    end
+  end;
+  v
+
 let post ?tag t ~bytes ~deliver =
   let n = packets_for t ~bytes in
   t.msgs <- t.msgs + 1;
-  match t.fault_hook with
-  | None ->
-      (* Keep the fault-free path byte-for-byte identical to the original:
-         one transfer process, no extra-delay branch in its event trace. *)
-      (match tag with
-      | Some tag -> kind_account t tag ~pkts:n ~bytes ~copies:1
-      | None -> ());
-      let node = causal_send t tag ~pkts:n ~bytes ~dup:0 in
-      Sim.Engine.spawn t.eng (fun () ->
-          for _ = 1 to n do
-            t.pkts <- t.pkts + 1;
-            let service = Sim.Rng.exponential t.rng ~mean:t.prm.net_delay in
-            Sim.Facility.use t.wire service
-          done;
-          if node >= 0 then Obs.Sink.recv ~time:(Sim.Engine.now t.eng) node;
-          deliver node)
-  | Some hook ->
-      let f = hook ~bytes in
-      if f.drop then begin
-        (match tag with
-        | Some tag -> kind_account t tag ~pkts:n ~bytes ~copies:0
-        | None -> ());
-        let node = causal_send t tag ~pkts:n ~bytes ~dup:0 in
-        if node >= 0 then Obs.Sink.drop ~time:(Sim.Engine.now t.eng) node
-      end
-      else begin
-        let copies = max 1 f.copies in
-        (match tag with
-        | Some tag -> kind_account t tag ~pkts:n ~bytes ~copies
-        | None -> ());
-        for i = 0 to copies - 1 do
-          let node = causal_send t tag ~pkts:n ~bytes ~dup:i in
-          transmit t n ~extra_delay:f.extra_delay ~node ~deliver
-        done
-      end
+  let v =
+    match t.faults with None -> no_fault | Some inj -> draw t inj ~bytes
+  in
+  let copies = if v.drop then 0 else v.copies in
+  (match tag with
+  | Some tag -> kind_account t tag ~pkts:n ~bytes ~copies
+  | None -> ());
+  if v.drop then begin
+    let node = causal_send t tag ~pkts:n ~bytes ~dup:0 in
+    if node >= 0 then Obs.Sink.drop ~time:(Sim.Engine.now t.eng) node
+  end
+  else
+    for i = 0 to copies - 1 do
+      let node = causal_send t tag ~pkts:n ~bytes ~dup:i in
+      transmit t n ~extra_delay:v.extra_delay ~node ~deliver
+    done
 
 let messages_sent t = t.msgs
 let packets_sent t = t.pkts
+let messages_dropped t = t.dropped
+let messages_delayed t = t.delayed
+let messages_duplicated t = t.duplicated
 
 let kind_stats t =
   Hashtbl.fold
@@ -155,5 +170,8 @@ let busy_time t = Sim.Facility.busy_time t.wire
 let reset_stats t =
   t.msgs <- 0;
   t.pkts <- 0;
+  t.dropped <- 0;
+  t.delayed <- 0;
+  t.duplicated <- 0;
   Hashtbl.reset t.kinds;
   Sim.Facility.reset_stats t.wire

@@ -19,8 +19,15 @@ val default_params : params
 
 type t
 
-(** [create eng ~rng params] is an idle network. *)
-val create : Sim.Engine.t -> rng:Sim.Rng.t -> params -> t
+(** [create ?faults eng ~rng params] is an idle network.  With [faults]
+    every {!post} draws {!Fault.Injector.message} once, in post order,
+    and applies the verdict: a drop discards the message, an extra delay
+    holds each copy before its packets queue for the wire, and
+    [copies > 1] transmits independent duplicates.  Without [faults] no
+    draw is made and every message is one on-time copy.  The injector's
+    draws come from its own stream, never from [rng]. *)
+val create :
+  ?faults:Fault.Injector.t -> Sim.Engine.t -> rng:Sim.Rng.t -> params -> t
 
 val params : t -> params
 
@@ -33,6 +40,11 @@ val packets_for : t -> bytes:int -> int
     receive CPU and enqueue into the destination mailbox).  [deliver]
     runs inside a fresh process and may block.
 
+    {!post} is the one place that counts a message: it counts the post,
+    the packets of every transmitted copy, the fault verdict (drop,
+    delay, duplicate), and the per-kind figures below, and it emits the
+    [Msg_dropped] / [Msg_delayed] / [Msg_duplicated] trace events.
+
     [tag] is the message's causal trace context.  When present it feeds
     the per-kind counters ({!kind_stats}) and — only if an
     [Obs.Causal] sink is installed — records one Send/Recv node per
@@ -42,24 +54,21 @@ val packets_for : t -> bytes:int -> int
 val post :
   ?tag:Obs.Causal.tag -> t -> bytes:int -> deliver:(int -> unit) -> unit
 
-(** Per-message fault verdict, consulted by {!post} when a hook is
-    installed: [drop] discards the message silently; otherwise [copies]
-    independent transmissions are made (at least 1), each preceded by
-    [extra_delay] seconds of latency before its packets queue for the
-    wire. *)
-type fault = { drop : bool; extra_delay : float; copies : int }
-
-(** [set_fault_hook t f] routes every subsequent {!post} through [f].
-    Without a hook the transmission path is exactly the original —
-    installing no hook guarantees bit-identical simulations.  The hook
-    runs in the sender's context and must not block. *)
-val set_fault_hook : t -> (bytes:int -> fault) -> unit
-
-(** Messages posted. *)
+(** Messages posted, dropped ones included. *)
 val messages_sent : t -> int
 
 (** Packets transmitted (or begun). *)
 val packets_sent : t -> int
+
+(** Posts the fault injector dropped. *)
+val messages_dropped : t -> int
+
+(** Posts the fault injector held back by an extra delay. *)
+val messages_delayed : t -> int
+
+(** Posts the fault injector duplicated (counted once per post, however
+    many extra copies it made). *)
+val messages_duplicated : t -> int
 
 (** Per-message-kind wire accounting, keyed by [tag.tg_kind]: one
     message per tagged {!post} (dropped or not), packets and bytes per
@@ -87,4 +96,6 @@ val max_queue_length : t -> int
 (** Cumulative wire busy seconds in the window. *)
 val busy_time : t -> float
 
+(** Zero every counter above and the wire statistics: the start of the
+    measurement window. *)
 val reset_stats : t -> unit

@@ -64,14 +64,8 @@ let merged_metrics t =
   | [] -> None
   | ms -> Some (Metrics.merge ms)
 
-let total_events t =
-  List.fold_left (fun a r -> a + Array.length r.trace) 0 t.reps
-
 let total_spans t =
   List.fold_left (fun a r -> a + Array.length r.spans) 0 t.reps
-
-let total_causal t =
-  List.fold_left (fun a r -> a + Array.length r.causal) 0 t.reps
 
 let causal_dropped t =
   List.fold_left (fun a r -> a + r.causal_dropped) 0 t.reps

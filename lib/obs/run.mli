@@ -54,9 +54,7 @@ val merged_causal : t -> (int * Causal.entry) array
     order (exact on counters and histogram buckets). *)
 val merged_metrics : t -> Metrics.t option
 
-val total_events : t -> int
 val total_spans : t -> int
-val total_causal : t -> int
 val causal_dropped : t -> int
 
 (** The channels whose ring wrapped in some replication — ["trace"],

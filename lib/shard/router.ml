@@ -81,7 +81,6 @@ let create ~map ~client_id ~metrics ~amnesia ~send ~now ~deliver_client =
     virt_epoch = 0;
   }
 
-let pending_xid t = Option.map (fun a -> a.a_xid) t.attempt
 let shard_of t page = Shard_map.shard_of_page t.map page
 
 let decision t a shard ~parent ~retry ~commit =

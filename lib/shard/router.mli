@@ -63,6 +63,3 @@ val route : t -> parent:int -> retry:int -> Core.Proto.c2s -> unit
     client (with per-shard restart epochs folded into one monotone
     virtual epoch).  [ctx] is the delivered copy's causal node id. *)
 val on_s2c : t -> shard:int -> ctx:int -> Core.Proto.s2c -> unit
-
-(** Transaction id of the in-flight 2PC attempt, if any (tests). *)
-val pending_xid : t -> int option

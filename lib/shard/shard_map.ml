@@ -21,9 +21,6 @@ let create db ~n_shards =
 let n_shards t = t.n_shards
 let shard_of_page t page = t.class_shard.(Db.Database.class_of_page t.db page)
 
-let shards_of_pages t pages =
-  List.sort_uniq compare (List.map (shard_of_page t) pages)
-
 let partition_pages t pages =
   let tbl = Hashtbl.create 8 in
   List.iter

@@ -15,9 +15,6 @@ val create : Db.Database.t -> n_shards:int -> t
 val n_shards : t -> int
 val shard_of_page : t -> int -> int
 
-(** Distinct shards covering [pages], ascending. *)
-val shards_of_pages : t -> int list -> int list
-
 (** Group [pages] by shard: [(shard, pages-in-original-order)] pairs,
     ascending by shard — deterministic regardless of hash-table layout. *)
 val partition_pages : t -> int list -> (int * int list) list

@@ -48,42 +48,19 @@ let run_with_stats ?audit ?inspect (spec : Simulator.spec) =
   let db = Db.Database.create spec.db_params in
   let map = Shard_map.create db ~n_shards in
   let metrics = Metrics.create eng in
-  let net = Sim.Rng.split master "network" |> fun rng ->
-            Net.Network.create eng ~rng cfg.Sys_params.net in
-  (* with [Fault.Plan.none] no hook is installed and [Net.Network.post]
-     takes its original path byte-for-byte: fault-free runs stay
-     bit-identical to the pre-fault simulator *)
-  if Fault.Plan.active spec.fault then begin
-    let inj = Fault.Injector.create spec.fault in
-    Net.Network.set_fault_hook net (fun ~bytes ->
-        let v = Fault.Injector.message inj in
-        if v.Fault.Injector.drop then begin
-          Metrics.record_msg_dropped metrics;
-          if Obs.Sink.trace_on () then
-            Obs.Sink.emit (Sim.Engine.now eng) (Obs.Event.Msg_dropped { bytes })
-        end
-        else begin
-          if v.Fault.Injector.extra_delay > 0.0 then begin
-            Metrics.record_msg_delayed metrics;
-            if Obs.Sink.trace_on () then
-              Obs.Sink.emit (Sim.Engine.now eng)
-                (Obs.Event.Msg_delayed
-                   { bytes; by = v.Fault.Injector.extra_delay })
-          end;
-          if v.Fault.Injector.copies > 1 then begin
-            Metrics.record_msg_duplicated metrics;
-            if Obs.Sink.trace_on () then
-              Obs.Sink.emit (Sim.Engine.now eng)
-                (Obs.Event.Msg_duplicated
-                   { bytes; copies = v.Fault.Injector.copies })
-          end
-        end;
-        {
-          Net.Network.drop = v.Fault.Injector.drop;
-          extra_delay = v.Fault.Injector.extra_delay;
-          copies = v.Fault.Injector.copies;
-        })
-  end;
+  (* with [Fault.Plan.none] the network gets no injector and draws
+     nothing: fault-free runs stay bit-identical to the pre-fault
+     simulator *)
+  let net =
+    let faults =
+      if Fault.Plan.active spec.fault then
+        Some (Fault.Injector.create spec.fault)
+      else None
+    in
+    Net.Network.create ?faults eng
+      ~rng:(Sim.Rng.split master "network")
+      cfg.Sys_params.net
+  in
   let servers =
     Array.init n_shards (fun k ->
         (* a single server keeps the unsharded RNG stream and names *)
@@ -312,6 +289,7 @@ let run_with_stats ?audit ?inspect (spec : Simulator.spec) =
     (* a run that observes nothing leaves the caller's sink installed *)
     if Obs.Sink.is_empty sink then run_sim () else Obs.Sink.with_ sink run_sim
   in
+  let net_kinds = Net.Network.kind_stats net in
   (* Per-kind wire accounting and causal critical-chain shape land in the
      registry after the run: pure counter folds, no engine interaction. *)
   (match sink.Obs.Sink.metrics with
@@ -333,7 +311,7 @@ let run_with_stats ?audit ?inspect (spec : Simulator.spec) =
             Obs.Metrics.incr r
               (lbl "ccsim_net_duplicates_total")
               ks.Net.Network.ks_dups)
-        (Net.Network.kind_stats net);
+        net_kinds;
       Option.iter
         (fun b ->
           let tagged = Array.map (fun e -> (0, e)) (Obs.Causal.entries b) in
@@ -364,6 +342,15 @@ let run_with_stats ?audit ?inspect (spec : Simulator.spec) =
   let favg_servers f =
     Array.fold_left (fun a srv -> a +. f srv) 0.0 servers
     /. float_of_int n_shards
+  in
+  (* messages posted of the given kinds, over the measurement window *)
+  let kind_msgs kinds =
+    List.fold_left
+      (fun a k ->
+        match List.assoc_opt k net_kinds with
+        | Some ks -> a + ks.Net.Network.ks_msgs
+        | None -> a)
+      0 kinds
   in
   let obs_payload =
     if not (Obs.Config.enabled ocfg) then None
@@ -458,8 +445,8 @@ let run_with_stats ?audit ?inspect (spec : Simulator.spec) =
         (if commits = 0 then 0.0
          else
            float_of_int (Net.Network.messages_sent net) /. float_of_int commits);
-      callbacks_sent = Metrics.callbacks_sent metrics;
-      pushes_sent = Metrics.pushes_sent metrics;
+      callbacks_sent = kind_msgs [ "callback_request" ];
+      pushes_sent = kind_msgs [ "update_push"; "invalidate" ];
       server_cpu_util = favg_servers Server.cpu_utilization;
       client_cpu_util = client_cpu_util_mean;
       disk_util = favg_servers Server.mean_disk_utilization;
@@ -479,9 +466,9 @@ let run_with_stats ?audit ?inspect (spec : Simulator.spec) =
       lost_xacts = Metrics.lost_xacts metrics;
       reclaimed_locks = Metrics.reclaimed_locks metrics;
       lease_lapses = Metrics.lease_lapses metrics;
-      msgs_dropped = Metrics.msgs_dropped metrics;
-      msgs_delayed = Metrics.msgs_delayed metrics;
-      msgs_duplicated = Metrics.msgs_duplicated metrics;
+      msgs_dropped = Net.Network.messages_dropped net;
+      msgs_delayed = Net.Network.messages_delayed net;
+      msgs_duplicated = Net.Network.messages_duplicated net;
       mean_recovery = Metrics.mean_recovery metrics;
       server_crashes = Metrics.server_crashes metrics;
       server_recoveries = Metrics.server_recoveries metrics;

@@ -32,8 +32,6 @@ let create eng ~name ?(capacity = 1) () =
 
 let name f = f.fname
 let capacity f = f.cap
-let in_use f = f.busy
-let queue_length f = Queue.length f.waiting
 
 let account f =
   let t = Engine.now f.eng in

@@ -17,12 +17,6 @@ val create : Engine.t -> name:string -> ?capacity:int -> unit -> t
 val name : t -> string
 val capacity : t -> int
 
-(** Units currently held. *)
-val in_use : t -> int
-
-(** Processes blocked waiting for a unit. *)
-val queue_length : t -> int
-
 (** Acquire one unit, blocking FCFS if none is free. *)
 val request : t -> unit
 

@@ -330,6 +330,68 @@ let test_unsafe_violation_caught_and_shrunk () =
   Alcotest.(check bool) "shrunk plan still fails" false
     (Experiments.Chaos.ok v)
 
+(* ------------------------------------------------------------------ *)
+(* Message accounting                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* The network counts every message occurrence and emits its trace
+   event at the same point, so over a whole-run window (no warmup reset)
+   the fault counters equal the Msg_* trace entries.  A callback or
+   notification is traced when the server decides it and counted when
+   it is posted, so the counters can only trail the trace. *)
+let test_counters_match_trace () =
+  List.iter
+    (fun (n_shards, algo) ->
+      let label =
+        Printf.sprintf "%s/%dshard" (Core.Proto.algorithm_name algo) n_shards
+      in
+      let spec =
+        {
+          (Experiments.Chaos.spec ~n_shards ~measured_commits:150
+             ~fault:(Fault.Plan.default ~seed:3) algo)
+          with
+          Core.Simulator.obs = Obs.Config.trace_only;
+        }
+      in
+      Alcotest.(check int) (label ^ " whole-run window") 0
+        spec.Core.Simulator.warmup_commits;
+      let r = Shard.Shard_sim.run spec in
+      let rep = List.hd (Option.get r.Core.Simulator.obs).Obs.Run.reps in
+      Alcotest.(check int) (label ^ " trace complete") 0 rep.Obs.Run.trace_dropped;
+      let count p =
+        Array.fold_left
+          (fun a e -> if p e.Obs.Recorder.ev then a + 1 else a)
+          0 rep.Obs.Run.trace
+      in
+      let open Obs.Event in
+      let check what counted traced =
+        Alcotest.(check int) (label ^ " " ^ what) traced counted
+      in
+      check "dropped" r.msgs_dropped
+        (count (function Msg_dropped _ -> true | _ -> false));
+      check "delayed" r.msgs_delayed
+        (count (function Msg_delayed _ -> true | _ -> false));
+      check "duplicated" r.msgs_duplicated
+        (count (function Msg_duplicated _ -> true | _ -> false));
+      Alcotest.(check bool) (label ^ " saw drops") true (r.msgs_dropped > 0);
+      let callbacks = count (function Callback _ -> true | _ -> false)
+      and notifies = count (function Notify _ -> true | _ -> false) in
+      if r.callbacks_sent > callbacks then
+        Alcotest.failf "%s: %d callbacks posted, %d traced" label
+          r.callbacks_sent callbacks;
+      if r.pushes_sent > notifies then
+        Alcotest.failf "%s: %d pushes posted, %d traced" label r.pushes_sent
+          notifies;
+      Alcotest.(check bool) (label ^ " saw callbacks or pushes") true
+        (r.callbacks_sent + r.pushes_sent > 0))
+    Core.Proto.
+      [
+        (1, Callback);
+        (4, Callback);
+        (1, No_wait { notify = Some Push });
+        (4, No_wait { notify = Some Invalidate });
+      ]
+
 let suites =
   [
     ( "plan",
@@ -359,6 +421,8 @@ let suites =
         case "violation caught and shrunk"
           test_unsafe_violation_caught_and_shrunk;
       ] );
+    ( "msgs",
+      [ case "network counters match the trace" test_counters_match_trace ] );
   ]
 
 let () = Alcotest.run "fault" suites

@@ -4,10 +4,10 @@ open Net
 
 let case name f = Alcotest.test_case name `Quick f
 
-let mk ?(net_delay = 0.002) ?(packet_size = 4096) () =
+let mk ?faults ?(net_delay = 0.002) ?(packet_size = 4096) () =
   let eng = Sim.Engine.create () in
   let prm = { Network.net_delay; packet_size; msg_inst = 5000 } in
-  (eng, Network.create eng ~rng:(Sim.Rng.create 9) prm)
+  (eng, Network.create ?faults eng ~rng:(Sim.Rng.create 9) prm)
 
 let test_packets_for () =
   let _, net = mk () in
@@ -81,6 +81,162 @@ let test_deliver_may_block () =
   ignore (Sim.Engine.run eng ());
   if !finished < 5.0 then Alcotest.fail "deliver hold did not run"
 
+(* {2 Fault injection} *)
+
+let injector plan = Fault.Injector.create { plan with Fault.Plan.seed = 21 }
+
+let tag kind =
+  {
+    Obs.Causal.tg_parent = -1;
+    tg_xid = 0;
+    tg_owner = 0;
+    tg_kind = kind;
+    tg_src = Obs.Causal.Client 0;
+    tg_dst = Obs.Causal.Shard 0;
+    tg_retry = 0;
+  }
+
+(* Run [f] under a trace-only sink; return the Msg_* event names it
+   recorded, in order. *)
+let traced eng f =
+  let sink = Obs.Sink.of_config (Obs.Config.make ~trace:true ()) in
+  Obs.Sink.with_ sink (fun () ->
+      f ();
+      ignore (Sim.Engine.run eng ()));
+  Option.get sink.Obs.Sink.trace
+  |> Obs.Recorder.entries |> Array.to_list
+  |> List.map (fun e -> e.Obs.Recorder.ev)
+
+(* Three senders post a mix of sizes and kinds at staggered instants;
+   returns every delivery as (time, sender, message index) in order. *)
+let workload eng net =
+  let log = ref [] in
+  for s = 0 to 2 do
+    Sim.Engine.spawn eng (fun () ->
+        for k = 0 to 9 do
+          Sim.Engine.hold (0.001 *. float_of_int ((s + k) mod 4));
+          let bytes = [| 64; 4096; 9000; 300 |].((s * 7 + k) mod 4) in
+          let kind = if k mod 3 = 0 then "fetch" else "commit" in
+          Network.post ~tag:(tag kind) net ~bytes ~deliver:(fun _ ->
+              log := (Sim.Engine.now eng, s, k) :: !log)
+        done)
+  done;
+  ignore (Sim.Engine.run eng ());
+  List.rev !log
+
+let counters net =
+  ( Network.messages_sent net,
+    Network.packets_sent net,
+    ( Network.messages_dropped net,
+      Network.messages_delayed net,
+      Network.messages_duplicated net ),
+    Network.kind_stats net )
+
+let test_quiet_injector_is_identity () =
+  (* an injector whose plan faults nothing on the wire (client crashes
+     only) must leave the network exactly as without one *)
+  let eng0, net0 = mk () in
+  let eng1, net1 =
+    mk ~faults:(injector { Fault.Plan.none with crash_mean = 100.0 }) ()
+  in
+  let d0 = workload eng0 net0 and d1 = workload eng1 net1 in
+  Alcotest.(check int) "30 deliveries" 30 (List.length d0);
+  Alcotest.(check (list (triple (float 0.0) int int))) "same deliveries" d0 d1;
+  Alcotest.(check bool) "same counters" true (counters net0 = counters net1);
+  Alcotest.(check int) "same event count"
+    (Sim.Engine.events_executed eng0) (Sim.Engine.events_executed eng1);
+  Alcotest.(check (float 0.0)) "same wire busy time"
+    (Network.busy_time net0) (Network.busy_time net1)
+
+let test_drop () =
+  let eng, net =
+    mk ~faults:(injector { Fault.Plan.none with drop_prob = 1.0 }) ()
+  in
+  let delivered = ref 0 in
+  let evs =
+    traced eng (fun () ->
+        for _ = 1 to 3 do
+          Network.post ~tag:(tag "fetch") net ~bytes:5000 ~deliver:(fun _ ->
+              incr delivered)
+        done)
+  in
+  Alcotest.(check int) "nothing delivered" 0 !delivered;
+  Alcotest.(check int) "posts counted" 3 (Network.messages_sent net);
+  Alcotest.(check int) "drops counted" 3 (Network.messages_dropped net);
+  Alcotest.(check int) "no packet on the wire" 0 (Network.packets_sent net);
+  Alcotest.(check int) "Msg_dropped traced" 3
+    (List.length
+       (List.filter
+          (function Obs.Event.Msg_dropped { bytes = 5000 } -> true | _ -> false)
+          evs));
+  match Network.kind_stats net with
+  | [ ("fetch", ks) ] ->
+      Alcotest.(check int) "kind posts" 3 ks.Network.ks_msgs;
+      Alcotest.(check int) "kind packets" 0 ks.Network.ks_pkts
+  | _ -> Alcotest.fail "expected one fetch row"
+
+let test_duplicate () =
+  let eng, net =
+    mk ~faults:(injector { Fault.Plan.none with dup_prob = 1.0 }) ()
+  in
+  let delivered = ref 0 in
+  let evs =
+    traced eng (fun () ->
+        Network.post ~tag:(tag "commit") net ~bytes:5000 ~deliver:(fun _ ->
+            incr delivered))
+  in
+  Alcotest.(check int) "delivered twice" 2 !delivered;
+  Alcotest.(check int) "one post" 1 (Network.messages_sent net);
+  Alcotest.(check int) "one duplicated post" 1
+    (Network.messages_duplicated net);
+  Alcotest.(check int) "both copies' packets" 4 (Network.packets_sent net);
+  Alcotest.(check bool) "Msg_duplicated traced" true
+    (evs = [ Obs.Event.Msg_duplicated { bytes = 5000; copies = 2 } ]);
+  match Network.kind_stats net with
+  | [ ("commit", ks) ] ->
+      Alcotest.(check int) "kind posts" 1 ks.Network.ks_msgs;
+      Alcotest.(check int) "kind dups" 1 ks.Network.ks_dups
+  | _ -> Alcotest.fail "expected one commit row"
+
+let test_delay () =
+  (* same wire stream as a quiet network, so the only difference in the
+     delivery instant is the injected delay *)
+  let deliver_once ?faults () =
+    let eng, net = mk ?faults () in
+    let at = ref nan in
+    let evs =
+      traced eng (fun () ->
+          Network.post net ~bytes:100 ~deliver:(fun _ ->
+              at := Sim.Engine.now eng))
+    in
+    (!at, evs, net)
+  in
+  let t0, _, _ = deliver_once () in
+  let t1, evs, net =
+    deliver_once
+      ~faults:
+        (injector
+           { Fault.Plan.none with delay_prob = 1.0; delay_mean = 0.5 })
+      ()
+  in
+  Alcotest.(check int) "one delayed post" 1 (Network.messages_delayed net);
+  match evs with
+  | [ Obs.Event.Msg_delayed { bytes = 100; by } ] ->
+      if by <= 0.0 then Alcotest.fail "non-positive delay";
+      Alcotest.(check (float 1e-12)) "later by the delay" (t0 +. by) t1
+  | _ -> Alcotest.fail "expected exactly one Msg_delayed"
+
+let test_reset_fault_counters () =
+  let eng, net =
+    mk ~faults:(injector { Fault.Plan.none with drop_prob = 1.0 }) ()
+  in
+  Sim.Engine.spawn eng (fun () ->
+      Network.post net ~bytes:1 ~deliver:(fun _ -> ()));
+  ignore (Sim.Engine.run eng ());
+  Alcotest.(check int) "dropped" 1 (Network.messages_dropped net);
+  Network.reset_stats net;
+  Alcotest.(check int) "reset drops" 0 (Network.messages_dropped net)
+
 let suites =
   [
     ( "network",
@@ -92,6 +248,14 @@ let suites =
         case "wire is FCFS" test_fifo_wire;
         case "utilization" test_utilization_counts;
         case "deliver may block" test_deliver_may_block;
+      ] );
+    ( "faults",
+      [
+        case "quiet injector is the identity" test_quiet_injector_is_identity;
+        case "drop" test_drop;
+        case "duplicate" test_duplicate;
+        case "delay" test_delay;
+        case "reset zeroes fault counters" test_reset_fault_counters;
       ] );
   ]
 
