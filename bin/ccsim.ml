@@ -173,6 +173,11 @@ let cell_spec ?(obs = Obs.Config.off) c =
 (* ccsim run                                                           *)
 (* ------------------------------------------------------------------ *)
 
+let stop_name = function
+  | Core.Simulator.Target_reached -> "target reached"
+  | Time_limit -> "time limit"
+  | Heap_drained -> "heap drained"
+
 let run_cmd =
   let run cell jobs =
     let spec = cell_spec cell in
@@ -201,17 +206,13 @@ let run_cmd =
          --reps N>=2@.";
     (* a run that stops before its commit target must not pass for one
        that reached it: its numbers describe a wedged or truncated run *)
-    let short why =
+    if r.Core.Simulator.stop <> Core.Simulator.Target_reached then begin
       Printf.eprintf "ccsim: ended short: %d of %d commits (%s)\n"
         r.Core.Simulator.commits
         (cell.cell_commits * cell.cell_reps)
-        why;
+        (stop_name r.Core.Simulator.stop);
       exit 1
-    in
-    match r.Core.Simulator.stop with
-    | Core.Simulator.Target_reached -> ()
-    | Time_limit -> short "time limit"
-    | Heap_drained -> short "heap drained"
+    end
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run one simulation and print its metrics.")
@@ -1005,6 +1006,9 @@ let exp_cmd =
     Format.printf "%s@."
       (Experiments.Report.repro_line ~seed:opts.Experiments.Exp_defs.seed ~jobs);
     let runner = Experiments.Exp_defs.make_runner ~jobs opts in
+    (* (experiment, algorithm, clients, commits, stop) of every cell that
+       ended before its commit target *)
+    let short = ref [] in
     let buf = Buffer.create 4096 in
     let add_csv =
       List.iter (fun l ->
@@ -1016,6 +1020,12 @@ let exp_cmd =
         Format.printf "@.###### %s — %s@." id descr;
         let out = Experiments.Exp_defs.run_build runner build in
         Experiments.Report.print_output ~detail Format.std_formatter out;
+        List.iter
+          (fun (r : Core.Simulator.result) ->
+            short :=
+              (id, Core.Proto.algorithm_name r.algo, r.n_clients, r.commits, r.stop)
+              :: !short)
+          (Experiments.Exp_defs.take_short runner);
         match out with
         | Experiments.Suite.Figures figs ->
             List.iter
@@ -1038,15 +1048,35 @@ let exp_cmd =
           ~seed:opts.Experiments.Exp_defs.seed ()
       in
       Experiments.Client_sweep.print Format.std_formatter cells;
-      add_csv (Experiments.Client_sweep.csv cells)
+      add_csv (Experiments.Client_sweep.csv cells);
+      List.iter
+        (fun (c : Experiments.Client_sweep.cell) ->
+          if c.sw_stop <> Core.Simulator.Target_reached then
+            short :=
+              ("client-sweep", c.sw_algo, c.sw_clients, c.sw_commits, c.sw_stop)
+              :: !short)
+        cells
     end;
-    match csv with
+    (match csv with
     | Some file ->
         let oc = open_out file in
         output_string oc (Buffer.contents buf);
         close_out oc;
         Format.printf "@.csv written to %s@." file
-    | None -> ()
+    | None -> ());
+    (* a cell that stopped before its commit target is a wedged or
+       truncated run: its row must not pass for a result *)
+    if !short <> [] then begin
+      Format.print_flush ();
+      Printf.eprintf "ccsim: %d cell(s) ended short of their commit target:\n"
+        (List.length !short);
+      List.iter
+        (fun (id, algo, clients, commits, stop) ->
+          Printf.eprintf "  %s  %s  clients=%d  commits=%d  (%s)\n" id algo
+            clients commits (stop_name stop))
+        (List.rev !short);
+      exit 1
+    end
   in
   Cmd.v
     (Cmd.info "exp" ~doc:"Regenerate the paper's tables and figures.")

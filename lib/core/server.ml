@@ -17,6 +17,10 @@ let () =
              protocol client kind)
     | _ -> None)
 
+(* A broken invariant under this server's protocol, exposed by [client]. *)
+let broken algo ~client kind =
+  raise (Server_invariant { protocol = Proto.algorithm_name algo; client; kind })
+
 (* Raised inside a handler when the server crashed under it: the request
    dies silently, exactly like in-flight work lost in a real failure.
    Never escapes [handle]. *)
@@ -43,15 +47,13 @@ module Int_set = Set.Make (Int)
    and holds the transaction's locks/pins and reserved — unpublished —
    page versions until the decision arrives.  [p_xs = None] after a
    server crash: the slice was rebuilt from the durable prepare record,
-   so it owns re-acquired locks but no live transaction. *)
+   so it owns re-acquired locks but no live transaction.  Crashes wipe
+   [prepared], so a slice always belongs to the current epoch. *)
 type prep = {
   p_xs : xact option;
-  p_client : int;
   p_decider : int;  (* shard whose durable commit record is the commit point *)
-  p_read_pages : int list;
   p_updates : (int * int) list;  (* reserved (page, version) pairs *)
   p_release_pages : int list;
-  p_epoch : int;
 }
 
 (* Liveness tracker for the lease sweep.  Arrival times live in a
@@ -168,6 +170,9 @@ type t = {
   mutable shard_id : int;
   mutable peers : t array; (* every shard, self included; [||] unsharded *)
   prepared : (int, prep) Hashtbl.t; (* xid -> in-doubt 2PC slice *)
+  deciding : (int, bool) Hashtbl.t;
+      (* xid -> the decision being applied to a slice that has left
+         [prepared]: its log force, installs and notifications *)
   pinned : (int, int) Hashtbl.t;
       (* page -> xid: prepare pins under certification, standing in for
          the locks the optimistic algorithms never take — any competing
@@ -246,6 +251,7 @@ let create ?(fault = Fault.Plan.none) ?(label = "") eng ~cfg ~db ~algo ~net
     shard_id = 0;
     peers = [||];
     prepared = Hashtbl.create 16;
+    deciding = Hashtbl.create 16;
     pinned = Hashtbl.create 64;
     local_commits = 0;
   }
@@ -301,14 +307,17 @@ let force_pending_sp t log =
 let deliver_ref : (t -> ctx:int -> Proto.c2s -> unit) ref =
   ref (fun _ ~ctx:_ _ -> assert false)
 
-(* Only algorithms that can send update notifications ever consult the
+(* How committed updates reach other caching clients, if at all.  Only
+   algorithms that can send update notifications ever consult the
    page -> caching-clients index; everyone else skips the bookkeeping. *)
-let sends_notifications t =
+let notify_mode t =
   match t.algo with
-  | Proto.No_wait { notify = Some _ } -> true
+  | Proto.No_wait { notify = Some mode } -> Some mode
   | Proto.No_wait { notify = None } | Proto.Two_phase _ | Proto.Callback ->
-      t.cfg.Sys_params.notify_updates <> None
-  | Proto.Certification _ -> false
+      t.cfg.Sys_params.notify_updates
+  | Proto.Certification _ -> None
+
+let notifies t = notify_mode t <> None
 
 let cached_by_add t cid page =
   match Hashtbl.find_opt t.cached_by page with
@@ -324,7 +333,7 @@ let cached_by_drop t cid page =
 
 let register_clients ?(hooks = true) t links =
   t.clients <- links;
-  if hooks && sends_notifications t then begin
+  if hooks && notifies t then begin
     Hashtbl.reset t.cached_by;
     Array.iteri
       (fun cid link ->
@@ -344,7 +353,6 @@ let register_clients ?(hooks = true) t links =
    shard's index through these. *)
 let residency_add = cached_by_add
 let residency_drop = cached_by_drop
-let notifies = sends_notifications
 let port t = t.sport
 let buffer t = t.buf
 let locks t = t.lock_table
@@ -487,11 +495,14 @@ let pin_conflicts t ~xid pages =
         | None -> false)
       pages
 
+(* Does [client] have a slice in doubt here, or one whose commit is being
+   applied?  Its locks protect that slice until it is decided. *)
 let client_has_prepared t ~client =
-  Hashtbl.length t.prepared > 0
-  && Hashtbl.fold
-       (fun _ pr acc -> acc || pr.p_client = client)
-       t.prepared false
+  let mine tbl =
+    Hashtbl.length tbl > 0
+    && Hashtbl.fold (fun xid _ acc -> acc || Proto.xid_client xid = client) tbl false
+  in
+  mine t.prepared || mine t.deciding
 
 (* Epoch barrier for handler code resuming from a suspension point (a
    disk access, a CPU charge, a facility queue): if the server crashed
@@ -732,6 +743,9 @@ let abort_xact ?(ctx = -1) ?(record = true) ?(notify = true) t xs ~reason
           xs.x_upgraded
     | Proto.Two_phase _ | Proto.Certification _ | Proto.No_wait _ ->
         ignore (Cc.Lock_table.release_all t.lock_table xs.x_client));
+    (* prepare pins stand in for locks: a slice aborted while its prepare
+       record was being forced gives them up here *)
+    unpin_xact t xs.x_xid;
     close_xact t xs;
     (* the undo work and abort message happen off the caller's process so a
        deadlock-detecting handler is not charged the victim's cleanup *)
@@ -815,13 +829,8 @@ let check_deadlock t ~requester =
         else
           (* a retained-lock holder with no active transaction cannot be
              in a cycle (it has no outgoing wait edge) *)
-          raise
-            (Server_invariant
-               {
-                 protocol = Proto.algorithm_name t.algo;
-                 client = victim;
-                 kind = "deadlock-victim-without-active-transaction";
-               })
+          broken t.algo ~client:victim
+            "deadlock-victim-without-active-transaction"
   in
   break ()
 
@@ -1052,10 +1061,8 @@ let with_chain t xs f =
       finally ();
       raise e
 
-let charge_pages_sent t n =
-  if n > 0 then Comms.use_cpu t.sport (t.cfg.Sys_params.server_proc_inst * n)
-
-let charge_updates_received t n =
+(* Server CPU for [n] pages sent or updates received. *)
+let charge_pages t n =
   if n > 0 then Comms.use_cpu t.sport (t.cfg.Sys_params.server_proc_inst * n)
 
 (* A transaction is finished once its commit verdict is recorded; duplicate
@@ -1111,6 +1118,36 @@ let note_unforced t log new_versions =
     (fun (page, _) -> Hashtbl.replace t.unforced_page page lsn)
     new_versions
 
+let reply_committed = function
+  | Proto.Decision_ack { committed; _ } -> committed
+  | Proto.Commit_reply { ok; _ } -> ok
+  | _ -> false
+
+(* What this shard knows of [xid]: the one idempotency lookup every
+   commit-time handler starts from ({!Twopc.Participant.status}). *)
+let status t xid =
+  Twopc.Participant.status
+    ~prepared:(Hashtbl.mem t.prepared xid)
+    ~deciding:(Hashtbl.find_opt t.deciding xid)
+    ~tombstoned:(tombstoned t xid)
+    ~finished:
+      (Option.map (fun r -> (r, reply_committed r)) (finished_reply t xid))
+    ~durable:(Hashtbl.mem t.durable_commits xid)
+    ~live:
+      (match Hashtbl.find_opt t.active xid with
+      | Some xs -> not xs.x_aborted
+      | None -> false)
+
+(* The versions a commit installed, when only its durable log record
+   survives (a crash wiped the recorded reply). *)
+let durable_versions t ~client xid =
+  Option.map
+    (fun log ->
+      match Storage.Log_manager.durable_commit_updates log ~xid with
+      | Some new_versions -> new_versions
+      | None -> broken t.algo ~client "durable-commit-without-log-record")
+    t.log
+
 let handle_fetch t ~ctx ~client ~xid ~req ~mode ~pages ~no_wait =
   if tombstoned t xid then begin
     if not no_wait then
@@ -1151,7 +1188,7 @@ let handle_fetch t ~ctx ~client ~xid ~req ~mode ~pages ~no_wait =
               read_pages t (List.map fst data);
               await_pages_durable t xs (List.map fst data);
               if not xs.x_aborted then begin
-                charge_pages_sent t (List.length data);
+                charge_pages t (List.length data);
                 if not no_wait then
                   send_to_client ~ctx t client
                     (Proto.Fetch_reply { xid; req; data })
@@ -1180,25 +1217,26 @@ let handle_cert_read t ~ctx ~client ~xid ~req ~pages =
           in
           read_pages t (List.map fst data);
           await_pages_durable t xs (List.map fst data);
-          charge_pages_sent t (List.length data);
+          charge_pages t (List.length data);
           send_to_client ~ctx t client (Proto.Cert_reply { xid; req; data })
         end)
   end
+
+(* The read-set pages whose versions are no longer current. *)
+let stale_reads t read_set =
+  if t.fault.Fault.Plan.unsafe_skip_validation then []
+  else
+    List.filter_map
+      (fun (page, version) ->
+        if Cc.Version_table.is_current t.version_table ~page ~version then None
+        else Some page)
+      read_set
 
 (* Commit for the certification algorithms: validate, then atomically bump
    versions (no suspension point between validation and bumping), then pay
    for the log and installation. *)
 let cert_validate t ~xid ~read_set ~update_pages =
-  let stale =
-    if t.fault.Fault.Plan.unsafe_skip_validation then []
-    else
-      List.filter_map
-        (fun (page, version) ->
-          if Cc.Version_table.is_current t.version_table ~page ~version then
-            None
-          else Some page)
-        read_set
-  in
+  let stale = stale_reads t read_set in
   (* pages pinned by an in-doubt prepared transaction are unreadable and
      unwritable until its outcome is known; never taken unsharded *)
   if Hashtbl.length t.pinned = 0 then stale
@@ -1207,17 +1245,23 @@ let cert_validate t ~xid ~read_set ~update_pages =
       (stale
       @ pin_conflicts t ~xid (List.map fst read_set @ update_pages))
 
+(* A one-round commit's verdict, recorded for retransmissions and sent;
+   stale pages make it a refusal. *)
+let commit_verdict t ~ctx xs ~client ~xid ~req ~new_versions ~stale =
+  let ok = stale = [] in
+  let reply =
+    Proto.Commit_reply { xid; req; ok; new_versions; stale_pages = stale }
+  in
+  remember_reply t xid reply;
+  if ok then t.local_commits <- t.local_commits + 1;
+  close_xact t xs;
+  send_to_client ~ctx t client reply
+
 let commit_certification t ~ctx xs ~client ~xid ~req ~read_set ~update_pages =
   let stale = cert_validate t ~xid ~read_set ~update_pages in
   if stale <> [] then begin
     Metrics.record_abort t.metrics Metrics.Cert_fail;
-    let reply =
-      Proto.Commit_reply
-        { xid; req; ok = false; new_versions = []; stale_pages = stale }
-    in
-    remember_reply t xid reply;
-    close_xact t xs;
-    send_to_client ~ctx t client reply
+    commit_verdict t ~ctx xs ~client ~xid ~req ~new_versions:[] ~stale
   end
   else begin
     let new_versions =
@@ -1234,7 +1278,7 @@ let commit_certification t ~ctx xs ~client ~xid ~req ~read_set ~update_pages =
         Storage.Log_manager.append_commit log ~xid ~updates:new_versions;
         note_unforced t log new_versions
     | Some _ | None -> ());
-    charge_updates_received t (List.length update_pages);
+    charge_pages t (List.length update_pages);
     barrier t xs;
     (match t.log with
     | Some log when t.srv_faulty || update_pages <> [] ->
@@ -1245,14 +1289,30 @@ let commit_certification t ~ctx xs ~client ~xid ~req ~read_set ~update_pages =
       (fun p -> if t.epoch = xs.x_epoch then install_page t p ~dirty:true)
       update_pages;
     barrier t xs;
-    let reply =
-      Proto.Commit_reply { xid; req; ok = true; new_versions; stale_pages = [] }
-    in
-    remember_reply t xid reply;
-    t.local_commits <- t.local_commits + 1;
-    close_xact t xs;
-    send_to_client ~ctx t client reply
+    commit_verdict t ~ctx xs ~client ~xid ~req ~new_versions ~stale:[]
   end
+
+(* The protocol's normal commit-time lock disposition, shared by the
+   one-round commit and the 2PC decision. *)
+let release_for_commit t ~client ~release_pages =
+  match t.algo with
+  | Proto.Callback ->
+      (* give up the pages whose callbacks the client deferred; keep
+         everything else as retained read locks (write locks downgrade) *)
+      List.iter
+        (fun p -> Cc.Lock_table.release t.lock_table ~page:p client)
+        release_pages;
+      if not t.cfg.Sys_params.callback_retain_writes then
+        List.iter
+          (fun p ->
+            match Cc.Lock_table.held t.lock_table ~page:p client with
+            | Some Cc.Lock_table.X ->
+                Cc.Lock_table.downgrade t.lock_table ~page:p client
+            | Some Cc.Lock_table.S | None -> ())
+          (Cc.Lock_table.pages_held_by t.lock_table client)
+  | Proto.Two_phase _ | Proto.No_wait _ ->
+      ignore (Cc.Lock_table.release_all t.lock_table client)
+  | Proto.Certification _ -> ()
 
 let notify_clients ?(ctx = -1) t ~updater ~xid ~mode new_versions =
   (* The reverse index replaces a scan of every client.  Each send is a
@@ -1274,7 +1334,7 @@ let notify_clients ?(ctx = -1) t ~updater ~xid ~mode new_versions =
             if cid <> updater then begin
               match mode with
               | Proto.Push ->
-                  charge_pages_sent t 1;
+                  charge_pages t 1;
                   send_to_client ~ctx ~xid t cid
                     (Proto.Update_push { page; version })
               | Proto.Invalidate ->
@@ -1293,26 +1353,11 @@ let commit_locking t ~ctx xs ~client ~xid ~req ~read_set ~update_pages
      optimistic assumption must be re-validated at commit.  Fault-free runs
      always take the [read_set = []] branch, whose operation order is kept
      byte-for-byte identical to the original. *)
-  let stale =
-    if read_set = [] || t.fault.Fault.Plan.unsafe_skip_validation then []
-    else
-      List.filter_map
-        (fun (page, version) ->
-          if Cc.Version_table.is_current t.version_table ~page ~version then
-            None
-          else Some page)
-        read_set
-  in
+  let stale = stale_reads t read_set in
   if stale <> [] then begin
     Metrics.record_abort t.metrics Metrics.Stale_read;
     ignore (Cc.Lock_table.release_all t.lock_table client);
-    let reply =
-      Proto.Commit_reply
-        { xid; req; ok = false; new_versions = []; stale_pages = stale }
-    in
-    remember_reply t xid reply;
-    close_xact t xs;
-    send_to_client ~ctx t client reply
+    commit_verdict t ~ctx xs ~client ~xid ~req ~new_versions:[] ~stale
   end
   else begin
   (* when validation ran, bump before any suspension point so no competing
@@ -1333,7 +1378,7 @@ let commit_locking t ~ctx xs ~client ~xid ~req ~read_set ~update_pages
       Storage.Log_manager.append_commit log ~xid ~updates:nv;
       note_unforced t log nv
   | _ -> ());
-  charge_updates_received t (List.length update_pages);
+  charge_pages t (List.length update_pages);
   barrier t xs;
   (* crashable servers force every commit (read-only ones too), so a lost
      reply can be rebuilt from the durable record *)
@@ -1354,105 +1399,56 @@ let commit_locking t ~ctx xs ~client ~xid ~req ~read_set ~update_pages
     (fun p -> if t.epoch = xs.x_epoch then install_page t p ~dirty:true)
     update_pages;
   barrier t xs;
-  (match t.algo with
-  | Proto.Callback ->
-      (* give up the pages whose callbacks the client deferred; keep
-         everything else as retained read locks (write locks downgrade) *)
-      List.iter
-        (fun p -> Cc.Lock_table.release t.lock_table ~page:p client)
-        release_pages;
-      if not t.cfg.Sys_params.callback_retain_writes then
-        List.iter
-          (fun p ->
-            match Cc.Lock_table.held t.lock_table ~page:p client with
-            | Some Cc.Lock_table.X ->
-                Cc.Lock_table.downgrade t.lock_table ~page:p client
-            | Some Cc.Lock_table.S | None -> ())
-          (Cc.Lock_table.pages_held_by t.lock_table client)
-  | Proto.Two_phase _ | Proto.No_wait _ ->
-      ignore (Cc.Lock_table.release_all t.lock_table client)
-  | Proto.Certification _ ->
-      (* certification commits are dispatched to [commit_certification] *)
-      raise
-        (Server_invariant
-           {
-             protocol = Proto.algorithm_name t.algo;
-             client;
-             kind = "locking-commit-under-certification";
-           }));
-  let reply =
-    Proto.Commit_reply { xid; req; ok = true; new_versions; stale_pages = [] }
-  in
-  remember_reply t xid reply;
-  t.local_commits <- t.local_commits + 1;
-  close_xact t xs;
+  release_for_commit t ~client ~release_pages;
   if Obs.Sink.trace_on () then
     Obs.Sink.emit (Sim.Engine.now t.eng)
       (Obs.Event.Commit { client; xid; n_updates = List.length update_pages });
-  send_to_client ~ctx t client reply;
-  (let notify_mode =
-     match t.algo with
-     | Proto.No_wait { notify = Some mode } -> Some mode
-     | Proto.No_wait { notify = None } | Proto.Two_phase _ | Proto.Callback ->
-         t.cfg.Sys_params.notify_updates
-     | Proto.Certification _ -> None
-   in
-   match notify_mode with
-   | Some mode when new_versions <> [] ->
-       notify_clients ~ctx t ~updater:client ~xid ~mode new_versions
-   | Some _ | None -> ())
+  commit_verdict t ~ctx xs ~client ~xid ~req ~new_versions ~stale:[];
+  match notify_mode t with
+  | Some mode when new_versions <> [] ->
+      notify_clients ~ctx t ~updater:client ~xid ~mode new_versions
+  | Some _ | None -> ()
   end
 
 let handle_commit t ~ctx ~client ~xid ~req ~read_set ~update_pages
     ~release_pages =
-  if tombstoned t xid then
-    send_to_client ~ctx t client (Proto.Aborted { xid; stale_pages = [] })
-  else
-    match finished_reply t xid with
-    | Some reply ->
-        (* the commit already ran; its reply was lost — replay it verbatim *)
-        send_to_client ~ctx t client reply
-    | None when Hashtbl.mem t.durable_commits xid -> (
-        (* the commit became durable before a server crash wiped
-           [completed]: rebuild the lost reply from the log.  [req] comes
-           from the retransmission, so the client's request pairing holds *)
-        match t.log with
-        | Some log -> (
-            match Storage.Log_manager.durable_commit_updates log ~xid with
-            | Some new_versions ->
-                let reply =
-                  Proto.Commit_reply
-                    { xid; req; ok = true; new_versions; stale_pages = [] }
-                in
-                remember_reply t xid reply;
-                send_to_client ~ctx t client reply
-            | None ->
-                raise
-                  (Server_invariant
-                     {
-                       protocol = Proto.algorithm_name t.algo;
-                       client;
-                       kind = "durable-commit-without-log-record";
-                     }))
-        | None -> ())
-    | None ->
-        let xs = admit t ~client ~xid in
-        with_chain t xs (fun () ->
-            if not (still_open t xs) then begin
-              (* a duplicate queued behind the handler that finished the
-                 transaction: replay the recorded verdict, if any *)
-              match finished_reply t xid with
-              | Some reply -> send_to_client ~ctx t client reply
-              | None -> ()
-            end
-            else
-              match t.algo with
-              | Proto.Certification _ ->
-                  commit_certification t ~ctx xs ~client ~xid ~req ~read_set
-                    ~update_pages
-              | Proto.Two_phase _ | Proto.Callback | Proto.No_wait _ ->
-                  commit_locking t ~ctx xs ~client ~xid ~req ~read_set
-                    ~update_pages ~release_pages)
+  match status t xid with
+  | Twopc.Participant.Aborted None | Deciding false ->
+      send_to_client ~ctx t client (Proto.Aborted { xid; stale_pages = [] })
+  | Aborted (Some reply) | Committed (Some reply) ->
+      (* the commit already ran; its reply was lost — replay it verbatim *)
+      send_to_client ~ctx t client reply
+  | Committed None ->
+      (* the commit became durable before a server crash wiped
+         [completed]: rebuild the lost reply from the log.  [req] comes
+         from the retransmission, so the client's request pairing holds *)
+      Option.iter
+        (fun new_versions ->
+          let reply =
+            Proto.Commit_reply
+              { xid; req; ok = true; new_versions; stale_pages = [] }
+          in
+          remember_reply t xid reply;
+          send_to_client ~ctx t client reply)
+        (durable_versions t ~client xid)
+  | Absent | Preparing | Prepared | Deciding true ->
+      let xs = admit t ~client ~xid in
+      with_chain t xs (fun () ->
+          if not (still_open t xs) then begin
+            (* a duplicate queued behind the handler that finished the
+               transaction: replay the recorded verdict, if any *)
+            match finished_reply t xid with
+            | Some reply -> send_to_client ~ctx t client reply
+            | None -> ()
+          end
+          else
+            match t.algo with
+            | Proto.Certification _ ->
+                commit_certification t ~ctx xs ~client ~xid ~req ~read_set
+                  ~update_pages
+            | Proto.Two_phase _ | Proto.Callback | Proto.No_wait _ ->
+                commit_locking t ~ctx xs ~client ~xid ~req ~read_set
+                  ~update_pages ~release_pages)
 
 let handle_dirty_evict t ~client ~xid ~page =
   if
@@ -1463,7 +1459,7 @@ let handle_dirty_evict t ~client ~xid ~page =
     let xs = admit t ~client ~xid in
     with_chain t xs (fun () ->
         if still_open t xs then begin
-          charge_updates_received t 1;
+          charge_pages t 1;
           install_page t page ~dirty:true;
           xs.x_installed <- page :: xs.x_installed
         end)
@@ -1473,102 +1469,132 @@ let handle_dirty_evict t ~client ~xid ~page =
 (* Two-phase commit (sharded topologies only; presumed abort)          *)
 (* ------------------------------------------------------------------ *)
 
-(* The protocol's normal commit-time lock disposition, shared by the
-   one-round commit and the 2PC decision. *)
-let release_for_commit t ~client ~release_pages =
-  match t.algo with
-  | Proto.Callback ->
-      List.iter
-        (fun p -> Cc.Lock_table.release t.lock_table ~page:p client)
-        release_pages;
-      if not t.cfg.Sys_params.callback_retain_writes then
-        List.iter
-          (fun p ->
-            match Cc.Lock_table.held t.lock_table ~page:p client with
-            | Some Cc.Lock_table.X ->
-                Cc.Lock_table.downgrade t.lock_table ~page:p client
-            | Some Cc.Lock_table.S | None -> ())
-          (Cc.Lock_table.pages_held_by t.lock_table client)
-  | Proto.Two_phase _ | Proto.No_wait _ ->
-      ignore (Cc.Lock_table.release_all t.lock_table client)
-  | Proto.Certification _ -> ()
-
-(* Apply a decision to a prepared slice ([pr] must already be removed
-   from [t.prepared]).  Commit publishes the reserved versions, logs and
-   forces the commit record — re-appending the update records so a
+(* Apply a decision to the prepared slice of [xid], with the slice in
+   [deciding] throughout.  Commit publishes the reserved versions, logs
+   and forces the commit record — re-appending the update records so a
    checkpoint taken between prepare and decision can never hide them
-   from replay — installs the pages, and releases locks/pins under the
-   protocol's normal commit rules.  Abort discards the reservation.
-   Returns the versions the acknowledgement carries. *)
-let resolve_prepared ?(ctx = -1) t pr ~xid ~commit =
-  let fence () = if t.epoch <> pr.p_epoch then raise Server_down in
+   from replay — installs the pages, releases locks/pins under the
+   protocol's normal commit rules and notifies caching clients.  Abort
+   discards the reservation.  Returns the versions the acknowledgement
+   carries. *)
+let resolve ?(ctx = -1) t xid ~commit =
+  let pr = Hashtbl.find t.prepared xid in
+  let client = Proto.xid_client xid in
+  Hashtbl.remove t.prepared xid;
+  Hashtbl.replace t.deciding xid commit;
+  let epoch = t.epoch in
+  let fence () = if t.epoch <> epoch then raise Server_down in
   unpin_xact t xid;
-  if commit then begin
-    List.iter
-      (fun (page, version) ->
-        Cc.Version_table.set t.version_table ~page ~version)
-      pr.p_updates;
-    (match t.log with
-    | Some log when t.srv_faulty ->
-        Storage.Log_manager.append_commit log ~xid ~updates:pr.p_updates;
-        note_unforced t log pr.p_updates
-    | Some _ | None -> ());
-    (* the decision force carries the commit record alone: the update
-       images were already forced at prepare *)
-    (match t.log with
-    | Some log -> force_commit_sp t log ~n_updates:0
-    | None -> ());
-    fence ();
-    List.iter
-      (fun (p, _) -> if t.epoch = pr.p_epoch then install_page t p ~dirty:true)
-      pr.p_updates;
-    fence ();
-    (match pr.p_xs with
-    | Some xs ->
-        release_for_commit t ~client:pr.p_client
-          ~release_pages:pr.p_release_pages;
-        close_xact t xs
-    | None ->
-        (* a slice rebuilt from the log owns plain re-acquired locks *)
-        ignore (Cc.Lock_table.release_all t.lock_table pr.p_client));
-    t.local_commits <- t.local_commits + 1;
-    if Obs.Sink.trace_on () then
-      Obs.Sink.emit (Sim.Engine.now t.eng)
-        (Obs.Event.Commit
-           {
-             client = pr.p_client;
-             xid;
-             n_updates = List.length pr.p_updates;
-           });
-    (let notify_mode =
-       match t.algo with
-       | Proto.No_wait { notify = Some mode } -> Some mode
-       | Proto.No_wait { notify = None } | Proto.Two_phase _ | Proto.Callback
-         ->
-           t.cfg.Sys_params.notify_updates
-       | Proto.Certification _ -> None
-     in
-     match notify_mode with
-     | Some mode when pr.p_updates <> [] ->
-         notify_clients ~ctx t ~updater:pr.p_client ~xid ~mode pr.p_updates
-     | Some _ | None -> ());
-    pr.p_updates
-  end
-  else begin
-    (match pr.p_xs with
-    | Some xs ->
-        (* counted and announced by whoever decided the global abort *)
-        abort_xact ~record:false ~notify:false t xs ~reason:Metrics.Cert_fail
-          ~stale:[]
-    | None ->
-        Hashtbl.replace t.tombstones xid ();
-        ignore (Cc.Lock_table.release_all t.lock_table pr.p_client);
-        (match t.log with
-        | Some log when t.srv_faulty ->
-            force_abort_sp ~xid t log ~n_updates:0
-        | Some _ | None -> ()));
-    []
-  end
+  let new_versions =
+    if commit then begin
+      List.iter
+        (fun (page, version) ->
+          Cc.Version_table.set t.version_table ~page ~version)
+        pr.p_updates;
+      (match t.log with
+      | Some log when t.srv_faulty ->
+          Storage.Log_manager.append_commit log ~xid ~updates:pr.p_updates;
+          note_unforced t log pr.p_updates
+      | Some _ | None -> ());
+      (* the decision force carries the commit record alone: the update
+         images were already forced at prepare *)
+      (match t.log with
+      | Some log -> force_commit_sp t log ~n_updates:0
+      | None -> ());
+      fence ();
+      List.iter
+        (fun (p, _) -> if t.epoch = epoch then install_page t p ~dirty:true)
+        pr.p_updates;
+      fence ();
+      (match pr.p_xs with
+      | Some xs ->
+          release_for_commit t ~client ~release_pages:pr.p_release_pages;
+          close_xact t xs
+      | None ->
+          (* a slice rebuilt from the log owns plain re-acquired locks *)
+          ignore (Cc.Lock_table.release_all t.lock_table client));
+      t.local_commits <- t.local_commits + 1;
+      if Obs.Sink.trace_on () then
+        Obs.Sink.emit (Sim.Engine.now t.eng)
+          (Obs.Event.Commit
+             { client; xid; n_updates = List.length pr.p_updates });
+      (match notify_mode t with
+      | Some mode when pr.p_updates <> [] ->
+          notify_clients ~ctx t ~updater:client ~xid ~mode pr.p_updates
+      | Some _ | None -> ());
+      pr.p_updates
+    end
+    else begin
+      (match pr.p_xs with
+      | Some xs ->
+          (* counted and announced by whoever decided the global abort *)
+          abort_xact ~record:false ~notify:false t xs ~reason:Metrics.Cert_fail
+            ~stale:[]
+      | None -> (
+          Hashtbl.replace t.tombstones xid ();
+          ignore (Cc.Lock_table.release_all t.lock_table client);
+          match t.log with
+          | Some log when t.srv_faulty -> force_abort_sp ~xid t log ~n_updates:0
+          | Some _ | None -> ()));
+      []
+    end
+  in
+  if t.epoch = epoch then Hashtbl.remove t.deciding xid;
+  new_versions
+
+let vote t ~ctx ~client ~xid ~req ~ok ~stale =
+  send_to_client ~ctx t client
+    (Proto.Vote { xid; req; shard = t.shard_id; ok; stale_pages = stale })
+
+let decision_ack t ~ctx ~client ~xid ~req ~committed ~new_versions =
+  send_to_client ~ctx t client
+    (Proto.Decision_ack { xid; req; shard = t.shard_id; committed; new_versions })
+
+(* Step the participant machine for [xid] with [input] and carry out its
+   actions.  [other] gets the actions only one handler can take: [Admit]
+   and [Prepare_slice] (a prepare), [Answer] (a query), [Query_decider]
+   (the in-doubt timer). *)
+let participate ?(other = fun _ -> ()) t ~ctx ~client ~xid ~req input =
+  let _, actions = Twopc.Participant.step (status t xid) input in
+  let open Twopc.Participant in
+  List.iter
+    (function
+      | Vote ok -> vote t ~ctx ~client ~xid ~req ~ok ~stale:[]
+      | Replay reply -> send_to_client ~ctx t client reply
+      | Ack committed ->
+          decision_ack t ~ctx ~client ~xid ~req ~committed ~new_versions:[]
+      | Ack_durable ->
+          Option.iter
+            (fun new_versions ->
+              decision_ack t ~ctx ~client ~xid ~req ~committed:true
+                ~new_versions)
+            (durable_versions t ~client xid)
+      | Resolve { commit; ack } ->
+          let new_versions = resolve ~ctx t xid ~commit in
+          if ack then begin
+            let reply =
+              Proto.Decision_ack
+                { xid; req; shard = t.shard_id; committed = commit; new_versions }
+            in
+            remember_reply t xid reply;
+            send_to_client ~ctx t client reply
+          end
+      | Kill ->
+          Option.iter
+            (fun xs ->
+              abort_xact ~record:false ~notify:false t xs
+                ~reason:Metrics.Cert_fail ~stale:[])
+            (Hashtbl.find_opt t.active xid)
+      | Tombstone { force } -> (
+          Hashtbl.replace t.tombstones xid ();
+          match t.log with
+          | Some log when force && t.srv_faulty ->
+              force_abort_sp ~xid t log ~n_updates:0
+          | Some _ | None -> ())
+      | (Admit | Prepare_slice | Hold_in_doubt | Answer _ | Query_decider) as
+        action ->
+          other action)
+    actions
 
 (* Participant termination protocol: while a slice stays in doubt,
    periodically ask the decider for the outcome (presumed abort: it
@@ -1581,42 +1607,52 @@ let rec nag_in_doubt ?(n = 0) t xid =
     Sim.Engine.spawn t.eng (fun () ->
         let period = Float.max (4.0 *. t.fault.Fault.Plan.req_timeout) 2.0 in
         Sim.Engine.hold period;
-        match Hashtbl.find_opt t.prepared xid with
-        | Some pr when pr.p_epoch = t.epoch && not t.down ->
-            if pr.p_decider = t.shard_id then begin
-              Hashtbl.remove t.prepared xid;
-              ignore (resolve_prepared t pr ~xid ~commit:false)
-            end
-            else begin
-              send_to_shard ~retry:n t pr.p_decider
-                (Proto.Outcome_query { shard = t.shard_id; xid });
-              nag_in_doubt ~n:(n + 1) t xid
-            end
-        | Some _ | None -> ())
+        Option.iter
+          (fun pr ->
+            participate t ~ctx:(-1) ~client:(Proto.xid_client xid) ~xid ~req:0
+              ~other:(function
+                | Twopc.Participant.Query_decider ->
+                    send_to_shard ~retry:n t pr.p_decider
+                      (Proto.Outcome_query { shard = t.shard_id; xid });
+                    nag_in_doubt ~n:(n + 1) t xid
+                | _ -> ())
+              (Twopc.Participant.Nag { decider = pr.p_decider = t.shard_id }))
+          (Hashtbl.find_opt t.prepared xid))
 
-let vote t ~ctx ~client ~xid ~req ~ok ~stale =
-  send_to_client ~ctx t client
-    (Proto.Vote { xid; req; shard = t.shard_id; ok; stale_pages = stale })
-
-let prepare_certification t ~ctx xs ~client ~xid ~req ~decider ~read_set
-    ~update_pages =
-  let stale = cert_validate t ~xid ~read_set ~update_pages in
+(* Validate a slice, then either abort it and vote no, or reserve its
+   versions without publishing them (the bump to current+1 happens at
+   decision-commit via [Version_table.set]), force the prepare record
+   and vote yes.  Certification pins the slice's pages: the pins keep
+   every competing validation away until the outcome is known. *)
+let prepare_slice t ~ctx xs ~client ~xid ~req ~decider ~read_set
+    ~update_pages ~release_pages =
+  let certifying =
+    match t.algo with
+    | Proto.Certification _ -> true
+    | Proto.Two_phase _ | Proto.Callback | Proto.No_wait _ -> false
+  in
+  (* as in [commit_locking], a locking [read_set] is non-empty only for
+     no-wait clients under faults; the held locks are otherwise the
+     guarantee *)
+  let stale, reason =
+    if certifying then (cert_validate t ~xid ~read_set ~update_pages, Metrics.Cert_fail)
+    else (stale_reads t read_set, Metrics.Stale_read)
+  in
   if stale <> [] then begin
-    abort_xact t xs ~notify:false ~reason:Metrics.Cert_fail ~stale:[];
+    abort_xact t xs ~notify:false ~reason ~stale:[];
     vote t ~ctx ~client ~xid ~req ~ok:false ~stale
   end
   else begin
-    (* reserve without publishing: the bump to current+1 happens at
-       decision-commit via [Version_table.set]; until then the pins keep
-       every competing validation away from these pages *)
     let new_versions =
       List.map
         (fun p -> (p, Cc.Version_table.current t.version_table p + 1))
         update_pages
     in
-    pin_pages t xid (List.map fst read_set);
-    pin_pages t xid update_pages;
-    charge_updates_received t (List.length update_pages);
+    if certifying then begin
+      pin_pages t xid (List.map fst read_set);
+      pin_pages t xid update_pages
+    end;
+    charge_pages t (List.length update_pages);
     barrier t xs;
     (match t.log with
     | Some log when t.srv_faulty ->
@@ -1627,68 +1663,19 @@ let prepare_certification t ~ctx xs ~client ~xid ~req ~decider ~read_set
         force_commit_sp t log ~n_updates:(List.length update_pages)
     | Some _ | None -> ());
     barrier t xs;
-    Metrics.record_prepare t.metrics;
-    Hashtbl.replace t.prepared xid
-      {
-        p_xs = Some xs;
-        p_client = client;
-        p_decider = decider;
-        p_read_pages = List.map fst read_set;
-        p_updates = new_versions;
-        p_release_pages = [];
-        p_epoch = xs.x_epoch;
-      };
-    nag_in_doubt t xid;
-    vote t ~ctx ~client ~xid ~req ~ok:true ~stale:[]
-  end
-
-let prepare_locking t ~ctx xs ~client ~xid ~req ~decider ~read_set
-    ~update_pages ~release_pages =
-  (* as in [commit_locking], [read_set] is non-empty only for no-wait
-     clients under faults; the held locks are otherwise the guarantee *)
-  let stale =
-    if read_set = [] || t.fault.Fault.Plan.unsafe_skip_validation then []
-    else
-      List.filter_map
-        (fun (page, version) ->
-          if Cc.Version_table.is_current t.version_table ~page ~version then
-            None
-          else Some page)
-        read_set
-  in
-  if stale <> [] then begin
-    abort_xact t xs ~notify:false ~reason:Metrics.Stale_read ~stale:[];
-    vote t ~ctx ~client ~xid ~req ~ok:false ~stale
-  end
-  else begin
-    let new_versions =
-      List.map
-        (fun p -> (p, Cc.Version_table.current t.version_table p + 1))
-        update_pages
-    in
-    charge_updates_received t (List.length update_pages);
-    barrier t xs;
-    (match t.log with
-    | Some log when t.srv_faulty ->
-        force_prepare_sp t log ~xid ~decider
-          ~read_pages:(List.map fst read_set) ~updates:new_versions
-    | Some log when update_pages <> [] ->
-        force_commit_sp t log ~n_updates:(List.length update_pages)
-    | Some _ | None -> ());
-    barrier t xs;
-    Metrics.record_prepare t.metrics;
-    Hashtbl.replace t.prepared xid
-      {
-        p_xs = Some xs;
-        p_client = client;
-        p_decider = decider;
-        p_read_pages = List.map fst read_set;
-        p_updates = new_versions;
-        p_release_pages = release_pages;
-        p_epoch = xs.x_epoch;
-      };
-    nag_in_doubt t xid;
-    vote t ~ctx ~client ~xid ~req ~ok:true ~stale:[]
+    participate t ~ctx ~client ~xid ~req Twopc.Participant.Forced
+      ~other:(function
+        | Twopc.Participant.Hold_in_doubt ->
+            Metrics.record_prepare t.metrics;
+            Hashtbl.replace t.prepared xid
+              {
+                p_xs = Some xs;
+                p_decider = decider;
+                p_updates = new_versions;
+                p_release_pages = release_pages;
+              };
+            nag_in_doubt t xid
+        | _ -> ())
   end
 
 (* Traffic for a NEW transaction from a client whose OLDER slice is still
@@ -1703,138 +1690,30 @@ let prepare_locking t ~ctx xs ~client ~xid ~req ~decider ~read_set
    [Decision { commit = false }] for the old xid then finds the slice
    already gone and just re-acknowledges. *)
 let settle_superseded t ~client ~xid =
-  if Hashtbl.length t.prepared > 0 then begin
-    let stale =
-      Hashtbl.fold
-        (fun xid' pr acc ->
-          if pr.p_client = client && xid' < xid && pr.p_epoch = t.epoch then
-            (xid', pr) :: acc
-          else acc)
-        t.prepared []
-    in
-    List.iter
-      (fun (xid', pr) ->
-        Hashtbl.remove t.prepared xid';
-        ignore (resolve_prepared t pr ~xid:xid' ~commit:false))
-      stale
-  end
+  if Hashtbl.length t.prepared > 0 then
+    Hashtbl.fold
+      (fun xid' _ acc ->
+        if Proto.xid_client xid' = client && xid' < xid then xid' :: acc
+        else acc)
+      t.prepared []
+    |> List.iter (fun xid' ->
+           participate t ~ctx:(-1) ~client ~xid:xid' ~req:0
+             Twopc.Participant.Superseded)
 
 let handle_prepare t ~ctx ~client ~xid ~req ~decider ~read_set ~update_pages
     ~release_pages =
-  match Hashtbl.find_opt t.prepared xid with
-  | Some pr when pr.p_epoch = t.epoch ->
-      (* duplicate of a prepare this shard already accepted: re-vote *)
-      vote t ~ctx ~client ~xid ~req ~ok:true ~stale:[]
-  | Some _ | None ->
-      if tombstoned t xid then
-        vote t ~ctx ~client ~xid ~req ~ok:false ~stale:[]
-      else (
-        match finished_reply t xid with
-        | Some reply -> send_to_client ~ctx t client reply
-        | None when Hashtbl.mem t.durable_commits xid -> (
-            (* this shard already committed the transaction before a crash
-               wiped [completed]: tell the router directly *)
-            match t.log with
-            | Some log -> (
-                match Storage.Log_manager.durable_commit_updates log ~xid with
-                | Some new_versions ->
-                    send_to_client ~ctx t client
-                      (Proto.Decision_ack
-                         {
-                           xid;
-                           req;
-                           shard = t.shard_id;
-                           committed = true;
-                           new_versions;
-                         })
-                | None ->
-                    raise
-                      (Server_invariant
-                         {
-                           protocol = Proto.algorithm_name t.algo;
-                           client;
-                           kind = "durable-commit-without-log-record";
-                         }))
-            | None -> ())
-        | None ->
-            let xs = admit t ~client ~xid in
-            with_chain t xs (fun () ->
-                if not (still_open t xs) then begin
-                  if tombstoned t xid then
-                    vote t ~ctx ~client ~xid ~req ~ok:false ~stale:[]
-                  else
-                    match finished_reply t xid with
-                    | Some reply -> send_to_client ~ctx t client reply
-                    | None -> ()
-                end
-                else if Hashtbl.mem t.prepared xid then
-                  (* a duplicate queued on the chain behind the prepare
-                     that accepted the slice *)
-                  vote t ~ctx ~client ~xid ~req ~ok:true ~stale:[]
-                else
-                  match t.algo with
-                  | Proto.Certification _ ->
-                      prepare_certification t ~ctx xs ~client ~xid ~req
-                        ~decider ~read_set ~update_pages
-                  | Proto.Two_phase _ | Proto.Callback | Proto.No_wait _ ->
-                      prepare_locking t ~ctx xs ~client ~xid ~req ~decider
-                        ~read_set ~update_pages ~release_pages))
-
-let decision_ack t ~ctx ~client ~xid ~req ~committed ~new_versions =
-  send_to_client ~ctx t client
-    (Proto.Decision_ack { xid; req; shard = t.shard_id; committed; new_versions })
-
-let handle_decision t ~ctx ~client ~xid ~req ~commit =
-  match Hashtbl.find_opt t.prepared xid with
-  | Some pr when pr.p_epoch = t.epoch ->
-      Hashtbl.remove t.prepared xid;
-      let new_versions = resolve_prepared ~ctx t pr ~xid ~commit in
-      let reply =
-        Proto.Decision_ack
-          { xid; req; shard = t.shard_id; committed = commit; new_versions }
-      in
-      remember_reply t xid reply;
-      send_to_client ~ctx t client reply
-  | Some _ | None ->
-      if commit then (
-        match finished_reply t xid with
-        | Some reply -> send_to_client ~ctx t client reply
-        | None ->
-            if Hashtbl.mem t.durable_commits xid then (
-              match t.log with
-              | Some log -> (
-                  match Storage.Log_manager.durable_commit_updates log ~xid with
-                  | Some new_versions ->
-                      decision_ack t ~ctx ~client ~xid ~req ~committed:true
-                        ~new_versions
-                  | None ->
-                      raise
-                        (Server_invariant
-                           {
-                             protocol = Proto.algorithm_name t.algo;
-                             client;
-                             kind = "durable-commit-without-log-record";
-                           }))
-              | None -> ())
-            else
-              (* the slice is gone without a durable commit: it resolved
-                 as an abort (presumed abort here or at the decider); the
-                 router learns the truth and aborts the other shards *)
-              decision_ack t ~ctx ~client ~xid ~req ~committed:false
-                ~new_versions:[])
-      else begin
-        (* abort decision — also covers router cleanup of an attempt that
-           never prepared here: kill any execution-phase slice and
-           tombstone so a late prepare votes no *)
-        (match Hashtbl.find_opt t.active xid with
-        | Some xs when still_open t xs ->
-            abort_xact ~record:false ~notify:false t xs
-              ~reason:Metrics.Cert_fail ~stale:[]
-        | Some _ | None -> ());
-        Hashtbl.replace t.tombstones xid ();
-        decision_ack t ~ctx ~client ~xid ~req ~committed:false
-          ~new_versions:[]
-      end
+  participate t ~ctx ~client ~xid ~req Twopc.Participant.Prepare
+    ~other:(function
+      | Twopc.Participant.Admit ->
+          let xs = admit t ~client ~xid in
+          with_chain t xs (fun () ->
+              participate t ~ctx ~client ~xid ~req
+                Twopc.Participant.Prepare_admitted ~other:(function
+                | Twopc.Participant.Prepare_slice ->
+                    prepare_slice t ~ctx xs ~client ~xid ~req ~decider
+                      ~read_set ~update_pages ~release_pages
+                | _ -> ()))
+      | _ -> ())
 
 (* Shard-to-shard: a prepared participant asks this shard (the decider)
    for the outcome.  Presumed abort makes the negative answer a durable
@@ -1843,40 +1722,13 @@ let handle_decision t ~ctx ~client ~xid ~req ~commit =
    forced to the log so no post-crash retransmission can re-vote yes. *)
 let handle_outcome_query t ~ctx ~shard ~xid =
   Metrics.record_outcome_query t.metrics;
-  let committed =
-    Hashtbl.mem t.durable_commits xid
-    ||
-    match finished_reply t xid with
-    | Some (Proto.Decision_ack { committed; _ }) -> committed
-    | Some (Proto.Commit_reply { ok; _ }) -> ok
-    | Some _ | None -> false
-  in
-  if committed then
-    send_to_shard ~ctx t shard
-      (Proto.Decision
-         { client = Proto.xid_client xid; xid; req = 0; commit = true })
-  else begin
-    (match Hashtbl.find_opt t.prepared xid with
-    | Some pr when pr.p_epoch = t.epoch ->
-        Hashtbl.remove t.prepared xid;
-        ignore (resolve_prepared t pr ~xid ~commit:false)
-    | Some _ | None -> (
-        match Hashtbl.find_opt t.active xid with
-        | Some xs when t.epoch = xs.x_epoch && not xs.x_aborted ->
-            abort_xact ~record:false ~notify:false t xs
-              ~reason:Metrics.Cert_fail ~stale:[]
-        | Some _ | None ->
-            if not (tombstoned t xid) then begin
-              Hashtbl.replace t.tombstones xid ();
-              match t.log with
-              | Some log when t.srv_faulty ->
-                  force_abort_sp ~xid t log ~n_updates:0
-              | Some _ | None -> ()
-            end));
-    send_to_shard ~ctx t shard
-      (Proto.Decision
-         { client = Proto.xid_client xid; xid; req = 0; commit = false })
-  end
+  let client = Proto.xid_client xid in
+  participate t ~ctx ~client ~xid ~req:0 Twopc.Participant.Query
+    ~other:(function
+      | Twopc.Participant.Answer commit ->
+          send_to_shard ~ctx t shard
+            (Proto.Decision { client; xid; req = 0; commit })
+      | _ -> ())
 
 (* ------------------------------------------------------------------ *)
 (* Lease reclamation (fault plans only)                                *)
@@ -1952,6 +1804,7 @@ let crash_server t =
   Hashtbl.reset t.durable_commits;
   Hashtbl.reset t.unforced_page;
   Hashtbl.reset t.prepared;
+  Hashtbl.reset t.deciding;
   Hashtbl.reset t.pinned;
   t.n_active <- 0;
   Queue.clear t.ready
@@ -1997,13 +1850,7 @@ let recover_server t =
               | Cc.Lock_table.Blocked _ ->
                   (* prepared slices validated/locked disjointly, and the
                      post-crash table holds nothing else yet *)
-                  raise
-                    (Server_invariant
-                       {
-                         protocol = Proto.algorithm_name t.algo;
-                         client;
-                         kind = "in-doubt-lock-reacquisition-blocked";
-                       })
+                  broken t.algo ~client "in-doubt-lock-reacquisition-blocked"
             in
             (match t.algo with
             | Proto.Certification _ ->
@@ -2021,12 +1868,9 @@ let recover_server t =
             Hashtbl.replace t.prepared xid
               {
                 p_xs = None;
-                p_client = client;
                 p_decider = decider;
-                p_read_pages = read_pages;
                 p_updates = updates;
                 p_release_pages = [];
-                p_epoch = t.epoch;
               };
             nag_in_doubt t xid)
           (Storage.Log_manager.in_doubt log);
@@ -2121,7 +1965,7 @@ let handle_msg t ~ctx = function
       handle_prepare t ~ctx ~client ~xid ~req ~decider ~read_set ~update_pages
         ~release_pages
   | Proto.Decision { client; xid; req; commit } ->
-      handle_decision t ~ctx ~client ~xid ~req ~commit
+      participate t ~ctx ~client ~xid ~req (Twopc.Participant.Decision commit)
   | Proto.Outcome_query { shard; xid } -> handle_outcome_query t ~ctx ~shard ~xid
 
 let handle t ~ctx msg =

@@ -19,6 +19,7 @@ type cell = {
   sw_wall_s : float;
   sw_heap_hwm : int;  (* event-heap high-water mark *)
   sw_live_words_per_client : int;
+  sw_stop : Core.Simulator.stop;
 }
 
 let events_per_sec c =
@@ -81,6 +82,7 @@ let run ?(progress = fun _ -> ()) ~quick ~seed () =
               sw_wall_s = wall;
               sw_heap_hwm = heap_hwm r;
               sw_live_words_per_client = !live_words / n_clients;
+              sw_stop = r.Core.Simulator.stop;
             }
           in
           progress c;

@@ -23,6 +23,7 @@ type cell = {
       (** live major-heap words after a full collection at the end of
           the run, whole simulation still reachable, over the
           population; the collection is not counted in [sw_wall_s] *)
+  sw_stop : Core.Simulator.stop;  (** why the run ended *)
 }
 
 (** Populations swept: [quick] is the seconds-scale CI set, full reaches

@@ -45,6 +45,7 @@ type runner = {
   mutable pending : (string * Core.Simulator.spec) list;  (* newest first *)
   pending_keys : (string, unit) Hashtbl.t;
   mutable executed : int;
+  mutable short : Core.Simulator.result list;  (* newest first *)
 }
 
 let make_runner ?(jobs = 1) opts =
@@ -56,6 +57,7 @@ let make_runner ?(jobs = 1) opts =
     pending = [];
     pending_keys = Hashtbl.create 64;
     executed = 0;
+    short = [];
   }
 
 let jobs t = t.jobs
@@ -139,6 +141,18 @@ let placeholder_result (s : Core.Simulator.spec) : Core.Simulator.result =
     obs = None;
   }
 
+(* Every executed cell passes here: a run that stopped before its commit
+   target is remembered, so the caller can refuse its numbers. *)
+let store t key (r : Core.Simulator.result) =
+  t.executed <- t.executed + 1;
+  if r.stop <> Core.Simulator.Target_reached then t.short <- r :: t.short;
+  Hashtbl.replace t.cache key r
+
+let take_short t =
+  let short = List.rev t.short in
+  t.short <- [];
+  short
+
 (* All experiment cells run through the one assembly: one shard is the
    single-server simulator, N shards add per-client routers and 2PC. *)
 let execute t spec =
@@ -159,8 +173,7 @@ let run t spec =
       end
       else begin
         let r = execute t spec in
-        t.executed <- t.executed + 1;
-        Hashtbl.replace t.cache key r;
+        store t key r;
         r
       end
 
@@ -195,11 +208,7 @@ let run_build t build =
         (fun (_, spec) -> Shard.Shard_sim.run_replicated spec ~reps:t.opts.reps)
         batch
     in
-    List.iter2
-      (fun (key, _) r ->
-        t.executed <- t.executed + 1;
-        Hashtbl.replace t.cache key r)
-      batch results;
+    List.iter2 (fun (key, _) r -> store t key r) batch results;
     (* Pass 2: every spec now hits the cache. *)
     build t
   end

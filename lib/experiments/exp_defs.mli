@@ -80,3 +80,8 @@ val key_of_spec : Core.Simulator.spec -> string
 
 (** Number of distinct simulations executed so far. *)
 val runs_executed : runner -> int
+
+(** The executed cells whose run stopped before its commit target
+    ([stop <> Target_reached]) since the last call, in execution order.
+    Their numbers describe a wedged or truncated run. *)
+val take_short : runner -> Core.Simulator.result list

@@ -1,38 +1,16 @@
 module Proto = Core.Proto
+module Coord = Core.Twopc.Coordinator
 
-(* One two-phase-commit attempt for a cross-shard transaction.
-
-   Phases:
-
-   - [Voting]: prepares are out; collecting votes.
-   - [Commit_point_sent]: every vote was yes; the commit decision went to
-     the DECIDER ALONE.  Its durable commit record is the global commit
-     point, so nothing else may hear "commit" until the decider
-     acknowledges — otherwise a participant could apply a commit that
-     never became durable anywhere.
-   - [Committing]: the commit point is durable; fan the decision out and
-     collect acknowledgements.
-   - [Aborting]: the global outcome is abort; fan out and collect
-     acknowledgements.
-
-   The client's reply is delivered only when EVERY participant has
-   acknowledged the decision.  That gate is load-bearing: the lock table
-   is keyed by client, so the client must not start its next transaction
-   (whose lock traffic would be indistinguishable from the old one's)
-   while any shard still holds the old transaction's slice. *)
-type phase = Voting | Commit_point_sent | Committing | Aborting
-
+(* One two-phase-commit attempt for a cross-shard transaction.  Its
+   phases, tables and every outcome decision are [Core.Twopc]'s; the
+   router keeps what a step cannot do: the Prepare slices, the causal
+   context, the spans and the client's reply. *)
 type attempt = {
   a_xid : int;
   a_req : int;
-  a_participants : int list; (* ascending shard ids *)
-  a_decider : int;
   a_slices : (int * Proto.c2s) list; (* per-participant Prepare *)
-  votes : (int, bool) Hashtbl.t;
-  mutable stale : int list; (* union of no-voters' stale pages *)
-  mutable phase : phase;
-  (* shard -> (committed, new_versions slice) once it acknowledged *)
-  acks : (int, bool * (int * int) list) Hashtbl.t;
+  (* acks carry each shard's new_versions slice *)
+  mutable st : (int * int) list Coord.t;
   a_start : float; (* engine clock at [start_2pc], for the in-doubt metric *)
   (* causal node id of the last consumed 2PC message (a Vote or
      Decision_ack recv), initially the parent of the client's commit.
@@ -83,18 +61,9 @@ let create ~map ~client_id ~metrics ~amnesia ~send ~now ~deliver_client =
 
 let shard_of t page = Shard_map.shard_of_page t.map page
 
-let decision t a shard ~parent ~retry ~commit =
-  t.send shard ~parent ~retry
-    (Proto.Decision { client = t.client_id; xid = a.a_xid; req = a.a_req; commit })
-
-let contradiction t kind =
-  raise
-    (Core.Server.Server_invariant
-       { protocol = "2pc-router"; client = t.client_id; kind })
-
-(* 2PC phase spans live on the coordinating client's track.  Close-once
-   discipline (reset the id field) because [drive_commit]/[drive_abort]
-   are re-entrant under retransmission. *)
+(* 2PC phase spans live on the coordinating client's track, closed once
+   (the id field is reset): the prepare span ends when voting does, the
+   decide span runs from then to the reply. *)
 let close_prepare t a ~ok =
   if a.sp_prepare >= 0 then begin
     Obs.Sink.close_span ~time:(t.now ()) ~ok a.sp_prepare;
@@ -108,29 +77,31 @@ let open_decide t a =
         ~track:(Obs.Span.Client t.client_id) ~kind:Obs.Span.Decide_2pc
         ~parent:(-1) ~xid:a.a_xid
 
-let close_decide t a ~ok =
+(* The attempt is over: its spans end, and it is dropped. *)
+let drop t a ~ok =
+  close_prepare t a ~ok;
   if a.sp_decide >= 0 then begin
     Obs.Sink.close_span ~time:(t.now ()) ~ok a.sp_decide;
     a.sp_decide <- -1
-  end
+  end;
+  t.attempt <- None
 
 let finish t a ~ok =
   (if ok then Core.Metrics.record_xshard_commit t.metrics
    else Core.Metrics.record_xshard_abort t.metrics);
-  close_prepare t a ~ok;
-  close_decide t a ~ok;
+  drop t a ~ok;
   Obs.Sink.observe "ccsim_2pc_indoubt_seconds" (t.now () -. a.a_start);
+  let st = a.st in
   let new_versions =
     if not ok then []
     else
       List.concat_map
         (fun s ->
-          match Hashtbl.find_opt a.acks s with
+          match List.assoc_opt s st.Coord.acks with
           | Some (_, nv) -> nv
           | None -> [])
-        a.a_participants
+        st.Coord.participants
   in
-  t.attempt <- None;
   t.deliver_client a.a_last_ctx
     (Proto.Commit_reply
        {
@@ -138,151 +109,59 @@ let finish t a ~ok =
          req = a.a_req;
          ok;
          new_versions;
-         stale_pages = (if ok then [] else List.sort_uniq compare a.stale);
+         stale_pages = (if ok then [] else List.sort_uniq compare st.Coord.stale);
        })
 
-let check_done t a =
-  if List.for_all (fun s -> Hashtbl.mem a.acks s) a.a_participants then
-    finish t a ~ok:(a.phase = Committing)
-
-(* The commit point is durably recorded: fan the commit out to everyone
-   still unacknowledged and wait. *)
-let drive_commit t a =
-  close_prepare t a ~ok:true;
-  open_decide t a;
-  a.phase <- Committing;
+(* Carry out the coordinator's actions for attempt [a].  Messages go out
+   parented on [parent] with retransmission index [retry]. *)
+let rec run t a ~parent ~retry actions =
   List.iter
-    (fun s ->
-      if not (Hashtbl.mem a.acks s) then
-        decision t a s ~parent:a.a_last_ctx ~retry:0 ~commit:true)
-    a.a_participants;
-  check_done t a
+    (fun action ->
+      if Coord.due a.st action then
+      match action with
+      | Coord.Send_prepare s -> t.send s ~parent ~retry (List.assoc s a.a_slices)
+      | Coord.Send_decision { shard; commit } ->
+          t.send shard ~parent ~retry
+            (Proto.Decision
+               { client = t.client_id; xid = a.a_xid; req = a.a_req; commit })
+      | Coord.Decision_point commit ->
+          let amnesia = t.amnesia () in
+          if amnesia then Obs.Sink.incr "ccsim_2pc_amnesia_total" 1;
+          step t a ~parent ~retry (Coord.Decide { commit; amnesia })
+      | Coord.Reply -> finish t a ~ok:(Coord.committed a.st)
+      | Coord.Forget { aborted } ->
+          if aborted then Core.Metrics.record_xshard_abort t.metrics;
+          drop t a ~ok:false
+      | Coord.Contradiction kind ->
+          raise
+            (Core.Server.Server_invariant
+               { protocol = "2pc-router"; client = t.client_id; kind }))
+    actions
 
-let drive_abort t a =
-  close_prepare t a ~ok:false;
-  open_decide t a;
-  a.phase <- Aborting;
-  List.iter
-    (fun s ->
-      if not (Hashtbl.mem a.acks s) then
-        decision t a s ~parent:a.a_last_ctx ~retry:0 ~commit:false)
-    a.a_participants;
-  check_done t a
+(* Feed one input to the attempt's coordinator. *)
+and step t a ~parent ~retry input =
+  let phase0 = a.st.Coord.phase in
+  let st, actions = Coord.step a.st input in
+  a.st <- st;
+  if phase0 = Coord.Voting && st.Coord.phase <> Coord.Voting then begin
+    close_prepare t a ~ok:(st.Coord.phase <> Coord.Aborting);
+    open_decide t a
+  end;
+  run t a ~parent ~retry actions
 
-(* All votes are in: the decision point.  Under a coordinator-crash plan
-   this is where the router can "crash": it forgets the attempt entirely
-   (participants stay prepared and lean on the termination protocol); the
-   client's retransmission of the same commit restarts 2PC under the same
-   xid, and duplicate prepares are answered idempotently. *)
-let decide t a ~commit =
-  if t.amnesia () then begin
-    (* coordinator amnesia: the attempt is forgotten mid-flight, so its
-       spans end here, marked failed *)
-    close_prepare t a ~ok:false;
-    close_decide t a ~ok:false;
-    Obs.Sink.incr "ccsim_2pc_amnesia_total" 1;
-    t.attempt <- None
-  end
-  else if commit then begin
-    close_prepare t a ~ok:true;
-    open_decide t a;
-    a.phase <- Commit_point_sent;
-    decision t a a.a_decider ~parent:a.a_last_ctx ~retry:0 ~commit:true
-  end
-  else drive_abort t a
-
-let on_vote t ~ctx ~shard ~xid ~ok ~stale_pages =
+(* A vote or acknowledgement for the live attempt; strays for a finished
+   or forgotten attempt are dropped. *)
+let on_2pc t ~ctx ~xid input =
   match t.attempt with
-  | Some a when a.a_xid = xid -> (
+  | Some a when a.a_xid = xid ->
       a.a_last_ctx <- ctx;
-      match a.phase with
-      | Voting ->
-          if not (Hashtbl.mem a.votes shard) then begin
-            Hashtbl.replace a.votes shard ok;
-            if not ok then begin
-              a.stale <- stale_pages @ a.stale;
-              decide t a ~commit:false
-            end
-            else if
-              List.for_all (fun s -> Hashtbl.mem a.votes s) a.a_participants
-            then decide t a ~commit:true
-          end
-      | Aborting ->
-          (* a late no-vote still contributes its stale pages to the
-             client's reply, so the restart drops them *)
-          if not ok then a.stale <- stale_pages @ a.stale
-      | Commit_point_sent | Committing -> ())
-  | Some _ | None -> () (* stray vote for a finished/forgotten attempt *)
-
-let on_ack t ~ctx ~shard ~xid ~committed ~new_versions =
-  match t.attempt with
-  | Some a when a.a_xid = xid -> (
-      a.a_last_ctx <- ctx;
-      let record () =
-        if not (Hashtbl.mem a.acks shard) then
-          Hashtbl.replace a.acks shard (committed, new_versions)
-      in
-      match a.phase with
-      | Voting | Commit_point_sent ->
-          record ();
-          if committed then
-            (* durable-commit evidence (a re-sent prepare answered from the
-               log, or the decider applying our decision): the global
-               outcome is commit *)
-            drive_commit t a
-          else if shard = a.a_decider then
-            (* the decider's slice is gone with no durable commit record —
-               under presumed abort that IS the outcome, even if we had
-               already asked it to commit (it presumed abort first) *)
-            drive_abort t a
-          else if a.phase = Voting then
-            (* a participant resolved by presumed abort before we decided:
-               the decider cannot have committed (it durably tombstones
-               itself before ever answering a query with abort) *)
-            drive_abort t a
-          else
-            (* non-decider presumed abort while our commit decision is at
-               the decider: its ack settles the outcome either way *)
-            check_done t a
-      | Committing ->
-          if not committed then
-            contradiction t "participant-aborted-committed-transaction";
-          record ();
-          check_done t a
-      | Aborting ->
-          if committed then
-            contradiction t "participant-committed-aborted-transaction";
-          record ();
-          check_done t a)
-  | Some _ | None -> () (* stray ack for a finished/forgotten attempt *)
-
-(* Client retransmission of the commit: re-drive whatever stage is
-   incomplete.  The retransmitted message is byte-identical (same xid,
-   same req), so participant-side idempotency does the rest. *)
-let redrive t a ~parent ~retry =
-  match a.phase with
-  | Voting ->
-      List.iter
-        (fun (s, m) ->
-          if not (Hashtbl.mem a.votes s) then t.send s ~parent ~retry m)
-        a.a_slices
-  | Commit_point_sent -> decision t a a.a_decider ~parent ~retry ~commit:true
-  | Committing ->
-      List.iter
-        (fun s ->
-          if not (Hashtbl.mem a.acks s) then
-            decision t a s ~parent ~retry ~commit:true)
-        a.a_participants
-  | Aborting ->
-      List.iter
-        (fun s ->
-          if not (Hashtbl.mem a.acks s) then
-            decision t a s ~parent ~retry ~commit:false)
-        a.a_participants
+      step t a ~parent:ctx ~retry:0 input
+  | Some _ | None -> ()
 
 let start_2pc t ~parent ~retry ~client ~xid ~req ~read_set ~update_pages
     ~release_pages participants =
-  let decider = List.hd participants in
+  let st, prepares = Coord.start participants in
+  let decider = st.Coord.decider in
   let slices =
     List.map
       (fun s ->
@@ -306,13 +185,8 @@ let start_2pc t ~parent ~retry ~client ~xid ~req ~read_set ~update_pages
     {
       a_xid = xid;
       a_req = req;
-      a_participants = participants;
-      a_decider = decider;
       a_slices = slices;
-      votes = Hashtbl.create 8;
-      stale = [];
-      phase = Voting;
-      acks = Hashtbl.create 8;
+      st;
       a_start = t.now ();
       a_last_ctx = parent;
       sp_prepare =
@@ -325,36 +199,20 @@ let start_2pc t ~parent ~retry ~client ~xid ~req ~read_set ~update_pages
   t.attempt <- Some a;
   Obs.Sink.observe "ccsim_2pc_fanout"
     (float_of_int (List.length participants));
-  List.iter (fun (s, m) -> t.send s ~parent ~retry m) slices
+  run t a ~parent ~retry prepares
 
 (* First sight of a new transaction id.  A dangling attempt here can only
    be a forgotten/abandoned one whose global outcome was abort (the
-   reply gate above means the client never moves on from a committed
-   attempt, and client crashes are deferred across the commit
-   round-trip): fire best-effort abort decisions at its participants.
-   The authoritative cleanup is server-side ([settle_superseded]), which
+   reply gate means the client never moves on from a committed attempt,
+   and client crashes are deferred across the commit round-trip): the
+   coordinator fires best-effort abort decisions at its participants.
+   The authoritative cleanup is server-side (a superseded slice), which
    is immune to message reordering. *)
 let note_xid t ~parent xid =
   if xid <> t.cur_xid then begin
-    (match t.attempt with
-    | Some a ->
-        (match a.phase with
-        | Voting ->
-            Core.Metrics.record_xshard_abort t.metrics;
-            List.iter
-              (fun s -> decision t a s ~parent ~retry:0 ~commit:false)
-              a.a_participants
-        | Aborting ->
-            List.iter
-              (fun s ->
-                if not (Hashtbl.mem a.acks s) then
-                  decision t a s ~parent ~retry:0 ~commit:false)
-              a.a_participants
-        | Commit_point_sent | Committing -> ());
-        close_prepare t a ~ok:false;
-        close_decide t a ~ok:false;
-        t.attempt <- None
-    | None -> ());
+    Option.iter
+      (fun a -> step t a ~parent ~retry:0 Coord.Superseded)
+      t.attempt;
     t.cur_xid <- xid;
     Array.fill t.touched 0 (Array.length t.touched) false
   end
@@ -364,7 +222,7 @@ let touch t s = t.touched.(s) <- true
 let handle_commit t ~parent ~retry ~client ~xid ~req ~read_set ~update_pages
     ~release_pages msg =
   match t.attempt with
-  | Some a when a.a_xid = xid -> redrive t a ~parent ~retry
+  | Some a when a.a_xid = xid -> step t a ~parent ~retry Coord.Retransmit
   | Some _ | None -> (
       let parts = Array.copy t.touched in
       List.iter (fun (p, _) -> parts.(shard_of t p) <- true) read_set;
@@ -422,9 +280,10 @@ let route t ~parent ~retry (msg : Proto.c2s) =
 let on_s2c t ~shard ~ctx (msg : Proto.s2c) =
   match msg with
   | Proto.Vote { xid; shard = s; ok; stale_pages; _ } ->
-      on_vote t ~ctx ~shard:s ~xid ~ok ~stale_pages
+      on_2pc t ~ctx ~xid (Coord.Vote { shard = s; ok; stale = stale_pages })
   | Proto.Decision_ack { xid; shard = s; committed; new_versions; _ } ->
-      on_ack t ~ctx ~shard:s ~xid ~committed ~new_versions
+      on_2pc t ~ctx ~xid
+        (Coord.Ack { shard = s; committed; versions = new_versions })
   | Proto.Server_restart { epoch } ->
       if epoch > t.shard_epochs.(shard) then begin
         t.shard_epochs.(shard) <- epoch;

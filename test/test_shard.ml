@@ -227,6 +227,24 @@ let test_vote_abort () =
     "and some committed" true
     (r.Core.Simulator.xshard_commits > 0)
 
+(* The plan the chaos shrinker reduced no-wait+notify seed 4 to: one
+   duplicated Decision or Prepare, arriving while a shard applies the
+   commit (log force, installs, notifications), used to find no slice
+   and no reply there, be acknowledged as an abort or re-prepared, and
+   raise participant-aborted-committed-transaction at the router. *)
+let test_duplicate_while_deciding () =
+  let fault =
+    {
+      (Fault.Plan.default ~seed:4) with
+      Fault.Plan.drop_prob = 0.0;
+      delay_prob = 0.00078125;
+      crash_mean = 0.0;
+      restart_mean = 0.0;
+    }
+  in
+  check_ok "duplicate while deciding"
+    (audited ~fault (Core.Proto.No_wait { notify = Some Core.Proto.Push }))
+
 (* Shard crashes mid-2PC: prepared slices replay as in-doubt, decisions
    retransmitted after recovery are answered from durable outcomes, and
    the per-shard durability + cross-shard atomicity audits must hold. *)
@@ -284,6 +302,8 @@ let suites =
         Alcotest.test_case "coordinator amnesia" `Slow
           test_coordinator_amnesia;
         Alcotest.test_case "one shard votes abort" `Slow test_vote_abort;
+        Alcotest.test_case "duplicate while deciding" `Slow
+          test_duplicate_while_deciding;
         Alcotest.test_case "recovery retransmission" `Slow
           test_recovery_retransmission;
         Alcotest.test_case "cross-shard deadlock" `Slow
