@@ -3,6 +3,7 @@
 
      ccsim run --algo callback --clients 30 --loc 0.5 --pw 0.2
      ccsim run --algo no-wait-notify --platform fast-net --large
+     ccsim observe --view metrics,causal --shards 4 --faults --check
      ccsim exp fig9 --detail
      ccsim exp all --quick --csv results.csv --plots plots/
      ccsim list *)
@@ -52,7 +53,7 @@ let jobs_arg =
            Results are identical for every value; only wall-clock changes.")
 
 (* ------------------------------------------------------------------ *)
-(* shared workload-cell arguments (run / trace / stats)                *)
+(* shared workload-cell arguments (run / observe)                      *)
 (* ------------------------------------------------------------------ *)
 
 type cell = {
@@ -178,6 +179,17 @@ let stop_name = function
   | Time_limit -> "time limit"
   | Heap_drained -> "heap drained"
 
+(* A run that stops before its commit target must not pass for one that
+   reached it: its numbers describe a wedged or truncated run. *)
+let exit_if_short cell (r : Core.Simulator.result) =
+  if r.stop <> Core.Simulator.Target_reached then begin
+    Format.print_flush ();
+    Printf.eprintf "ccsim: ended short: %d of %d commits (%s)\n" r.commits
+      (cell.cell_commits * cell.cell_reps)
+      (stop_name r.stop);
+    exit 1
+  end
+
 let run_cmd =
   let run cell jobs =
     let spec = cell_spec cell in
@@ -204,524 +216,350 @@ let run_cmd =
       Format.printf
         "  95%% CI: ±n/a — single replication has no dispersion; rerun with \
          --reps N>=2@.";
-    (* a run that stops before its commit target must not pass for one
-       that reached it: its numbers describe a wedged or truncated run *)
-    if r.Core.Simulator.stop <> Core.Simulator.Target_reached then begin
-      Printf.eprintf "ccsim: ended short: %d of %d commits (%s)\n"
-        r.Core.Simulator.commits
-        (cell.cell_commits * cell.cell_reps)
-        (stop_name r.Core.Simulator.stop);
-      exit 1
-    end
+    exit_if_short cell r
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run one simulation and print its metrics.")
     Term.(const run $ cell_term () $ jobs_arg)
 
-(* Each channel's ring drops its oldest entries past the limit; if that
-   happened the record the user is looking at is TRUNCATED, which must be
-   shouted, not buried in a struct field.  One line per wrapped channel,
-   printed to both streams so it is visible in piped and interactive use
-   alike.  [hint] names the option that raises the limit, where there
-   is one. *)
-let warn_if_ring_wrapped ?(hint = "") (o : Obs.Run.t) =
+(* ------------------------------------------------------------------ *)
+(* ccsim observe                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* A view names the channels it reads; [observe] records one run with the
+   union of the chosen views' channels and renders, writes and checks
+   everything that was recorded.  The artifacts do not depend on which
+   other channels were on, so each is the one a run recording only its
+   own view's channels would give (test_obs "channel independence"). *)
+let views =
+  [
+    ("trace", [ `Trace ]);
+    ("spans", [ `Spans ]);
+    ("metrics", [ `Spans; `Metrics ]);
+    ("causal", [ `Spans; `Metrics; `Causal ]);
+    ("stats", [ `Series ]);
+  ]
+
+let views_conv =
+  let parse s =
+    let names = String.split_on_char ',' s in
+    match List.filter (fun v -> not (List.mem_assoc v views)) names with
+    | [] -> Ok (List.concat_map (fun v -> List.assoc v views) names)
+    | bad :: _ ->
+        Error
+          (`Msg
+             (Printf.sprintf "unknown view %S (expected %s)" bad
+                (String.concat ", " (List.map fst views))))
+  in
+  let print fmt _ = Format.pp_print_string fmt "<views>" in
+  Arg.conv (parse, print)
+
+let pos_float =
+  let parse s =
+    match float_of_string_opt s with
+    | Some x when x > 0.0 -> Ok x
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive number, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
+let events_shown = 25
+let chains_shown = 3
+
+let check_failed fmt =
+  Printf.ksprintf
+    (fun s ->
+      Printf.eprintf "ccsim: check failed: %s\n" s;
+      exit 1)
+    fmt
+
+(* Each ring drops its oldest entries past [--limit]; a truncated record
+   must be shouted, not buried in a struct field.  One line per wrapped
+   channel, printed to both streams so it is visible in piped and
+   interactive use alike. *)
+let warn_if_ring_wrapped (o : Obs.Run.t) =
   List.iter
     (fun (channel, dropped) ->
       Format.printf
         "WARNING: %s ring wrapped — %d oldest entries were dropped; only the \
-         tail survives%s@."
-        channel dropped hint;
+         tail survives (raise --limit)@."
+        channel dropped;
       Printf.eprintf
-        "ccsim: WARNING: %s ring wrapped — %d oldest entries dropped%s\n%!"
-        channel dropped hint)
+        "ccsim: WARNING: %s ring wrapped — %d oldest entries dropped (raise \
+         --limit)\n%!"
+        channel dropped)
     (Obs.Run.wrapped o)
 
-(* ------------------------------------------------------------------ *)
-(* ccsim trace                                                         *)
-(* ------------------------------------------------------------------ *)
+let print_trace merged =
+  let n = min events_shown (Array.length merged) in
+  if n > 0 then begin
+    Format.printf "@.first %d of %d merged events:@." n (Array.length merged);
+    Array.iter
+      (fun (rep, e) ->
+        Format.printf "  rep%d %12.6f  %s@." rep e.Obs.Recorder.time
+          (Obs.Event.to_string e.Obs.Recorder.ev))
+      (Array.sub merged 0 n)
+  end
 
-let trace_cmd =
-  let perfetto_file =
-    Arg.(
-      value & opt string "trace.json"
-      & info [ "perfetto" ] ~docv:"FILE"
-          ~doc:
-            "Write Chrome/Perfetto trace_event JSON here (open at \
-             ui.perfetto.dev or chrome://tracing).")
-  in
-  let text_file =
-    Arg.(
-      value & opt (some string) None
-      & info [ "text" ] ~docv:"FILE"
-          ~doc:"Also write the merged trace as plain text.")
-  in
-  let events =
-    Arg.(
-      value & opt int 25
-      & info [ "events" ] ~docv:"N" ~doc:"Print the first N merged events.")
-  in
-  let limit =
-    Arg.(
-      value & opt pos_int Obs.Ring.default_limit
-      & info [ "limit" ] ~docv:"N"
-          ~doc:
-            "Ring capacity per replication (trace and, with $(b,--spans), \
-             spans); past it the oldest entries are dropped.")
-  in
-  let check =
-    Arg.(
-      value & flag
-      & info [ "check" ]
-          ~doc:
-            "Self-validate artifacts: the merged trace must be non-empty, \
-             the emitted JSON must parse, and (with $(b,--spans)) every \
-             span record must be well-formed: balanced open/close, \
-             monotone timestamps, parent containment.")
-  in
-  let spans_flag =
-    Arg.(
-      value & flag
-      & info [ "spans" ]
-          ~doc:
-            "Also record transaction spans and export them as duration \
-             events in the Perfetto JSON (client phases on the client \
-             lanes, server phases on one lane per shard).")
-  in
-  let run cell perfetto_file text_file events limit check spans jobs =
-    let obs = Obs.Config.make ~trace:true ~spans ~limit () in
-    let spec = cell_spec ~obs cell in
-    let r = Shard.Shard_sim.run_replicated ~jobs spec ~reps:cell.cell_reps in
-    match r.Core.Simulator.obs with
-    | None ->
-        Printf.eprintf "ccsim: run returned no observability payload\n";
-        exit 1
-    | Some o ->
-        let merged = Obs.Run.merged_trace o in
-        let span_entries =
-          if spans then Obs.Run.merged_spans o else [||]
-        in
-        Format.printf "%a@." Core.Simulator.pp_result r;
-        Format.printf "@.%a@." Obs.Analysis.pp_summary
-          (Obs.Analysis.summarize_tagged merged);
-        let n = min events (Array.length merged) in
-        if n > 0 then begin
-          Format.printf "@.first %d of %d merged events:@." n
-            (Array.length merged);
-          Array.iter
-            (fun (rep, e) ->
-              Format.printf "  rep%d %12.6f  %s@." rep e.Obs.Recorder.time
-                (Obs.Event.to_string e.Obs.Recorder.ev))
-            (Array.sub merged 0 n)
-        end;
-        warn_if_ring_wrapped ~hint:" (raise --limit)" o;
-        let json = Obs.Export.perfetto ~spans:span_entries merged in
-        Obs.Export.write_file perfetto_file json;
-        Format.printf "@.perfetto trace (%d events%s) written to %s@."
-          (Array.length merged)
-          (if spans then
-             Printf.sprintf " + %d span records" (Array.length span_entries)
-           else "")
-          perfetto_file;
-        (match text_file with
-        | Some f ->
-            Obs.Export.write_file f (Obs.Export.trace_text merged);
-            Format.printf "text trace written to %s@." f
-        | None -> ());
-        if check then begin
-          if Array.length merged = 0 then begin
-            Printf.eprintf "ccsim: check failed: merged trace is empty\n";
-            exit 1
-          end;
-          (match Obs.Export.validate_json json with
-          | Ok () -> Format.printf "check: perfetto JSON parses ok@."
-          | Error e ->
-              Printf.eprintf "ccsim: check failed: invalid JSON: %s\n" e;
-              exit 1);
-          if spans then
-            List.iter
-              (fun rep ->
-                let ck =
-                  Obs.Span.validate ~dropped:rep.Obs.Run.spans_dropped
-                    rep.Obs.Run.spans
-                in
-                if not (Obs.Span.check_ok ck) then begin
-                  Format.eprintf
-                    "ccsim: check failed: invalid span record:@.%a@."
-                    Obs.Span.pp_check ck;
-                  exit 1
-                end)
-              o.Obs.Run.reps;
-          if spans then
-            Format.printf "check: %d span records well-formed@."
-              (Array.length span_entries)
-        end
-  in
-  Cmd.v
-    (Cmd.info "trace"
-       ~doc:
-         "Run a traced simulation and report per-protocol breakdowns \
-          (messages per commit by kind, lock-wait histogram, notification \
-          fan-out, abort timeline); export the merged trace as \
-          Chrome/Perfetto JSON.  Tracing works at any $(b,-j): each \
-          replication records in its own domain and the merged trace is \
-          identical for every job count.")
-    Term.(
-      const run $ cell_term ~commits_default:500 () $ perfetto_file
-      $ text_file $ events $ limit $ check $ spans_flag $ jobs_arg)
+let print_latency m =
+  match Obs.Metrics.histogram m "ccsim_commit_latency_seconds" with
+  | Some h when Obs.Metrics.Hist.count h > 0 ->
+      Format.printf
+        "@.commit latency (n=%d): p50 %.4fs p95 %.4fs p99 %.4fs mean %.4fs@."
+        (Obs.Metrics.Hist.count h)
+        (Obs.Metrics.Hist.quantile h 0.50)
+        (Obs.Metrics.Hist.quantile h 0.95)
+        (Obs.Metrics.Hist.quantile h 0.99)
+        (Obs.Metrics.Hist.sum h /. float_of_int (Obs.Metrics.Hist.count h))
+  | _ -> Format.printf "@.commit latency: no observations@."
 
-(* ------------------------------------------------------------------ *)
-(* ccsim stats                                                         *)
-(* ------------------------------------------------------------------ *)
-
-let stats_cmd =
-  let series_file =
-    Arg.(
-      value & opt string "series.csv"
-      & info [ "series" ] ~docv:"FILE"
-          ~doc:
-            "Write the sampled time series as CSV (replication k > 0 goes \
-             to FILE.repk).")
+(* DAG validation, per-kind wire amplification over every Send node, and
+   the gating chains of the slowest committed transactions. *)
+let print_causal mc (an : Obs.Causal.analysis) =
+  let ck = an.an_check in
+  Format.printf "@.%a@." Obs.Causal.pp_check ck;
+  Format.printf "@.message amplification by kind:@.";
+  Format.printf "  %-16s %8s %8s %10s %6s %6s@." "kind" "msgs" "pkts" "bytes"
+    "retx" "dups";
+  List.iter
+    (fun (a : Obs.Causal.amp) ->
+      Format.printf "  %-16s %8d %8d %10d %6d %6d@." a.am_kind a.am_msgs
+        a.am_pkts a.am_bytes a.am_retx a.am_dups)
+    (Obs.Causal.amplification mc);
+  if ck.ck_committed > 0 then
+    Format.printf "  %d msgs / %d commits = %.2f msgs per commit@." ck.ck_msgs
+      ck.ck_committed
+      (float_of_int ck.ck_msgs /. float_of_int ck.ck_committed);
+  let dur (d : Obs.Causal.dag) = d.dg_finish -. d.dg_start in
+  let slowest =
+    Array.to_list an.an_dags
+    |> List.filter (fun (d : Obs.Causal.dag) -> d.dg_ok)
+    |> List.stable_sort (fun a b -> compare (dur b) (dur a))
   in
-  let interval =
-    Arg.(
-      value & opt float 5.0
-      & info [ "interval" ] ~docv:"S"
-          ~doc:"Sampling interval in simulated seconds.")
-  in
-  let check =
-    Arg.(
-      value & flag
-      & info [ "check" ]
-          ~doc:"Self-validate: every emitted CSV must round-trip exactly.")
-  in
-  let run cell series_file interval check jobs =
-    if interval <= 0.0 then begin
-      Printf.eprintf "ccsim: --interval must be positive\n";
-      exit 1
-    end;
-    let obs =
-      Obs.Config.make ~series:true ~sample_interval:interval ~profile:true ()
-    in
-    let spec = cell_spec ~obs cell in
-    let r = Shard.Shard_sim.run_replicated ~jobs spec ~reps:cell.cell_reps in
-    Format.printf "%a@." Core.Simulator.pp_result r;
-    match r.Core.Simulator.obs with
-    | None ->
-        Printf.eprintf "ccsim: run returned no observability payload\n";
-        exit 1
-    | Some o ->
-        let first = List.hd o.Obs.Run.reps in
-        Format.printf "@.facilities (seed %d):@." first.Obs.Run.rep_seed;
+  List.iteri
+    (fun i (d : Obs.Causal.dag) ->
+      if i < chains_shown then begin
+        Format.printf
+          "@.critical chain: rep%d client %d xid %d — %d msgs, %d hops, %.6fs@."
+          d.dg_rep d.dg_client d.dg_xid d.dg_msgs (List.length d.dg_chain)
+          (dur d);
         List.iter
-          (fun f -> Format.printf "  %a@." Obs.Run.pp_fac_snapshot f)
-          first.Obs.Run.facilities;
-        (match first.Obs.Run.profile with
-        | Some p ->
-            Format.printf
-              "@.engine: %d events, %d processes, %d holds, %d wakes, \
-               event-heap high-water %d, live-process high-water %d@."
-              p.Sim.Engine.pr_events p.Sim.Engine.pr_spawned
-              p.Sim.Engine.pr_holds p.Sim.Engine.pr_wakes
-              p.Sim.Engine.pr_heap_hwm p.Sim.Engine.pr_live_hwm;
-            let top = 12 in
-            Format.printf "  %-24s %10s %10s %14s@." "process" "events"
-              "holds" "hold-time (s)";
-            List.iteri
-              (fun i pp ->
-                if i < top then
-                  Format.printf "  %-24s %10d %10d %14.3f@."
-                    pp.Sim.Engine.pp_name pp.Sim.Engine.pp_runs
-                    pp.Sim.Engine.pp_holds pp.Sim.Engine.pp_hold_time)
-              p.Sim.Engine.pr_per_process
-        | None -> ());
-        warn_if_ring_wrapped o;
-        (match first.Obs.Run.series with
-        | Some s when Obs.Series.length s > 0 ->
-            let names = Obs.Series.names s in
-            let rows = Obs.Series.rows s in
-            let times = Obs.Series.times s in
-            (* the measurement window is the last [window] simulated
-               seconds; everything before it is warmup *)
-            let warmup_end =
-              Float.max 0.0
-                (r.Core.Simulator.sim_time -. r.Core.Simulator.window)
+          (fun (l : Obs.Causal.link) ->
+            let at = l.lk_send -. d.dg_start in
+            let flag name n =
+              if n > 0 then Printf.sprintf " %s=%d" name n else ""
             in
-            Format.printf "@.series (%d samples every %gs):@."
-              (Obs.Series.length s) (Obs.Series.interval s);
-            Format.printf "  %-18s %12s %12s %12s %22s@." "column" "min"
-              "mean" "max" "batch-means 95% CI";
-            Array.iteri
-              (fun j name ->
-                let lo = ref infinity and hi = ref neg_infinity in
-                let sum = ref 0.0 in
-                Array.iter
-                  (fun row ->
-                    let v = row.(j) in
-                    if v < !lo then lo := v;
-                    if v > !hi then hi := v;
-                    sum := !sum +. v)
-                  rows;
-                (* batch-means interval from the post-warmup samples of
-                   this single long run: the per-column analogue of a
-                   replication CI when there is only one replication *)
-                let post =
-                  let acc = ref [] in
-                  Array.iteri
-                    (fun i row ->
-                      if times.(i) >= warmup_end then acc := row.(j) :: !acc)
-                    rows;
-                  Array.of_list (List.rev !acc)
-                in
-                let bm =
-                  match Obs.Run_stats.batch_means post with
-                  | Some ci when Obs.Run_stats.available ci ->
-                      Printf.sprintf "%.4f ±%s" ci.Obs.Run_stats.ci_mean
-                        (Obs.Run_stats.half_string ~digits:4 ci)
-                  | _ -> "±n/a"
-                in
-                Format.printf "  %-18s %12.4f %12.4f %12.4f %22s@." name !lo
-                  (!sum /. float_of_int (Array.length rows))
-                  !hi bm)
-              names;
-            (* Welch warmup adequacy: average each column across the
-               replications (classic Welch smoothing input), smooth, and
-               ask whether the curve had settled into its steady-state
-               band before the measurement window opened *)
-            let rep_series =
-              List.filter_map (fun rp -> rp.Obs.Run.series) o.Obs.Run.reps
-            in
-            Format.printf
-              "@.warmup adequacy (Welch, 5%% band; measurement opened at \
-               t=%.1fs):@."
-              warmup_end;
-            Format.printf "  %-18s %14s %s@." "column" "settles at" "verdict";
-            Array.iteri
-              (fun j name ->
-                let arrays =
-                  List.map
-                    (fun sr ->
-                      Array.map (fun row -> row.(j)) (Obs.Series.rows sr))
-                    rep_series
-                in
-                let len =
-                  List.fold_left
-                    (fun m a -> min m (Array.length a))
-                    (Array.length rows) arrays
-                in
-                let avg =
-                  Array.init len (fun i ->
-                      List.fold_left (fun acc a -> acc +. a.(i)) 0.0 arrays
-                      /. float_of_int (List.length arrays))
-                in
-                let wu =
-                  Obs.Run_stats.warmup_diagnostic ~warmup_end
-                    ~times:(Array.sub times 0 len) avg
-                in
-                let settle, verdict =
-                  match wu.Obs.Run_stats.wu_settle with
-                  | _ when wu.Obs.Run_stats.wu_samples < 4 ->
-                      ("-", "n/a (too few samples)")
-                  | Some t when wu.Obs.Run_stats.wu_adequate ->
-                      (Printf.sprintf "%.1fs" t, "ok")
-                  | Some t ->
-                      ( Printf.sprintf "%.1fs" t,
-                        "LATE — curve still drifting; extend --warmup" )
-                  | None -> ("-", "never settles in this run")
-                in
-                Format.printf "  %-18s %14s %s@." name settle verdict)
-              names
-        | _ -> ());
-        List.iteri
-          (fun i rp ->
-            match rp.Obs.Run.series with
-            | None -> ()
-            | Some s ->
-                let file =
-                  if i = 0 then series_file
-                  else Printf.sprintf "%s.rep%d" series_file i
-                in
-                let csv = Obs.Export.series_csv s in
-                Obs.Export.write_file file csv;
-                Format.printf "series csv written to %s@." file;
-                if check then begin
-                  let s' = Obs.Export.series_of_csv csv in
-                  if not (Obs.Series.equal s s') then begin
-                    Printf.eprintf
-                      "ccsim: check failed: %s does not round-trip\n" file;
-                    exit 1
-                  end
-                end)
-          o.Obs.Run.reps;
-        if check then Format.printf "check: all series CSVs round-trip ok@."
+            Format.printf "  +%.6fs %-16s %s%.6fs in flight%s%s@." at l.lk_label
+              (String.make
+                 (min 40 (int_of_float (at /. Float.max (dur d) 1e-9 *. 40.)))
+                 ' ')
+              (l.lk_recv -. l.lk_send) (flag "retry" l.lk_retry)
+              (flag "dup" l.lk_dup))
+          d.dg_chain
+      end)
+    slowest
+
+(* Facility statistics, the engine profile, and per column of the sampled
+   series its range, a batch-means interval over the measurement window,
+   and the Welch warmup verdict. *)
+let print_stats (r : Core.Simulator.result) (o : Obs.Run.t) =
+  let first = List.hd o.reps in
+  Format.printf "@.facilities (seed %d):@." first.rep_seed;
+  List.iter
+    (fun f -> Format.printf "  %a@." Obs.Run.pp_fac_snapshot f)
+    first.facilities;
+  Option.iter
+    (fun (p : Sim.Engine.profile) ->
+      Format.printf
+        "@.engine: %d events, %d processes, %d holds, %d wakes, event-heap \
+         high-water %d, live-process high-water %d@."
+        p.pr_events p.pr_spawned p.pr_holds p.pr_wakes p.pr_heap_hwm
+        p.pr_live_hwm;
+      Format.printf "  %-24s %10s %10s %14s@." "process" "events" "holds"
+        "hold-time (s)";
+      List.iteri
+        (fun i (pp : Sim.Engine.process_profile) ->
+          if i < 12 then
+            Format.printf "  %-24s %10d %10d %14.3f@." pp.pp_name pp.pp_runs
+              pp.pp_holds pp.pp_hold_time)
+        p.pr_per_process)
+    first.profile;
+  match first.series with
+  | Some s when Obs.Series.length s > 0 ->
+      let rows = Obs.Series.rows s and times = Obs.Series.times s in
+      (* the measurement window is the last [window] simulated seconds;
+         everything before it is warmup *)
+      let warmup_end = Float.max 0.0 (r.sim_time -. r.window) in
+      Format.printf "@.series (%d samples every %gs):@." (Obs.Series.length s)
+        (Obs.Series.interval s);
+      Format.printf "  %-18s %12s %12s %12s %22s@." "column" "min" "mean" "max"
+        "batch-means 95% CI";
+      Array.iteri
+        (fun j name ->
+          let col = Array.map (fun row -> row.(j)) rows in
+          (* batch-means interval from the post-warmup samples of this
+             single long run: the per-column analogue of a replication CI
+             when there is only one replication *)
+          let post =
+            Array.of_list
+              (List.filteri (fun i _ -> times.(i) >= warmup_end)
+                 (Array.to_list col))
+          in
+          let bm =
+            match Obs.Run_stats.batch_means post with
+            | Some ci when Obs.Run_stats.available ci ->
+                Printf.sprintf "%.4f ±%s" ci.ci_mean
+                  (Obs.Run_stats.half_string ~digits:4 ci)
+            | _ -> "±n/a"
+          in
+          Format.printf "  %-18s %12.4f %12.4f %12.4f %22s@." name
+            (Array.fold_left Float.min infinity col)
+            (Array.fold_left ( +. ) 0.0 col /. float_of_int (Array.length col))
+            (Array.fold_left Float.max neg_infinity col)
+            bm)
+        (Obs.Series.names s);
+      (* Welch warmup adequacy: average each column across the
+         replications (classic Welch smoothing input), smooth, and ask
+         whether the curve had settled into its steady-state band before
+         the measurement window opened *)
+      let rep_rows =
+        List.filter_map
+          (fun (rp : Obs.Run.rep) -> Option.map Obs.Series.rows rp.series)
+          o.reps
+      in
+      let len =
+        List.fold_left (fun m a -> min m (Array.length a)) (Array.length rows)
+          rep_rows
+      in
+      Format.printf
+        "@.warmup adequacy (Welch, 5%% band; measurement opened at t=%.1fs):@."
+        warmup_end;
+      Format.printf "  %-18s %14s %s@." "column" "settles at" "verdict";
+      Array.iteri
+        (fun j name ->
+          let avg =
+            Array.init len (fun i ->
+                List.fold_left (fun acc a -> acc +. a.(i).(j)) 0.0 rep_rows
+                /. float_of_int (List.length rep_rows))
+          in
+          let wu =
+            Obs.Run_stats.warmup_diagnostic ~warmup_end
+              ~times:(Array.sub times 0 len) avg
+          in
+          let settle, verdict =
+            match wu.wu_settle with
+            | _ when wu.wu_samples < 4 -> ("-", "n/a (too few samples)")
+            | Some t when wu.wu_adequate -> (Printf.sprintf "%.1fs" t, "ok")
+            | Some t ->
+                ( Printf.sprintf "%.1fs" t,
+                  "LATE — curve still drifting; extend --warmup" )
+            | None -> ("-", "never settles in this run")
+          in
+          Format.printf "  %-18s %14s %s@." name settle verdict)
+        (Obs.Series.names s)
+  | _ -> ()
+
+(* The checks of every recorded channel, each run once. *)
+let check_run ~on ~perfetto (o : Obs.Run.t) ~cp ~causal =
+  if on `Trace then begin
+    if Array.length (Obs.Run.merged_trace o) = 0 then
+      check_failed "merged trace is empty";
+    Format.printf "check: merged trace non-empty@."
+  end;
+  Option.iter
+    (fun js ->
+      match Obs.Export.validate_json js with
+      | Ok () -> Format.printf "check: perfetto JSON parses ok@."
+      | Error e -> check_failed "invalid JSON: %s" e)
+    perfetto;
+  if on `Spans then begin
+    List.iter
+      (fun (rep : Obs.Run.rep) ->
+        let ck = Obs.Span.validate ~dropped:rep.spans_dropped rep.spans in
+        if not (Obs.Span.check_ok ck) then
+          check_failed "invalid span record:\n%s"
+            (Format.asprintf "%a" Obs.Span.pp_check ck))
+      o.reps;
+    Format.printf "check: %d span records well-formed@." (Obs.Run.total_spans o)
+  end;
+  if on `Metrics then begin
+    let (cp : Obs.Critical_path.t) = Lazy.force cp in
+    if cp.cp_xacts = 0 then check_failed "no committed transactions";
+    if not (Obs.Critical_path.reconciles cp) then
+      check_failed
+        "phase components do not sum to the end-to-end latency (end-to-end \
+         %.9f, phases %.9f)"
+        cp.cp_end_to_end cp.cp_phase_sum;
+    (match
+       Option.bind (Obs.Run.merged_metrics o) (fun m ->
+           Obs.Metrics.histogram m "ccsim_commit_latency_seconds")
+     with
+    | Some h when Obs.Metrics.Hist.count h = cp.cp_xacts -> ()
+    | Some h ->
+        check_failed "latency histogram count %d <> %d committed transactions"
+          (Obs.Metrics.Hist.count h) cp.cp_xacts
+    | None -> check_failed "no commit-latency histogram");
+    Format.printf
+      "check: %d phases reconcile to %.6fs end-to-end (residual %.2e)@."
+      (List.length cp.cp_client) cp.cp_end_to_end
+      (Obs.Critical_path.residual cp)
+  end;
+  Option.iter
+    (fun ((an : Obs.Causal.analysis), residual) ->
+      let ck = an.an_check in
+      if not (Obs.Causal.check_ok ck) then
+        check_failed "invalid causal record:\n%s"
+          (Format.asprintf "%a" Obs.Causal.pp_check ck);
+      if ck.ck_committed = 0 then check_failed "no committed transactions";
+      if residual > 1e-9 then
+        check_failed
+          "causal chain sum %.12f does not reconcile with span end-to-end %.12f"
+          an.an_chain_sum (Lazy.force cp).Obs.Critical_path.cp_end_to_end;
+      Format.printf
+        "check: %d DAGs well-formed (%d committed, %d msgs, %d delivered, %d \
+         dropped); causal sum reconciles to %.6fs (residual %.2e)@."
+        ck.ck_groups ck.ck_committed ck.ck_msgs ck.ck_delivered
+        ck.ck_dropped_msgs an.an_chain_sum residual)
+    causal;
+  if on `Series then begin
+    List.iter
+      (fun (rp : Obs.Run.rep) ->
+        Option.iter
+          (fun s ->
+            if
+              not
+                (Obs.Series.equal s
+                   (Obs.Export.series_of_csv (Obs.Export.series_csv s)))
+            then
+              check_failed "series CSV of seed %d does not round-trip"
+                rp.rep_seed)
+          rp.series)
+      o.reps;
+    Format.printf "check: all series CSVs round-trip ok@."
+  end
+
+let observe_cmd =
+  let views =
+    Arg.(
+      required
+      & opt (some views_conv) None
+      & info [ "view" ] ~docv:"V,..."
+          ~doc:
+            "Views to record and render: $(b,trace) (typed protocol \
+             events), $(b,spans) (transaction spans and the commit-latency \
+             decomposition), $(b,metrics) (spans plus the OpenMetrics \
+             registry), $(b,causal) (metrics plus per-message causal DAGs, \
+             wire amplification and gating chains), $(b,stats) (facility \
+             statistics, engine profile and sampled time series).  The run \
+             is recorded once with every chosen view's channels.")
   in
-  Cmd.v
-    (Cmd.info "stats"
-       ~doc:
-         "Run a sampled simulation and report facility statistics \
-          (utilization, queue high-water marks, busy time), the engine \
-          profile (per-process event counts), and fixed-interval time \
-          series of utilizations, lock-table occupancy, blocked clients, \
-          and commit/abort rates, exported as CSV.")
-    Term.(
-      const run $ cell_term ~commits_default:500 () $ series_file $ interval
-      $ check $ jobs_arg)
-
-(* ------------------------------------------------------------------ *)
-(* ccsim metrics                                                       *)
-(* ------------------------------------------------------------------ *)
-
-let metrics_cmd =
   let shards =
     Arg.(
       value & opt pos_int 1
       & info [ "shards" ] ~docv:"N"
           ~doc:
             "Partition the database over N shard servers; cross-shard \
-             transactions commit via 2PC and contribute prepare/decide \
-             phases and in-doubt time.")
-  in
-  let out_file =
-    Arg.(
-      value & opt string "metrics.prom"
-      & info [ "out" ] ~docv:"FILE"
-          ~doc:"Write the OpenMetrics exposition here.")
-  in
-  let spans_file =
-    Arg.(
-      value & opt (some string) None
-      & info [ "spans-text" ] ~docv:"FILE"
-          ~doc:"Also write the merged span record as plain text.")
-  in
-  let check =
-    Arg.(
-      value & flag
-      & info [ "check" ]
-          ~doc:
-            "Self-validate: every span record must be well-formed \
-             (balanced open/close, monotone timestamps, parent \
-             containment), the per-phase latency components must sum to \
-             the end-to-end commit latency, and the commit-latency \
-             histogram must count exactly the committed transactions.")
-  in
-  let run cell shards out_file spans_file check jobs =
-    let spec =
-      { (cell_spec ~obs:Obs.Config.latency cell) with
-        Core.Simulator.n_shards = shards }
-    in
-    let r = Shard.Shard_sim.run_replicated ~jobs spec ~reps:cell.cell_reps in
-    match r.Core.Simulator.obs with
-    | None ->
-        Printf.eprintf "ccsim: run returned no observability payload\n";
-        exit 1
-    | Some o ->
-        Format.printf "%a@." Core.Simulator.pp_result r;
-        warn_if_ring_wrapped o;
-        let cp = Obs.Critical_path.analyze (Obs.Run.merged_spans o) in
-        Format.printf "@.%a@." Obs.Critical_path.pp cp;
-        let m =
-          match Obs.Run.merged_metrics o with
-          | Some m -> m
-          | None ->
-              Printf.eprintf "ccsim: run returned no metrics registry\n";
-              exit 1
-        in
-        (match Obs.Metrics.histogram m "ccsim_commit_latency_seconds" with
-        | Some h when Obs.Metrics.Hist.count h > 0 ->
-            Format.printf
-              "@.commit latency (n=%d): p50 %.4fs p95 %.4fs p99 %.4fs mean \
-               %.4fs@."
-              (Obs.Metrics.Hist.count h)
-              (Obs.Metrics.Hist.quantile h 0.50)
-              (Obs.Metrics.Hist.quantile h 0.95)
-              (Obs.Metrics.Hist.quantile h 0.99)
-              (Obs.Metrics.Hist.sum h
-              /. float_of_int (Obs.Metrics.Hist.count h))
-        | _ -> Format.printf "@.commit latency: no observations@.");
-        Obs.Export.write_file out_file (Obs.Metrics.to_openmetrics m);
-        Format.printf "openmetrics written to %s@." out_file;
-        (match spans_file with
-        | Some f ->
-            Obs.Export.write_file f
-              (Obs.Export.span_text (Obs.Run.merged_spans o));
-            Format.printf "span text written to %s@." f
-        | None -> ());
-        if check then begin
-          List.iter
-            (fun rep ->
-              let ck =
-                Obs.Span.validate ~dropped:rep.Obs.Run.spans_dropped
-                  rep.Obs.Run.spans
-              in
-              if not (Obs.Span.check_ok ck) then begin
-                Format.eprintf
-                  "ccsim: check failed: invalid span record:@.%a@."
-                  Obs.Span.pp_check ck;
-                exit 1
-              end)
-            o.Obs.Run.reps;
-          if cp.Obs.Critical_path.cp_xacts = 0 then begin
-            Printf.eprintf "ccsim: check failed: no committed transactions\n";
-            exit 1
-          end;
-          if not (Obs.Critical_path.reconciles cp) then begin
-            Printf.eprintf
-              "ccsim: check failed: phase components do not sum to the \
-               end-to-end latency (end-to-end %.9f, phases %.9f)\n"
-              cp.Obs.Critical_path.cp_end_to_end
-              cp.Obs.Critical_path.cp_phase_sum;
-            exit 1
-          end;
-          (match Obs.Metrics.histogram m "ccsim_commit_latency_seconds" with
-          | Some h
-            when Obs.Metrics.Hist.count h = cp.Obs.Critical_path.cp_xacts ->
-              ()
-          | Some h ->
-              Printf.eprintf
-                "ccsim: check failed: latency histogram count %d <> %d \
-                 committed transactions\n"
-                (Obs.Metrics.Hist.count h) cp.Obs.Critical_path.cp_xacts;
-              exit 1
-          | None ->
-              Printf.eprintf
-                "ccsim: check failed: no commit-latency histogram\n";
-              exit 1);
-          Format.printf
-            "check: %d span records well-formed; %d phases reconcile to \
-             %.6fs end-to-end (residual %.2e)@."
-            (Obs.Run.total_spans o)
-            (List.length cp.Obs.Critical_path.cp_client)
-            cp.Obs.Critical_path.cp_end_to_end
-            (Obs.Critical_path.residual cp)
-        end
-  in
-  Cmd.v
-    (Cmd.info "metrics"
-       ~doc:
-         "Run a simulation with transaction spans and the online metrics \
-          registry enabled; print the commit-latency decomposition (think, \
-          client CPU, fetch/certify/commit waits, abort work, restart \
-          back-off — summing to the end-to-end latency), per-shard server \
-          phases, and 2PC prepare/decide phases; export every counter, \
-          gauge, and latency histogram as OpenMetrics text.  Deterministic \
-          at any $(b,-j): artifacts are byte-identical for every job \
-          count.")
-    Term.(
-      const run $ cell_term ~commits_default:500 () $ shards $ out_file
-      $ spans_file $ check $ jobs_arg)
-
-(* ------------------------------------------------------------------ *)
-(* ccsim causal                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let causal_cmd =
-  let shards =
-    Arg.(
-      value & opt pos_int 1
-      & info [ "shards" ] ~docv:"N"
-          ~doc:
-            "Partition the database over N shard servers; 2PC \
-             prepare/vote/decision fan-out then shows up as branching in \
-             the causal DAGs.")
+             transactions commit via 2PC, which adds prepare/decide phases \
+             and branching DAGs.")
   in
   let faults =
     Arg.(
@@ -730,217 +568,175 @@ let causal_cmd =
           ~doc:
             "Run under the seeded default fault plan (message loss, \
              duplication and delay, client crashes; independent shard \
-             crashes and coordinator amnesia when $(b,--shards) > 1), so \
-             the DAGs include retransmissions, duplicate copies, and \
-             termination-protocol traffic.")
+             crashes and coordinator amnesia when $(b,--shards) > 1).")
   in
-  let dag_file =
+  let limit =
     Arg.(
-      value & opt (some string) None
-      & info [ "dag" ] ~docv:"FILE"
+      value & opt pos_int Obs.Ring.default_limit
+      & info [ "limit" ] ~docv:"N"
           ~doc:
-            "Write the merged causal record as plain text; byte-identical \
-             for every $(b,-j).")
+            "Capacity of each trace, span and causal ring per replication; \
+             past it the oldest entries are dropped.")
   in
-  let perfetto_file =
+  let interval =
     Arg.(
-      value & opt (some string) None
-      & info [ "perfetto" ] ~docv:"FILE"
-          ~doc:
-            "Write Chrome/Perfetto trace_event JSON with span bars and one \
-             flow arrow per delivered message copy.")
-  in
-  let chains =
-    Arg.(
-      value & opt int 3
-      & info [ "chains" ] ~docv:"N"
-          ~doc:
-            "Print the critical chain (gating message sequence) of the N \
-             slowest committed transactions.")
+      value & opt pos_float 5.0
+      & info [ "interval" ] ~docv:"S"
+          ~doc:"Series sampling interval in simulated seconds.")
   in
   let check =
     Arg.(
       value & flag
       & info [ "check" ]
           ~doc:
-            "Self-validate: every transaction's DAG must be well-formed \
-             (acyclic by construction, single root, delivery never before \
-             send, causes never after effects), and the committed DAGs' \
-             root-to-end sum must reconcile with the span-derived \
-             end-to-end commit latency to 1e-9.")
+            "Self-validate every recorded channel: the trace is non-empty; \
+             the Perfetto JSON parses; every span record is well-formed \
+             (balanced open/close, monotone timestamps, parent \
+             containment); the phase components sum to the end-to-end \
+             commit latency and the latency histogram counts exactly the \
+             committed transactions; every causal DAG is well-formed and \
+             the committed DAGs' root-to-end sum reconciles with the span \
+             end-to-end latency to 1e-9; every series CSV round-trips.")
   in
-  let run cell shards faults dag_file perfetto_file chains check jobs =
-    let spec =
-      { (cell_spec ~obs:Obs.Config.causal cell) with
-        Core.Simulator.n_shards = shards;
-        fault =
+  let file names doc =
+    Arg.(value & opt (some string) None & info names ~docv:"FILE" ~doc)
+  in
+  let perfetto =
+    file [ "perfetto" ]
+      "Write Chrome/Perfetto trace_event JSON with every recorded trace \
+       event, span bar and causal flow arrow (open at ui.perfetto.dev)."
+  and text = file [ "text" ] "Write the merged trace as plain text."
+  and spans_text =
+    file [ "spans-text" ] "Write the merged span record as plain text."
+  and prom = file [ "prom" ] "Write the OpenMetrics exposition."
+  and dag = file [ "dag" ] "Write the merged causal record as plain text."
+  and series =
+    file [ "series" ]
+      "Write the sampled time series as CSV (replication k > 0 goes to \
+       FILE.repk)."
+  in
+  let run cell channels shards faults limit interval check perfetto text
+      spans_text prom dag series jobs =
+    let on c = List.mem c channels in
+    let needs =
+      [
+        ("--perfetto", perfetto, on `Trace || on `Spans, "trace or spans");
+        ("--text", text, on `Trace, "trace");
+        ("--spans-text", spans_text, on `Spans, "spans");
+        ("--prom", prom, on `Metrics, "metrics");
+        ("--dag", dag, on `Causal, "causal");
+        ("--series", series, on `Series, "stats");
+      ]
+    in
+    match List.find_opt (fun (_, f, ok, _) -> f <> None && not ok) needs with
+    | Some (opt, _, _, v) ->
+        `Error (true, Printf.sprintf "%s needs a view that records %s" opt v)
+    | None ->
+        let obs =
+          Obs.Config.make ~trace:(on `Trace) ~spans:(on `Spans)
+            ~metrics:(on `Metrics) ~causal:(on `Causal) ~series:(on `Series)
+            ~profile:(on `Series) ~sample_interval:interval ~limit ()
+        in
+        let fault =
           (* the full gremlin set: message loss/dup/delay and client
              crashes from the default plan, plus — sharded — independent
-             shard crashes and coordinator amnesia, so every DAG shape
-             the protocols can produce shows up *)
-          (if not faults then Fault.Plan.none
-           else if shards > 1 then
-             {
-               (Fault.Plan.default ~seed:cell.cell_seed) with
-               Fault.Plan.server_crash_mean = 8.0;
-               server_restart_mean = 0.5;
-               checkpoint_interval = 5.0;
-               coord_crash_prob = 0.1;
-             }
-           else Fault.Plan.default ~seed:cell.cell_seed);
-      }
-    in
-    let r = Shard.Shard_sim.run_replicated ~jobs spec ~reps:cell.cell_reps in
-    match r.Core.Simulator.obs with
-    | None ->
-        Printf.eprintf "ccsim: run returned no observability payload\n";
-        exit 1
-    | Some o ->
+             shard crashes and coordinator amnesia *)
+          if not faults then Fault.Plan.none
+          else if shards > 1 then
+            {
+              (Fault.Plan.default ~seed:cell.cell_seed) with
+              Fault.Plan.server_crash_mean = 8.0;
+              server_restart_mean = 0.5;
+              checkpoint_interval = 5.0;
+              coord_crash_prob = 0.1;
+            }
+          else Fault.Plan.default ~seed:cell.cell_seed
+        in
+        let spec =
+          { (cell_spec ~obs cell) with Core.Simulator.n_shards = shards; fault }
+        in
+        let r = Shard.Shard_sim.run_replicated ~jobs spec ~reps:cell.cell_reps in
+        let o = Option.get r.Core.Simulator.obs in
         Format.printf "%a@." Core.Simulator.pp_result r;
         warn_if_ring_wrapped o;
+        let cp = lazy (Obs.Critical_path.analyze (Obs.Run.merged_spans o)) in
         let mc = Obs.Run.merged_causal o in
-        let an =
-          Obs.Causal.analyze ~dropped:(Obs.Run.causal_dropped o) mc
-        in
-        Format.printf "@.%a@." Obs.Causal.pp_check an.Obs.Causal.an_check;
-        (* per-kind wire amplification over every Send node *)
-        let amps = Obs.Causal.amplification mc in
-        Format.printf "@.message amplification by kind:@.";
-        Format.printf "  %-16s %8s %8s %10s %6s %6s@." "kind" "msgs" "pkts"
-          "bytes" "retx" "dups";
-        List.iter
-          (fun a ->
-            Format.printf "  %-16s %8d %8d %10d %6d %6d@."
-              a.Obs.Causal.am_kind a.Obs.Causal.am_msgs a.Obs.Causal.am_pkts
-              a.Obs.Causal.am_bytes a.Obs.Causal.am_retx a.Obs.Causal.am_dups)
-          amps;
-        let ck = an.Obs.Causal.an_check in
-        if ck.Obs.Causal.ck_committed > 0 then
-          Format.printf "  %d msgs / %d commits = %.2f msgs per commit@."
-            ck.Obs.Causal.ck_msgs ck.Obs.Causal.ck_committed
-            (float_of_int ck.Obs.Causal.ck_msgs
-            /. float_of_int ck.Obs.Causal.ck_committed);
-        (* waterfall of the slowest committed transactions' gating chains *)
-        let committed =
-          Array.to_list an.Obs.Causal.an_dags
-          |> List.filter (fun d -> d.Obs.Causal.dg_ok)
-        in
-        let slowest =
-          List.sort
-            (fun a b ->
-              compare
-                (b.Obs.Causal.dg_finish -. b.Obs.Causal.dg_start)
-                (a.Obs.Causal.dg_finish -. a.Obs.Causal.dg_start))
-            committed
-        in
-        let rec take n = function
-          | [] -> []
-          | _ when n <= 0 -> []
-          | x :: tl -> x :: take (n - 1) tl
-        in
-        List.iter
-          (fun d ->
-            let dur = d.Obs.Causal.dg_finish -. d.Obs.Causal.dg_start in
-            Format.printf
-              "@.critical chain: rep%d client %d xid %d — %d msgs, %d hops, \
-               %.6fs@."
-              d.Obs.Causal.dg_rep d.Obs.Causal.dg_client d.Obs.Causal.dg_xid
-              d.Obs.Causal.dg_msgs
-              (List.length d.Obs.Causal.dg_chain)
-              dur;
-            List.iter
-              (fun l ->
-                let at = l.Obs.Causal.lk_send -. d.Obs.Causal.dg_start in
-                let fly = l.Obs.Causal.lk_recv -. l.Obs.Causal.lk_send in
-                let flags =
-                  (if l.Obs.Causal.lk_retry > 0 then
-                     Printf.sprintf " retry=%d" l.Obs.Causal.lk_retry
-                   else "")
-                  ^
-                  if l.Obs.Causal.lk_dup > 0 then
-                    Printf.sprintf " dup=%d" l.Obs.Causal.lk_dup
-                  else ""
-                in
-                Format.printf "  +%.6fs %-16s %s%.6fs in flight%s@." at
-                  l.Obs.Causal.lk_label
-                  (String.make
-                     (min 40 (int_of_float (at /. Float.max dur 1e-9 *. 40.)))
-                     ' ')
-                  fly flags)
-              d.Obs.Causal.dg_chain)
-          (take chains slowest);
-        (* artifacts *)
-        (match dag_file with
-        | Some f ->
-            Obs.Export.write_file f (Obs.Export.dag_text mc);
-            Format.printf "@.dag text written to %s@." f
-        | None -> ());
-        (match perfetto_file with
-        | Some f ->
-            let js =
-              Obs.Export.perfetto ~spans:(Obs.Run.merged_spans o) ~flows:mc
-                (Obs.Run.merged_trace o)
-            in
-            Obs.Export.write_file f js;
-            Format.printf "perfetto json written to %s@." f;
-            (match Obs.Export.validate_json js with
-            | Ok () -> ()
-            | Error e ->
-                Printf.eprintf "ccsim: emitted invalid JSON: %s\n" e;
-                exit 1)
-        | None -> ());
+        if on `Trace then print_trace (Obs.Run.merged_trace o);
+        if on `Spans then
+          Format.printf "@.%a@." Obs.Critical_path.pp (Lazy.force cp);
+        Option.iter print_latency (Obs.Run.merged_metrics o);
         (* reconciliation with the span-phase decomposition: Root/End use
            the Xact span's exact open/close instants, so the two sums are
            the same numbers added in a different order *)
-        let cp = Obs.Critical_path.analyze (Obs.Run.merged_spans o) in
-        let residual =
-          Float.abs
-            (an.Obs.Causal.an_chain_sum -. cp.Obs.Critical_path.cp_end_to_end)
+        let causal =
+          if not (on `Causal) then None
+          else begin
+            let an =
+              Obs.Causal.analyze ~dropped:(Obs.Run.causal_dropped o) mc
+            in
+            print_causal mc an;
+            let e2e = (Lazy.force cp).Obs.Critical_path.cp_end_to_end in
+            let residual = Float.abs (an.an_chain_sum -. e2e) in
+            Format.printf
+              "@.causal end-to-end %.6fs vs span end-to-end %.6fs (residual \
+               %.2e)@."
+              an.an_chain_sum e2e residual;
+            Some (an, residual)
+          end
         in
-        Format.printf
-          "@.causal end-to-end %.6fs vs span end-to-end %.6fs (residual \
-           %.2e)@."
-          an.Obs.Causal.an_chain_sum cp.Obs.Critical_path.cp_end_to_end
-          residual;
-        if check then begin
-          if not (Obs.Causal.check_ok ck) then begin
-            Format.eprintf "ccsim: check failed: invalid causal record:@.%a@."
-              Obs.Causal.pp_check ck;
-            exit 1
-          end;
-          if ck.Obs.Causal.ck_committed = 0 then begin
-            Printf.eprintf "ccsim: check failed: no committed transactions\n";
-            exit 1
-          end;
-          if residual > 1e-9 then begin
-            Printf.eprintf
-              "ccsim: check failed: causal chain sum %.12f does not \
-               reconcile with span end-to-end %.12f\n"
-              an.Obs.Causal.an_chain_sum cp.Obs.Critical_path.cp_end_to_end;
-            exit 1
-          end;
-          Format.printf
-            "check: %d DAGs well-formed (%d committed, %d msgs, %d \
-             delivered, %d dropped); causal sum reconciles to %.6fs \
-             (residual %.2e)@."
-            ck.Obs.Causal.ck_groups ck.Obs.Causal.ck_committed
-            ck.Obs.Causal.ck_msgs ck.Obs.Causal.ck_delivered
-            ck.Obs.Causal.ck_dropped_msgs an.Obs.Causal.an_chain_sum residual
-        end
+        if on `Series then print_stats r o;
+        let write file render =
+          Option.iter
+            (fun f ->
+              Obs.Export.write_file f (render ());
+              Format.printf "%s written@." f)
+            file
+        in
+        let perfetto_json =
+          Option.map
+            (fun _ ->
+              Obs.Export.perfetto ~spans:(Obs.Run.merged_spans o) ~flows:mc
+                (Obs.Run.merged_trace o))
+            perfetto
+        in
+        Format.printf "@.";
+        write perfetto (fun () -> Option.get perfetto_json);
+        write text (fun () -> Obs.Export.trace_text (Obs.Run.merged_trace o));
+        write spans_text (fun () ->
+            Obs.Export.span_text (Obs.Run.merged_spans o));
+        write prom (fun () ->
+            Obs.Metrics.to_openmetrics (Option.get (Obs.Run.merged_metrics o)));
+        write dag (fun () -> Obs.Export.dag_text mc);
+        List.iteri
+          (fun i (rp : Obs.Run.rep) ->
+            write
+              (Option.map
+                 (fun f -> if i = 0 then f else Printf.sprintf "%s.rep%d" f i)
+                 series)
+              (fun () -> Obs.Export.series_csv (Option.get rp.series)))
+          o.reps;
+        if check then check_run ~on ~perfetto:perfetto_json o ~cp ~causal;
+        exit_if_short cell r;
+        `Ok ()
   in
   Cmd.v
-    (Cmd.info "causal"
+    (Cmd.info "observe"
        ~doc:
-         "Run a simulation with causal message tracing: every message \
-          carries the node that caused it, so each transaction yields a \
-          causal DAG covering fetches, callbacks, notifications, \
-          retransmissions, and 2PC fan-out.  Prints DAG validation, \
-          per-kind message-amplification, and the slowest transactions' \
-          gating chains; exports the record as deterministic text \
-          ($(b,--dag)) and Perfetto flow arrows ($(b,--perfetto)).")
+         "Record one simulation with the chosen views' observability \
+          channels and render each view: typed protocol events, the \
+          commit-latency decomposition over transaction spans (client \
+          phases, per-shard lock waits and callback rounds, 2PC phases), \
+          the OpenMetrics registry (messages and aborts by kind), causal \
+          message DAGs with per-kind amplification and the slowest \
+          transactions' gating chains, and facility statistics with \
+          sampled time series.  Artifacts are written only where a path \
+          is given, and are byte-identical at any $(b,-j).  Exits 1 when \
+          the run ends short of its commit target.")
     Term.(
-      const run $ cell_term ~commits_default:500 () $ shards $ faults
-      $ dag_file $ perfetto_file $ chains $ check $ jobs_arg)
+      ret
+        (const run $ cell_term ~commits_default:500 () $ views $ shards $ faults
+       $ limit $ interval $ check $ perfetto $ text $ spans_text $ prom $ dag
+       $ series $ jobs_arg))
 
 (* ------------------------------------------------------------------ *)
 (* ccsim exp                                                           *)
@@ -1019,7 +815,8 @@ let exp_cmd =
       (fun (id, descr, build) ->
         Format.printf "@.###### %s — %s@." id descr;
         let out = Experiments.Exp_defs.run_build runner build in
-        Experiments.Report.print_output ~detail Format.std_formatter out;
+        Experiments.Report.print_output ~detail
+          ~target:(opts.measured * opts.reps) Format.std_formatter out;
         List.iter
           (fun (r : Core.Simulator.result) ->
             short :=
@@ -1252,10 +1049,7 @@ let () =
        (Cmd.group info
           [
             run_cmd;
-            trace_cmd;
-            stats_cmd;
-            metrics_cmd;
-            causal_cmd;
+            observe_cmd;
             exp_cmd;
             chaos_cmd;
             list_cmd;

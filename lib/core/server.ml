@@ -511,50 +511,8 @@ let client_has_prepared t ~client =
 let barrier t (xs : xact) = if t.epoch <> xs.x_epoch then raise Server_down
 
 (* ------------------------------------------------------------------ *)
-(* MPL admission (ready queue of Figure 4)                             *)
+(* MPL release (admission is below the deadlock detectors)            *)
 (* ------------------------------------------------------------------ *)
-
-let admit t ~client ~xid =
-  match Hashtbl.find_opt t.active xid with
-  | Some xs -> xs
-  | None -> (
-      match Hashtbl.find_opt t.admitting xid with
-      | Some iv -> Sim.Ivar.read iv
-      | None ->
-          let iv = Sim.Ivar.create t.eng in
-          Hashtbl.replace t.admitting xid iv;
-          if t.n_active >= t.cfg.Sys_params.mpl then begin
-            let slot = Sim.Ivar.create t.eng in
-            Queue.add slot t.ready;
-            Sim.Ivar.read slot
-            (* the slot was transferred by the closer: n_active unchanged *)
-          end
-          else t.n_active <- t.n_active + 1;
-          (match t.log with
-          | Some log when t.srv_faulty -> Storage.Log_manager.log_begin log ~xid
-          | Some _ | None -> ());
-          let xs =
-            {
-              x_xid = xid;
-              x_client = client;
-              x_epoch = t.epoch;
-              x_start = Sim.Engine.now t.eng;
-              x_chain =
-                Sim.Facility.create t.eng
-                  ~name:(Printf.sprintf "chain-%d" xid)
-                  ();
-              x_aborted = false;
-              x_new_locks = [];
-              x_upgraded = [];
-              x_installed = [];
-              x_waits = [];
-            }
-          in
-          Hashtbl.replace t.active xid xs;
-          Hashtbl.replace t.active_by_client client xs;
-          Hashtbl.remove t.admitting xid;
-          Sim.Ivar.fill iv xs;
-          xs)
 
 let close_xact t xs =
   if Hashtbl.mem t.active xs.x_xid then begin
@@ -873,6 +831,32 @@ let all_waiting_owners t =
   in
   List.sort_uniq Int.compare owners
 
+(* A cycle the waits-for graph cannot see: a client whose next request
+   waits in the MPL ready queue defers the callbacks an active transaction
+   waits on, until its own transaction ends.  When the ready queue is
+   non-empty and every active transaction has waited a grace period, the
+   youngest active transaction gives its slot up. *)
+let mpl_victim t ~now =
+  let waited xs =
+    match wait_since_of t xs.x_client with
+    | Some since -> now -. since >= t.cfg.Sys_params.callback_grace
+    | None -> false
+  in
+  let youngest _ xs = function
+    | Some y when (y.x_start, y.x_xid) >= (xs.x_start, xs.x_xid) -> Some y
+    | Some _ | None -> Some xs
+  in
+  let servers = if sharded t then t.peers else [| t |] in
+  Array.find_map
+    (fun s ->
+      if
+        Queue.is_empty s.ready
+        || not (Hashtbl.fold (fun _ xs ok -> ok && waited xs) s.active true)
+      then None
+      else
+        Option.map (fun xs -> xs.x_client) (Hashtbl.fold youngest s.active None))
+    servers
+
 let deadlock_sweep t =
   let now = Sim.Engine.now t.eng in
   let rec loop () =
@@ -885,14 +869,16 @@ let deadlock_sweep t =
           | Some _ | None -> None)
         (all_waiting_owners t)
     in
-    match actionable with
+    let victim =
+      match actionable with
+      | Some cycle ->
+          Some (Cc.Waits_for.pick_victim ~start_time:(start_time_of t) cycle)
+      | None -> mpl_victim t ~now
+    in
+    match victim with
     | None -> ()
-    | Some cycle ->
-        let victim =
-          Cc.Waits_for.pick_victim ~start_time:(start_time_of t) cycle
-        in
-        ignore (abort_victim t ~victim ~reason:Metrics.Deadlock);
-        loop ()
+    | Some victim ->
+        if abort_victim t ~victim ~reason:Metrics.Deadlock then loop ()
   in
   loop ()
 
@@ -916,6 +902,54 @@ let rec arm_detector t =
         in
         if young then arm_detector t)
   end
+
+(* MPL admission: past [mpl] active transactions a new one waits in the
+   ready queue of Figure 4 for the slot [close_xact] hands over. *)
+let admit t ~client ~xid =
+  match Hashtbl.find_opt t.active xid with
+  | Some xs -> xs
+  | None -> (
+      match Hashtbl.find_opt t.admitting xid with
+      | Some iv -> Sim.Ivar.read iv
+      | None ->
+          let iv = Sim.Ivar.create t.eng in
+          Hashtbl.replace t.admitting xid iv;
+          if t.n_active >= t.cfg.Sys_params.mpl then begin
+            let slot = Sim.Ivar.create t.eng in
+            Queue.add slot t.ready;
+            (* the queued client may hold a callback an active transaction
+               waits on ([mpl_victim]) *)
+            if t.algo = Proto.Callback && t.cfg.Sys_params.callback_grace > 0.0
+            then arm_detector t;
+            Sim.Ivar.read slot
+            (* the slot was transferred by the closer: n_active unchanged *)
+          end
+          else t.n_active <- t.n_active + 1;
+          (match t.log with
+          | Some log when t.srv_faulty -> Storage.Log_manager.log_begin log ~xid
+          | Some _ | None -> ());
+          let xs =
+            {
+              x_xid = xid;
+              x_client = client;
+              x_epoch = t.epoch;
+              x_start = Sim.Engine.now t.eng;
+              x_chain =
+                Sim.Facility.create t.eng
+                  ~name:(Printf.sprintf "chain-%d" xid)
+                  ();
+              x_aborted = false;
+              x_new_locks = [];
+              x_upgraded = [];
+              x_installed = [];
+              x_waits = [];
+            }
+          in
+          Hashtbl.replace t.active xid xs;
+          Hashtbl.replace t.active_by_client client xs;
+          Hashtbl.remove t.admitting xid;
+          Sim.Ivar.fill iv xs;
+          xs)
 
 (* ------------------------------------------------------------------ *)
 (* Lock acquisition                                                    *)

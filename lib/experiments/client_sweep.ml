@@ -15,6 +15,7 @@ type cell = {
   sw_clients : int;
   sw_algo : string;
   sw_commits : int;
+  sw_target : int;
   sw_events : int;  (* engine events executed, warmup included *)
   sw_wall_s : float;
   sw_heap_hwm : int;  (* event-heap high-water mark *)
@@ -78,6 +79,7 @@ let run ?(progress = fun _ -> ()) ~quick ~seed () =
               sw_clients = n_clients;
               sw_algo = Core.Proto.algorithm_name algo;
               sw_commits = r.Core.Simulator.commits;
+              sw_target = spec.Core.Simulator.measured_commits;
               sw_events = r.Core.Simulator.events;
               sw_wall_s = wall;
               sw_heap_hwm = heap_hwm r;
@@ -102,9 +104,13 @@ let print fmt cells =
     "commits";
   List.iter
     (fun c ->
-      Format.fprintf fmt "   %-8d %-14s %12d %9.2f %12.0f %10d %12d %8d@."
-        c.sw_clients c.sw_algo c.sw_events c.sw_wall_s (events_per_sec c)
-        c.sw_heap_hwm c.sw_live_words_per_client c.sw_commits)
+      if c.sw_stop <> Core.Simulator.Target_reached then
+        Format.fprintf fmt "   %-8d %-14s short %d/%d@." c.sw_clients c.sw_algo
+          c.sw_commits c.sw_target
+      else
+        Format.fprintf fmt "   %-8d %-14s %12d %9.2f %12.0f %10d %12d %8d@."
+          c.sw_clients c.sw_algo c.sw_events c.sw_wall_s (events_per_sec c)
+          c.sw_heap_hwm c.sw_live_words_per_client c.sw_commits)
     cells
 
 let csv cells =

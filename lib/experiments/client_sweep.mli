@@ -16,6 +16,7 @@ type cell = {
   sw_clients : int;
   sw_algo : string;
   sw_commits : int;
+  sw_target : int;  (** the measured commit target *)
   sw_events : int;  (** engine events executed, warmup included *)
   sw_wall_s : float;
   sw_heap_hwm : int;  (** event-heap high-water mark *)
@@ -35,6 +36,8 @@ val populations : quick:bool -> int list
 val run :
   ?progress:(cell -> unit) -> quick:bool -> seed:int -> unit -> cell list
 
+(** One row per cell; a cell that stopped before its commit target
+    prints ["short N/M"] in place of its numbers. *)
 val print : Format.formatter -> cell list -> unit
 
 (** RFC-4180 rows, header first. *)

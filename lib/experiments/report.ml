@@ -11,6 +11,12 @@ let cell_string m r =
   Printf.sprintf "%.3f ±%s" (metric_value m r)
     (Obs.Run_stats.half_string (metric_ci m r))
 
+(* A cell that stopped before its commit target describes a wedged or
+   truncated run; its numbers must not pass for a result. *)
+let short_string ~target (r : Core.Simulator.result) =
+  if r.stop = Core.Simulator.Target_reached then None
+  else Some (Printf.sprintf "short %d/%d" r.commits target)
+
 let figure_cis (fig : figure) =
   List.concat_map
     (fun s -> List.map (fun (_, r) -> metric_ci fig.metric r) s.points)
@@ -29,7 +35,7 @@ let points_table s =
 
 let series_tables fig = List.map (fun s -> (s, points_table s)) fig.series
 
-let print_figure ?(detail = false) fmt (fig : figure) =
+let print_figure ?(detail = false) ~target fmt (fig : figure) =
   Format.fprintf fmt "@.== %s: %s ==@." fig.fig_id fig.title;
   Format.fprintf fmt "   metric: %s@." (metric_name fig.metric);
   let labels = List.map (fun s -> s.label) fig.series in
@@ -46,7 +52,10 @@ let print_figure ?(detail = false) fmt (fig : figure) =
       List.iter
         (fun (_, tbl) ->
           match Hashtbl.find_opt tbl x with
-          | Some r -> Format.fprintf fmt " %16s" (cell_string fig.metric r)
+          | Some r ->
+              Format.fprintf fmt " %16s"
+                (Option.value (short_string ~target r)
+                   ~default:(cell_string fig.metric r))
           | None -> Format.fprintf fmt " %16s" "-")
         tables;
       Format.fprintf fmt "@.")
@@ -65,10 +74,13 @@ let print_figure ?(detail = false) fmt (fig : figure) =
         List.iter
           (fun (_, tbl) ->
             match Hashtbl.find_opt tbl x with
-            | Some r ->
-                Format.fprintf fmt " %4d %4.2f %5.1f"
-                  r.Core.Simulator.aborts r.Core.Simulator.hit_ratio
-                  r.Core.Simulator.msgs_per_commit
+            | Some r -> (
+                match short_string ~target r with
+                | Some s -> Format.fprintf fmt " %14s" s
+                | None ->
+                    Format.fprintf fmt " %4d %4.2f %5.1f"
+                      r.Core.Simulator.aborts r.Core.Simulator.hit_ratio
+                      r.Core.Simulator.msgs_per_commit)
             | None -> Format.fprintf fmt " %14s" "-")
           tables;
         Format.fprintf fmt "@.")
@@ -89,8 +101,8 @@ let print_decision_map fmt (m : Suite.decision_map) =
       Format.fprintf fmt "@.")
     m.Suite.write_probs
 
-let print_output ?detail fmt = function
-  | Suite.Figures figs -> List.iter (print_figure ?detail fmt) figs
+let print_output ?detail ~target fmt = function
+  | Suite.Figures figs -> List.iter (print_figure ?detail ~target fmt) figs
   | Suite.Map m -> print_decision_map fmt m
 
 (* RFC-4180 quoting: free-text fields (figure ids, series labels) may

@@ -6,8 +6,10 @@
     half-width ("3.912 ±0.135"; "±n/a" at [reps = 1], where no interval
     exists), and a figure whose cells have intervals gets a pooled
     relative-half-width footer.  [detail] adds abort/hit/message
-    columns. *)
-val print_figure : ?detail:bool -> Format.formatter -> Exp_defs.figure -> unit
+    columns.  A cell that stopped before its commit target prints
+    ["short N/M"] ([N] commits of [target]) in place of its numbers. *)
+val print_figure :
+  ?detail:bool -> target:int -> Format.formatter -> Exp_defs.figure -> unit
 
 (** The 95 % CI of every cell of the figure, in series-then-point order. *)
 val figure_cis : Exp_defs.figure -> Obs.Run_stats.ci list
@@ -15,7 +17,8 @@ val figure_cis : Exp_defs.figure -> Obs.Run_stats.ci list
 (** Print the Figure 13 winner grid. *)
 val print_decision_map : Format.formatter -> Suite.decision_map -> unit
 
-val print_output : ?detail:bool -> Format.formatter -> Suite.output -> unit
+val print_output :
+  ?detail:bool -> target:int -> Format.formatter -> Suite.output -> unit
 
 (** Quote one CSV field per RFC 4180: fields containing commas, quotes,
     or newlines are wrapped in double quotes with internal quotes

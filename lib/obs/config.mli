@@ -41,10 +41,12 @@ val trace_only : t
 (** Every layer on. *)
 val full : t
 
-(** Spans + metrics: what [ccsim metrics] and the golden latency rows use. *)
+(** Spans + metrics: the channels of [ccsim observe --view metrics], and
+    what the golden latency rows use. *)
 val latency : t
 
-(** Spans + metrics + causal message DAGs: what [ccsim causal] uses. *)
+(** Spans + metrics + causal message DAGs: the channels of
+    [ccsim observe --view causal]. *)
 val causal : t
 
 (** Is any layer on? *)

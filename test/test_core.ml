@@ -797,6 +797,27 @@ let test_stop_time_limit () =
   Alcotest.(check (float 0.0)) "stopped at the limit" 2.0
     r.Core.Simulator.sim_time
 
+(* Callback locking with more clients than MPL slots: a client whose next
+   request waits for a slot defers the callback an active transaction
+   waits on.  The waits-for graph has no edge for the slot wait, so only
+   the periodic detector's MPL rule breaks this; without it the heap
+   drains at 241 of 400. *)
+let test_callback_past_the_mpl () =
+  let cfg = { (Core.Sys_params.table5 ~n_clients:20 ()) with Core.Sys_params.mpl = 2 } in
+  let xp = Db.Xact_params.short_batch ~prob_write:0.2 ~inter_xact_loc:0.25 () in
+  let audit = Cc.History.create () in
+  let spec =
+    Core.Simulator.default_spec ~seed:2 ~warmup_commits:100 ~measured_commits:400
+      ~cfg ~xact_params:xp Core.Proto.Callback
+  in
+  let r = Shard.Shard_sim.run ~audit spec in
+  Alcotest.(check int) "commits" 400 r.Core.Simulator.commits;
+  Alcotest.(check bool) "target reached" true
+    (r.Core.Simulator.stop = Core.Simulator.Target_reached);
+  match Cc.History.check audit with
+  | Cc.History.Serializable -> ()
+  | Cc.History.Cycle _ -> Alcotest.fail "MPL victims must keep serializability"
+
 let prop_random_configs_complete =
   QCheck.Test.make ~name:"random small configs run to completion" ~count:12
     QCheck.(
@@ -1263,6 +1284,7 @@ let suites =
         case "per-client memory budget" test_per_client_memory_budget;
         case "live processes per client" test_live_processes_per_client;
         case "stop: time limit" test_stop_time_limit;
+        case "callback past the MPL" test_callback_past_the_mpl;
       ] );
     qsuite "integration-props" [ prop_random_configs_complete ];
     ( "serializability",

@@ -222,7 +222,9 @@ let test_figure_ci_columns () =
       | _ -> Alcotest.fail "csv row too short")
   | lines -> Alcotest.failf "expected 2 csv lines, got %d" (List.length lines));
   let table =
-    Format.asprintf "%a" (Experiments.Report.print_figure ?detail:None)
+    Format.asprintf "%a"
+      (Experiments.Report.print_figure ?detail:None
+         ~target:tiny_opts.Experiments.Exp_defs.measured)
       (fig [| 1.0; 2.0; 3.0 |])
   in
   Alcotest.(check bool) "table shows the half-width" true
@@ -241,6 +243,60 @@ let test_figure_ci_columns () =
           Alcotest.(check string) "empty hi" "" hi
       | _ -> Alcotest.fail "csv row too short")
   | lines -> Alcotest.failf "expected 2 csv lines, got %d" (List.length lines)
+
+(* A cell whose run drained the event heap short of its target prints
+   "short N/M" in the figure table, its detail row and the client-sweep
+   table, never its numbers. *)
+let test_short_cells_marked () =
+  let runner = Experiments.Exp_defs.make_runner tiny_opts in
+  let r =
+    {
+      (Experiments.Exp_defs.run runner (tiny_spec ())) with
+      Core.Simulator.commits = 241;
+      mean_response = 1.234;
+      stop = Core.Simulator.Heap_drained;
+    }
+  in
+  let fig =
+    {
+      Experiments.Exp_defs.fig_id = "figX";
+      title = "test";
+      xlabel = "clients";
+      metric = Experiments.Exp_defs.Response_time;
+      series = [ { Experiments.Exp_defs.label = "callback"; points = [ (20.0, r) ] } ];
+    }
+  in
+  let table =
+    Format.asprintf "%a"
+      (Experiments.Report.print_figure ~detail:true ~target:400)
+      fig
+  in
+  let count needle =
+    let n = String.length needle in
+    let rec go i acc =
+      if i + n > String.length table then acc
+      else go (i + 1) (if String.sub table i n = needle then acc + 1 else acc)
+    in
+    go 0 0
+  in
+  Alcotest.(check int) "table and detail rows marked" 2 (count "short 241/400");
+  Alcotest.(check int) "no number printed" 0 (count "1.234");
+  let cell =
+    {
+      Experiments.Client_sweep.sw_clients = 1000;
+      sw_algo = "callback";
+      sw_commits = 330;
+      sw_target = 400;
+      sw_events = 123456;
+      sw_wall_s = 1.0;
+      sw_heap_hwm = 1000;
+      sw_live_words_per_client = 100;
+      sw_stop = Core.Simulator.Heap_drained;
+    }
+  in
+  let sweep = Format.asprintf "%a" Experiments.Client_sweep.print [ cell ] in
+  Alcotest.(check bool) "sweep cell marked" true (astr_contains sweep "short 330/400");
+  Alcotest.(check bool) "sweep numbers hidden" false (astr_contains sweep "123456")
 
 let test_experiment_catalog () =
   Alcotest.(check bool) "all experiments present" true
@@ -375,6 +431,7 @@ let suites =
       [
         case "figure csv shape" test_figure_csv_shape;
         case "ci columns golden" test_figure_ci_columns;
+        case "short cells marked" test_short_cells_marked;
       ] );
     ( "suite",
       [

@@ -1,8 +1,8 @@
 (* Tests for the observability subsystem: the typed trace recorder, the
    ring behind every channel and the one domain-local sink, recording
    across Sim.Pool workers, deterministic merging at any job count,
-   sampler purity, analysis breakdowns, and the exporters (Perfetto JSON,
-   series CSV). *)
+   sampler purity, artifacts independent of the other channels recorded,
+   and the exporters (Perfetto JSON, series CSV). *)
 
 let case name f = Alcotest.test_case name `Quick f
 
@@ -410,62 +410,70 @@ let test_run_series_content () =
         (Obs.Series.rows s)
 
 (* ------------------------------------------------------------------ *)
-(* Analysis                                                            *)
+(* Channel independence                                                *)
 (* ------------------------------------------------------------------ *)
 
-let entry time seq ev = { Obs.Recorder.time; seq; ev }
-
-let test_analysis_synthetic () =
-  let es =
-    [|
-      entry 0.0 0
-        (Obs.Event.Client_send { client = 0; xid = 1; what = "X lock request [5]" });
-      entry 0.1 1 (Obs.Event.Lock_wait { client = 1; page = 5; mode = "X" });
-      entry 0.6 2 (Obs.Event.Lock_grant { client = 1; page = 5; mode = "X" });
-      entry 0.7 3 (Obs.Event.Callback { holder = 2; page = 5 });
-      entry 0.8 4 (Obs.Event.Commit { client = 0; xid = 1; n_updates = 1 });
-      entry 0.9 5 (Obs.Event.Abort { client = 1; xid = 2; reason = "deadlock victim" });
-      entry 1.0 6 (Obs.Event.Commit { client = 1; xid = 3; n_updates = 0 });
-    |]
+(* [ccsim observe] records one run with the union of the chosen views'
+   channels, so each artifact must not depend on which other channels
+   were on: the same bytes as a run recording only its own view's. *)
+let test_channel_independence () =
+  let cells =
+    [
+      ("1 shard", small_spec ());
+      ( "4 shards, faulty callback",
+        {
+          (small_spec ()) with
+          Core.Simulator.algo = Core.Proto.Callback;
+          n_shards = 4;
+          fault = Fault.Plan.default ~seed:7;
+        } );
+    ]
   in
-  let s = Obs.Analysis.summarize es in
-  Alcotest.(check int) "events" 7 s.Obs.Analysis.n_events;
-  Alcotest.(check int) "commits" 2 s.Obs.Analysis.n_commits;
-  Alcotest.(check int) "aborts" 1 s.Obs.Analysis.n_aborts;
-  Alcotest.(check (list (pair string int))) "abort causes"
-    [ ("deadlock victim", 1) ]
-    s.Obs.Analysis.aborts_by_reason;
-  Alcotest.(check int) "lock waits paired" 1 s.Obs.Analysis.n_lock_waits;
-  Alcotest.(check (float 1e-9)) "wait mean" 0.5 s.Obs.Analysis.lock_wait_mean;
-  (* the callback counts against the NEXT commit of its replication *)
-  Alcotest.(check (list (pair int int))) "fanout" [ (0, 1); (1, 1) ]
-    s.Obs.Analysis.fanout_hist;
-  (* messages: one c2s send (label stripped), one s2c callback *)
-  Alcotest.(check (list (pair string int))) "messages by kind"
-    [ ("c2s X lock request", 1); ("s2c callback request", 1) ]
-    s.Obs.Analysis.messages_by_kind;
-  Alcotest.(check bool) "per-commit halved" true
-    (List.assoc "c2s X lock request" s.Obs.Analysis.msgs_per_commit_by_kind
-     = 0.5)
-
-let test_analysis_unpaired_wait_ignored () =
-  let es =
-    [| entry 0.0 0 (Obs.Event.Lock_wait { client = 0; page = 1; mode = "S" }) |]
-  in
-  let s = Obs.Analysis.summarize es in
-  Alcotest.(check int) "no pair, no wait" 0 s.Obs.Analysis.n_lock_waits
-
-let test_analysis_reps_kept_separate () =
-  (* a wait in rep 0 must not pair with a grant in rep 1 *)
-  let tagged =
-    [|
-      (0, entry 0.0 0 (Obs.Event.Lock_wait { client = 0; page = 1; mode = "S" }));
-      (1, entry 0.5 0 (Obs.Event.Lock_grant { client = 0; page = 1; mode = "S" }));
-    |]
-  in
-  let s = Obs.Analysis.summarize_tagged tagged in
-  Alcotest.(check int) "cross-rep pairing rejected" 0
-    s.Obs.Analysis.n_lock_waits
+  List.iter
+    (fun (name, spec) ->
+      let record obs =
+        Option.get
+          (Shard.Shard_sim.run { spec with Core.Simulator.obs }).Core.Simulator.obs
+      in
+      let all =
+        record
+          (Obs.Config.make ~trace:true ~spans:true ~metrics:true ~causal:true
+             ~series:true ~profile:true ())
+      in
+      let series o =
+        String.concat ""
+          (List.filter_map
+             (fun (rp : Obs.Run.rep) -> Option.map Obs.Export.series_csv rp.series)
+             o.Obs.Run.reps)
+      in
+      let prom o =
+        Obs.Metrics.to_openmetrics (Option.get (Obs.Run.merged_metrics o))
+      in
+      List.iter
+        (fun (artifact, obs, render) ->
+          let alone = render (record obs) in
+          Alcotest.(check bool) (name ^ ": " ^ artifact ^ " recorded") true
+            (String.length alone > 0);
+          Alcotest.(check string) (name ^ ": " ^ artifact) alone (render all))
+        [
+          ( "trace text",
+            Obs.Config.trace_only,
+            fun o -> Obs.Export.trace_text (Obs.Run.merged_trace o) );
+          ( "span text",
+            Obs.Config.make ~spans:true (),
+            fun o -> Obs.Export.span_text (Obs.Run.merged_spans o) );
+          ( "dag text",
+            Obs.Config.causal,
+            fun o -> Obs.Export.dag_text (Obs.Run.merged_causal o) );
+          ("series csv", Obs.Config.make ~series:true ~profile:true (), series);
+        ];
+      Alcotest.(check string) (name ^ ": openmetrics")
+        (prom (record Obs.Config.latency))
+        (prom
+           (record
+              (Obs.Config.make ~trace:true ~spans:true ~metrics:true
+                 ~series:true ~profile:true ()))))
+    cells
 
 (* ------------------------------------------------------------------ *)
 (* Export                                                              *)
@@ -558,12 +566,8 @@ let suites =
         case "sampler process" test_sampler_process;
         case "run series content" test_run_series_content;
       ] );
-    ( "analysis",
-      [
-        case "synthetic summary" test_analysis_synthetic;
-        case "unpaired wait ignored" test_analysis_unpaired_wait_ignored;
-        case "reps kept separate" test_analysis_reps_kept_separate;
-      ] );
+    ( "channels",
+      [ case "channel independence" test_channel_independence ] );
     ( "export",
       [
         case "series csv round-trip" test_series_csv_roundtrip;
