@@ -72,6 +72,43 @@ let digest_cells =
           ~fault:(Fault.Plan.server_default ~seed:12)
           Core.Proto.Callback );
     ]
+  (* protocol branches that only a configuration extension reaches *)
+  @ List.map
+      (fun (label, algo, tweak, fault) ->
+        let spec = plain algo in
+        ( label,
+          {
+            spec with
+            Core.Simulator.cfg = tweak spec.Core.Simulator.cfg;
+            fault = Option.value fault ~default:spec.Core.Simulator.fault;
+          } ))
+      Core.Proto.
+        [
+          ( "callback/1shard/retain-writes",
+            Callback,
+            (fun c -> { c with Core.Sys_params.callback_retain_writes = true }),
+            None );
+          ( "callback/1shard/grace0",
+            Callback,
+            (fun c -> { c with Core.Sys_params.callback_grace = 0.0 }),
+            None );
+          ( "2PL/1shard/notify-push",
+            Two_phase Inter,
+            (fun c -> { c with Core.Sys_params.notify_updates = Some Push }),
+            None );
+          ( "no-wait/1shard/stale-drop-one",
+            No_wait { notify = None },
+            (fun c -> { c with Core.Sys_params.stale_drop_all = false }),
+            None );
+          ( "2PL/1shard/fault-default",
+            Two_phase Inter,
+            Fun.id,
+            Some (Fault.Plan.default ~seed:13) );
+          ( "no-wait+notify/1shard/fault-default",
+            No_wait { notify = Some Push },
+            Fun.id,
+            Some (Fault.Plan.default ~seed:14) );
+        ]
 
 let digest spec =
   let r = Shard.Shard_sim.run spec in
