@@ -30,6 +30,7 @@ let inter_caching = function
   | Two_phase Inter | Certification Inter | Callback | No_wait _ -> true
 
 type lock_kind = Read | Write
+let callback_retained ~retain_writes = if retain_writes then Write else Read
 type fetch_page = { page : int; cached_version : int option }
 
 type c2s =

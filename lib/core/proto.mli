@@ -32,6 +32,12 @@ val inter_caching : algorithm -> bool
 (** Lock flavour requested by a client operation. *)
 type lock_kind = Read | Write
 
+(** Callback locking (§2.3): the lock a client keeps on a page its
+    transaction updated once the transaction commits — a write lock under
+    the retain-writes extension, else a read lock.  The server's lock
+    table and the client's retained set both follow this rule. *)
+val callback_retained : retain_writes:bool -> lock_kind
+
 (** A page reference in a fetch/validate request: [cached_version] is the
     version of the client's cached copy, or [None] on a cache miss. *)
 type fetch_page = { page : int; cached_version : int option }

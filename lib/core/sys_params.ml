@@ -16,7 +16,6 @@ type t = {
   disk : Storage.Disk.params;
   net : Net.Network.params;
   control_msg_bytes : int;
-  process_async_during_think : bool;
   stale_drop_all : bool;
   restart_policy : restart_policy;
   callback_grace : float;
@@ -45,7 +44,6 @@ let table5 ?(n_clients = 10) () =
     disk = { Storage.Disk.seek_low = 0.0; seek_high = 0.044; transfer_time = 0.002 };
     net = { Net.Network.net_delay = 0.002; packet_size = 4096; msg_inst = 5_000 };
     control_msg_bytes = 256;
-    process_async_during_think = false;
     stale_drop_all = true;
     restart_policy = Adaptive;
     callback_grace = 0.05;
@@ -78,7 +76,6 @@ let table4 ~mpl =
     disk = { Storage.Disk.seek_low = 0.035; seek_high = 0.035; transfer_time = 0.0 };
     net = { Net.Network.net_delay = 0.0; packet_size = 4096; msg_inst = 0 };
     control_msg_bytes = 256;
-    process_async_during_think = false;
     stale_drop_all = true;
     restart_policy = Adaptive;
     callback_grace = 0.05;

@@ -21,10 +21,6 @@ type t = {
   control_msg_bytes : int;
       (** bytes of a data-free protocol message (our constant; the paper
           leaves header size implicit) *)
-  process_async_during_think : bool;
-      (** if [false] (the paper's implementation, see §5.5), a client defers
-          asynchronous server messages — callbacks, pushes — that arrive
-          during a user think delay until the delay ends *)
   stale_drop_all : bool;
       (** on a no-wait staleness abort, drop the whole read set of the
           failed attempt ([true], prevents optimistic livelock) or only the

@@ -21,35 +21,59 @@ let recorded f =
   Array.to_list (Obs.Recorder.entries r)
   |> List.map (fun e -> (e.Obs.Recorder.time, e.Obs.Recorder.ev))
 
+(* Every protocol variant, each with one [Commit] event per commit the
+   server acknowledged. *)
 let test_trace_sink_receives_events () =
   let cfg = Core.Sys_params.table5 ~n_clients:2 () in
   let xp = Db.Xact_params.short_batch ~prob_write:0.2 ~inter_xact_loc:0.5 () in
-  let spec =
-    Core.Simulator.default_spec ~seed:4 ~warmup_commits:0 ~measured_commits:10
-      ~cfg ~xact_params:xp (Core.Proto.Two_phase Core.Proto.Inter)
-  in
-  let events =
-    recorded (fun () ->
-        Alcotest.(check bool) "active" true (Obs.Sink.trace_on ());
-        ignore (Shard.Shard_sim.run spec))
-  in
-  let evs = List.map snd events in
-  let has pred = List.exists pred evs in
-  Alcotest.(check bool) "client sends seen" true
-    (has (function Obs.Event.Client_send _ -> true | _ -> false));
-  Alcotest.(check bool) "server replies seen" true
-    (has (function Obs.Event.Server_reply _ -> true | _ -> false));
-  Alcotest.(check bool) "commits seen" true
-    (has (function Obs.Event.Commit _ -> true | _ -> false));
-  Alcotest.(check bool) "disk reads seen" true
-    (has (function Obs.Event.Disk_read _ -> true | _ -> false));
-  (* timestamps are non-decreasing *)
-  let times = List.map fst events in
-  let rec mono = function
-    | a :: b :: rest -> a <= b && mono (b :: rest)
-    | _ -> true
-  in
-  Alcotest.(check bool) "monotone timestamps" true (mono times)
+  List.iter
+    (fun algo ->
+      let name = Core.Proto.algorithm_name algo ^ ": " in
+      let spec =
+        Core.Simulator.default_spec ~seed:4 ~warmup_commits:0
+          ~measured_commits:10 ~cfg ~xact_params:xp algo
+      in
+      let events =
+        recorded (fun () ->
+            Alcotest.(check bool) (name ^ "active") true (Obs.Sink.trace_on ());
+            ignore (Shard.Shard_sim.run spec))
+      in
+      let evs = List.map snd events in
+      let count pred = List.length (List.filter pred evs) in
+      let has pred = count pred > 0 in
+      Alcotest.(check bool) (name ^ "client sends seen") true
+        (has (function Obs.Event.Client_send _ -> true | _ -> false));
+      Alcotest.(check bool) (name ^ "server replies seen") true
+        (has (function Obs.Event.Server_reply _ -> true | _ -> false));
+      Alcotest.(check bool) (name ^ "disk reads seen") true
+        (has (function Obs.Event.Disk_read _ -> true | _ -> false));
+      let acks =
+        count (function
+          | Obs.Event.Server_reply { what = "commit ok"; _ } -> true
+          | _ -> false)
+      in
+      Alcotest.(check bool) (name ^ "commits acknowledged") true (acks >= 10);
+      Alcotest.(check int) (name ^ "one commit event per acknowledged commit")
+        acks
+        (count (function Obs.Event.Commit _ -> true | _ -> false));
+      (* timestamps are non-decreasing *)
+      let times = List.map fst events in
+      let rec mono = function
+        | a :: b :: rest -> a <= b && mono (b :: rest)
+        | _ -> true
+      in
+      Alcotest.(check bool) (name ^ "monotone timestamps") true (mono times))
+    Core.Proto.
+      [
+        Two_phase Inter;
+        Two_phase Intra;
+        Certification Inter;
+        Certification Intra;
+        Callback;
+        No_wait { notify = None };
+        No_wait { notify = Some Push };
+        No_wait { notify = Some Invalidate };
+      ]
 
 let test_trace_callback_events () =
   let cfg = Core.Sys_params.table5 ~n_clients:4 () in
@@ -156,26 +180,16 @@ let test_comms_zero_cost_free () =
 (* ------------------------------------------------------------------ *)
 
 let test_interactive_defers_async_messages () =
-  (* the paper's §5.5 implementation detail: with think-time deferral off
-     vs on, both must run to completion; deferral may cost the requesters *)
-  List.iter
-    (fun process_async ->
-      let cfg =
-        {
-          (Core.Sys_params.table5 ~n_clients:4 ()) with
-          Core.Sys_params.process_async_during_think = process_async;
-        }
-      in
-      let xp =
-        Db.Xact_params.interactive ~prob_write:0.5 ~inter_xact_loc:0.5 ()
-      in
-      let spec =
-        Core.Simulator.default_spec ~seed:6 ~warmup_commits:5
-          ~measured_commits:40 ~cfg ~xact_params:xp Core.Proto.Callback
-      in
-      let r = Shard.Shard_sim.run spec in
-      Alcotest.(check int) "completes" 40 r.Core.Simulator.commits)
-    [ false; true ]
+  (* the paper's §5.5 implementation detail: a client defers callbacks
+     that arrive during think time, and the run must still complete *)
+  let cfg = Core.Sys_params.table5 ~n_clients:4 () in
+  let xp = Db.Xact_params.interactive ~prob_write:0.5 ~inter_xact_loc:0.5 () in
+  let spec =
+    Core.Simulator.default_spec ~seed:6 ~warmup_commits:5 ~measured_commits:40
+      ~cfg ~xact_params:xp Core.Proto.Callback
+  in
+  let r = Shard.Shard_sim.run spec in
+  Alcotest.(check int) "completes" 40 r.Core.Simulator.commits
 
 let test_tiny_cache_still_correct () =
   (* cache barely larger than one transaction: constant eviction traffic,
