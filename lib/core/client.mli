@@ -14,7 +14,10 @@
     Protocol state (which cached pages are locked by the current
     transaction, checked by certification, retained under callback locking,
     dirtied in place) lives here; the server holds the authoritative lock
-    table. *)
+    table.  Each algorithm's client half — its read path, write request,
+    commit payload and retention, abort cleanup and reaction to a server
+    restart — is one section, selected once by [create]; the request,
+    reply and commit machinery around the sections is shared. *)
 
 type t
 

@@ -7,11 +7,15 @@
     requests in order), which is also what makes a no-wait commit wait for
     the transaction's outstanding optimistic requests.
 
-    The algorithm-dependent server transaction module of the paper is the
-    [handle_*] family here: lock-based fetch (with callback requests and
-    no-wait silence), certification reads and commit-time validation, and
-    commit/abort processing with logging, buffer installation, lock release
-    or retention, and update notification. *)
+    The algorithm-dependent server transaction module of the paper is one
+    section per protocol — §2.1/§2.4 locking, §2.2 certification, §2.3
+    callback locking — each a record of the decisions where the
+    algorithms differ: what a blocked lock request does, which locks an
+    abort or a commit gives back, what a failed validation counts as, and
+    how a prepared 2PC slice is guarded.  [create] selects one; the
+    protocol-neutral handlers around them (fetch with no-wait silence,
+    certification reads, one commit pipeline with logging, installation
+    and update notification, 2PC, crash recovery) consult it. *)
 
 type t
 
