@@ -22,7 +22,7 @@ type t
 (** [create ?faults eng ~rng params] is an idle network.  With [faults]
     every {!post} draws {!Fault.Injector.message} once, in post order,
     and applies the verdict: a drop discards the message, an extra delay
-    holds each copy before its packets queue for the wire, and
+    postpones each copy before its packets queue for the wire, and
     [copies > 1] transmits independent duplicates.  Without [faults] no
     draw is made and every message is one on-time copy.  The injector's
     draws come from its own stream, never from [rng]. *)
@@ -35,10 +35,13 @@ val params : t -> params
 val packets_for : t -> bytes:int -> int
 
 (** [post t ?tag ~bytes ~deliver] transmits a message asynchronously: the
-    caller returns immediately; a transfer process sends each packet over
-    the wire in FCFS order, then invokes [deliver] (typically: charge
-    receive CPU and enqueue into the destination mailbox).  [deliver]
-    runs inside a fresh process and may block.
+    caller returns immediately; each transmitted copy is a chain of
+    events that sends its packets over the wire in FCFS order (one
+    {!Sim.Facility.submit} per packet), then invokes [deliver]
+    (typically: charge receive CPU and enqueue into the destination
+    mailbox).  No process is spawned, and [post] may be called from a
+    plain event.  [deliver] runs as a plain event, so it must not block:
+    a receiver that has to wait spawns its own process.
 
     {!post} is the one place that counts a message: it counts the post,
     the packets of every transmitted copy, the fault verdict (drop,

@@ -44,6 +44,8 @@ let run_with_stats ?audit ?inspect (spec : Simulator.spec) =
   let cfg = spec.cfg in
   let n_clients = cfg.Sys_params.n_clients in
   let eng = Sim.Engine.create () in
+  (* before assembly, whose spawns are the first attributed events *)
+  if spec.obs.Obs.Config.profile then Sim.Engine.enable_profiling eng;
   let master = Sim.Rng.create spec.seed in
   let db = Db.Database.create spec.db_params in
   let map = Shard_map.create db ~n_shards in
@@ -209,7 +211,6 @@ let run_with_stats ?audit ?inspect (spec : Simulator.spec) =
   Option.iter
     (fun r -> Obs.Metrics.set_gauge r "ccsim_shards" (float_of_int n_shards))
     sink.Obs.Sink.metrics;
-  if ocfg.Obs.Config.profile then Sim.Engine.enable_profiling eng;
   let series =
     if not ocfg.Obs.Config.series then None
     else begin

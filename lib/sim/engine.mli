@@ -18,7 +18,8 @@
     was scheduled before the clock reached now, so it precedes every ring
     entry: [run] takes the heap's top while it is due now and the ring's
     head otherwise, which is exactly (time, seq) order.  [run] allocates
-    nothing per event beyond the boxed clock when time advances. *)
+    nothing per event beyond the boxed clock when time advances, and the
+    heap's sifting moves only unboxed times, seqs and slot numbers. *)
 
 type t
 
@@ -70,7 +71,9 @@ type profile = {
           {!enable_profiling} was called before the run *)
 }
 
-(** Turn on per-process attribution (call before {!run}). *)
+(** Turn on per-process attribution.  Call it before anything is
+    scheduled: owners are recorded only from then on, so it raises
+    [Invalid_argument] when events are already pending. *)
 val enable_profiling : t -> unit
 
 val profile : t -> profile
@@ -85,6 +88,13 @@ val spawn : t -> ?at:float -> ?name:string -> (unit -> unit) -> unit
     callback must not perform process effects; use {!spawn} for that.
     Raises [Invalid_argument] when [at] is before now or NaN. *)
 val schedule : t -> at:float -> (unit -> unit) -> unit
+
+(** [resumer t fn] is {!suspend}'s resume for a plain callback: calling
+    it schedules [fn] at the then-current time, in the slot a resumed
+    process would take.  Under profiling the event is attributed to the
+    process that made the resumer.  {!Facility.submit} queues one when no
+    unit is free. *)
+val resumer : t -> (unit -> unit) -> unit -> unit
 
 (** [run t ?until ()] executes events in time order until the event queue
     drains, [stop] is called, or the clock would pass [until] (in which case

@@ -757,12 +757,13 @@ let test_per_client_memory_budget () =
    pending event, and its inbox dispatcher exists only while messages are
    queued.  On the memory-budget configuration above nearly every client
    has sent its first request, so each is at most two processes: its
-   transaction, blocked on the reply, and the one process carrying its
-   outstanding request (a network transfer or a server handler, never
-   both at once).  The allowance covers the server's own short-lived
-   processes (abort cleanup).  Seeds 1-5 peak at 3,996-4,000 live
-   processes for 2,000 clients; a long-lived dispatcher per client would
-   add 2,000 more. *)
+   transaction, blocked on the reply, and the server handler serving its
+   request.  A message on the wire is a chain of events, not a process,
+   but handlers are still processes (they can wait on locks, the disk and
+   log forces), so the bound stays 2n.  The allowance covers the server's
+   own short-lived processes (abort cleanup).  Seeds 1-5 peak at
+   3,986-3,996 live processes for 2,000 clients; a long-lived dispatcher
+   per client would add 2,000 more. *)
 let live_process_allowance = 20
 
 let test_live_processes_per_client () =

@@ -70,16 +70,23 @@ let test_utilization_counts () =
   Network.reset_stats net;
   Alcotest.(check int) "reset messages" 0 (Network.messages_sent net)
 
-let test_deliver_may_block () =
-  (* deliver runs in its own process and may hold *)
+let test_deliver_plain_event () =
+  (* deliver runs as a plain event, not in a process: a deliver that must
+     wait spawns its own process, and one that blocks in place fails *)
   let eng, net = mk () in
   let finished = ref (-1.0) in
   Sim.Engine.spawn eng (fun () ->
       Network.post net ~bytes:1 ~deliver:(fun _ ->
-          Sim.Engine.hold 5.0;
-          finished := Sim.Engine.now eng));
+          Sim.Engine.spawn eng (fun () ->
+              Sim.Engine.hold 5.0;
+              finished := Sim.Engine.now eng)));
   ignore (Sim.Engine.run eng ());
-  if !finished < 5.0 then Alcotest.fail "deliver hold did not run"
+  if !finished < 5.0 then Alcotest.fail "spawned hold did not run";
+  let eng, net = mk () in
+  Network.post net ~bytes:1 ~deliver:(fun _ -> Sim.Engine.hold 5.0);
+  match Sim.Engine.run eng () with
+  | _ -> Alcotest.fail "a blocking deliver ran"
+  | exception Effect.Unhandled _ -> ()
 
 (* {2 Fault injection} *)
 
@@ -237,6 +244,43 @@ let test_reset_fault_counters () =
   Network.reset_stats net;
   Alcotest.(check int) "reset drops" 0 (Network.messages_dropped net)
 
+(* Every copy of every post is a chain of events: posts from inside a
+   process and from plain events, under drops, delays and duplicates,
+   start no process. *)
+let test_transfer_spawns_no_process () =
+  let plan =
+    {
+      Fault.Plan.none with
+      drop_prob = 0.2;
+      dup_prob = 0.3;
+      delay_prob = 0.3;
+      delay_mean = 0.01;
+    }
+  in
+  let eng, net = mk ~faults:(injector plan) () in
+  let delivered = ref 0 in
+  let post k =
+    Network.post net ~bytes:[| 1; 5000; 9000 |].(k mod 3) ~deliver:(fun _ ->
+        incr delivered)
+  in
+  Sim.Engine.spawn eng (fun () ->
+      for k = 0 to 49 do
+        post k;
+        Sim.Engine.hold 0.001
+      done);
+  for k = 50 to 99 do
+    Sim.Engine.schedule eng ~at:(0.0005 *. float_of_int k) (fun () -> post k)
+  done;
+  ignore (Sim.Engine.run eng ());
+  Alcotest.(check int) "only the sender" 1 (Sim.Engine.processes_spawned eng);
+  Alcotest.(check int) "every post counted" 100 (Network.messages_sent net);
+  if Network.messages_dropped net = 0 || Network.messages_duplicated net = 0
+     || Network.messages_delayed net = 0
+  then Alcotest.fail "the plan injected no drop, duplicate or delay";
+  Alcotest.(check int) "each transmitted copy delivered"
+    (100 - Network.messages_dropped net + Network.messages_duplicated net)
+    !delivered
+
 let suites =
   [
     ( "network",
@@ -247,7 +291,7 @@ let suites =
         case "zero delay instant" test_zero_delay_instant;
         case "wire is FCFS" test_fifo_wire;
         case "utilization" test_utilization_counts;
-        case "deliver may block" test_deliver_may_block;
+        case "deliver runs as a plain event" test_deliver_plain_event;
       ] );
     ( "faults",
       [
@@ -256,6 +300,7 @@ let suites =
         case "duplicate" test_duplicate;
         case "delay" test_delay;
         case "reset zeroes fault counters" test_reset_fault_counters;
+        case "a transfer spawns no process" test_transfer_spawns_no_process;
       ] );
   ]
 

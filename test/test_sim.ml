@@ -466,22 +466,61 @@ let test_facility_reset_stats () =
   check_float "utilization after reset" 0.0 (Facility.utilization fac);
   Alcotest.(check int) "completions after reset" 0 (Facility.completions fac)
 
+(* One facility under a list of requests (service time, arrival instant,
+   whether it arrives as a [submit] callback or as a process calling
+   [use]); returns the completions as (request, instant) in order, the
+   window's statistics and the event count. *)
+let run_facility requests =
+  let eng = Engine.create () in
+  let fac = Facility.create eng ~name:"f" () in
+  let order = ref [] in
+  let record i () = order := (i, Engine.now eng) :: !order in
+  List.iteri
+    (fun i (s, at, submit) ->
+      if submit then
+        Engine.schedule eng ~at (fun () ->
+            Facility.submit fac ~service:s (record i))
+      else
+        Engine.spawn eng ~at (fun () ->
+            Facility.use fac s;
+            record i ()))
+    requests;
+  let stop = Engine.run eng () in
+  let stats =
+    ( Facility.utilization fac,
+      Facility.mean_queue_length fac,
+      Facility.max_queue_length fac,
+      Facility.busy_time fac,
+      Facility.completions fac )
+  in
+  (List.rev !order, stats, stop, Engine.events_executed eng)
+
+(* Arrivals on a 0.5 grid, so requests often arrive together and queue.
+   The all-[use] run must complete FCFS — in (arrival, index) order — and
+   any mix of [submit] and [use] must complete exactly as it does, with
+   the same statistics and the same number of events. *)
 let prop_facility_fcfs =
-  QCheck.Test.make ~name:"facility completes FCFS for random service times"
-    ~count:100
-    QCheck.(list_of_size Gen.(int_range 1 20) (float_range 0.1 5.0))
-    (fun services ->
-      let eng = Engine.create () in
-      let fac = Facility.create eng ~name:"f" () in
-      let order = ref [] in
-      List.iteri
-        (fun i s ->
-          Engine.spawn eng (fun () ->
-              Facility.use fac s;
-              order := i :: !order))
-        services;
-      ignore (Engine.run eng ());
-      List.rev !order = List.init (List.length services) Fun.id)
+  QCheck.Test.make
+    ~name:"facility completes FCFS for random service times, by use or submit"
+    ~count:200
+    QCheck.(
+      list_of_size Gen.(int_range 1 20)
+        (triple (float_range 0.1 5.0)
+           (map (fun k -> 0.5 *. float_of_int k) (int_range 0 6))
+           bool))
+    (fun requests ->
+      let all_use = List.map (fun (s, at, _) -> (s, at, false)) requests in
+      let ((order, _, _, _) as expected) = run_facility all_use in
+      let fcfs =
+        List.mapi (fun i (_, at, _) -> (at, i)) requests
+        |> List.stable_sort (fun (a, _) (b, _) -> Float.compare a b)
+        |> List.map snd
+      in
+      if List.map fst order <> fcfs then
+        QCheck.Test.fail_report "use does not complete FCFS";
+      if run_facility requests <> expected then
+        QCheck.Test.fail_report "submit and use differ";
+      true)
 
 (* ------------------------------------------------------------------ *)
 (* Rng                                                                 *)
@@ -848,22 +887,58 @@ let gen_program =
     (list_size (int_range 1 4) (pair (opt time) (script 2)))
     (list_size (int_range 0 4) (opt (map (fun k -> 0.5 *. float_of_int k) (int_range 0 12))))
 
+(* Programs that keep more than 32 events pending: at least 33 processes
+   start at a positive time, so the heap grows past its first 16 and 32
+   entries, reuses the slots its pops free, and — with [Stop] leaving
+   the ring full and [~until] behind the clock — spills the ring. *)
+let gen_wide_program =
+  let open QCheck.Gen in
+  let time = map (fun k -> 0.5 *. float_of_int k) (int_range 0 8) in
+  let later = map (fun k -> 0.5 *. float_of_int k) (int_range 1 8) in
+  let hold = oneof [ return 0.0; time ] in
+  let script =
+    list_size (int_range 2 10)
+      (frequency
+         [
+           (5, map (fun d -> Hold d) hold);
+           (3, map (fun o -> Schedule o) hold);
+           (1, map2 (fun at s -> Spawn (at, s)) (opt hold)
+                 (list_size (int_range 0 3) (map (fun d -> Hold d) hold)));
+           (1, return Suspend);
+           (1, return Wake_all);
+           (1, return Stop);
+         ])
+  in
+  map3
+    (fun late early runs -> { procs = late @ early; runs })
+    (list_size (int_range 33 64) (pair (map Option.some later) script))
+    (list_size (int_range 0 8) (pair (return None) script))
+    (list_size (int_range 0 6)
+       (opt (map (fun k -> 0.5 *. float_of_int k) (int_range 0 24))))
+
 (* An observation: who ran (process or callback id, step index; -1 marks a
-   script's end) and at what time. *)
+   script's end) and at what time; under profiling, the engine's
+   per-process rows as (name, runs, holds). *)
 type trace = {
   log : (int * int * float) list;
   clocks : float list;  (** what each [run] returned *)
   hwm : int;
+  rows : (string * int * int) list;
 }
 
-let run_engine p =
+let sorted_rows rows = List.sort compare rows
+
+(* Every process is named after its id, so each event is attributed to the
+   process whose step it runs, and a plain callback to its scheduler. *)
+let run_engine ?(profiling = false) p =
   let eng = Engine.create () in
+  if profiling then Engine.enable_profiling eng;
   let log = ref [] and ids = ref 0 and blocked = ref [] in
   let note id i = log := (id, i, Engine.now eng) :: !log in
   let fresh () = incr ids; !ids in
   let rec spawn_proc at steps =
     let id = fresh () in
-    Engine.spawn eng ?at (fun () ->
+    Engine.spawn eng ?at ~name:(Printf.sprintf "p%d" id) (fun () ->
         List.iteri
           (fun i step ->
             note id i;
@@ -887,19 +962,34 @@ let run_engine p =
   let clocks =
     List.map (fun until -> Engine.run eng ?until ()) (p.runs @ [ None ])
   in
-  { log = List.rev !log; clocks; hwm = (Engine.profile eng).Engine.pr_heap_hwm }
+  let prof = Engine.profile eng in
+  {
+    log = List.rev !log;
+    clocks;
+    hwm = prof.Engine.pr_heap_hwm;
+    rows =
+      sorted_rows
+        (List.map
+           (fun pp -> Engine.(pp.pp_name, pp.pp_runs, pp.pp_holds))
+           prof.Engine.pr_per_process);
+  }
 
 (* The reference: the same semantics in continuation-passing style over a
-   list sorted by (time, seq). *)
+   list sorted by (time, seq); each event carries the name it is
+   attributed to. *)
 let run_reference p =
   let clock = ref 0.0 and seq = ref 0 and pending = ref [] and hwm = ref 0 in
   let stopping = ref false in
   let log = ref [] and ids = ref 0 and blocked = ref [] in
+  let runs = Hashtbl.create 16 and holds = Hashtbl.create 16 in
+  let bump tbl name =
+    Hashtbl.replace tbl name (1 + Option.value (Hashtbl.find_opt tbl name) ~default:0)
+  in
   let note id i = log := (id, i, !clock) :: !log in
   let fresh () = incr ids; !ids in
-  let schedule at fn =
+  let schedule owner at fn =
     incr seq;
-    let ev = (at, !seq, fn) in
+    let ev = (at, !seq, (owner, fn)) in
     let rec insert = function
       | ((t, s, _) as e) :: rest when compare (t, s) (at, !seq) < 0 -> e :: insert rest
       | rest -> ev :: rest
@@ -907,22 +997,24 @@ let run_reference p =
     pending := insert !pending;
     hwm := max !hwm (List.length !pending)
   in
-  let rec resume id i steps =
+  let rec resume name id i steps =
     match steps with
     | [] -> note id (-1)
     | step :: rest -> (
         note id i;
-        let next () = resume id (i + 1) rest in
+        let next () = resume name id (i + 1) rest in
         match step with
-        | Hold d -> schedule (!clock +. d) next
+        | Hold d ->
+            bump holds name;
+            schedule name (!clock +. d) next
         | Spawn (o, s) ->
             spawn_proc (match o with None -> !clock | Some o -> !clock +. o) s;
             next ()
         | Schedule o ->
             let cid = fresh () in
-            schedule (!clock +. o) (fun () -> note cid 0);
+            schedule name (!clock +. o) (fun () -> note cid 0);
             next ()
-        | Suspend -> blocked := (fun () -> schedule !clock next) :: !blocked
+        | Suspend -> blocked := (fun () -> schedule name !clock next) :: !blocked
         | Wake_all ->
             let rs = List.rev !blocked in
             blocked := [];
@@ -933,7 +1025,8 @@ let run_reference p =
             next ())
   and spawn_proc at steps =
     let id = fresh () in
-    schedule at (fun () -> resume id 0 steps)
+    let name = Printf.sprintf "p%d" id in
+    schedule name at (fun () -> resume name id 0 steps)
   in
   List.iter
     (fun (at, s) -> spawn_proc (Option.value at ~default:!clock) s)
@@ -946,9 +1039,10 @@ let run_reference p =
         match !pending with
         | [] -> ()
         | (t, _, _) :: _ when t > limit -> clock := limit
-        | (t, _, fn) :: rest ->
+        | (t, _, (owner, fn)) :: rest ->
             pending := rest;
             clock := t;
+            bump runs owner;
             fn ();
             loop ()
     in
@@ -956,18 +1050,53 @@ let run_reference p =
     !clock
   in
   let clocks = List.map run (p.runs @ [ None ]) in
-  { log = List.rev !log; clocks; hwm = !hwm }
+  let rows =
+    Hashtbl.fold
+      (fun name n acc ->
+        (name, n, Option.value (Hashtbl.find_opt holds name) ~default:0) :: acc)
+      runs []
+  in
+  { log = List.rev !log; clocks; hwm = !hwm; rows = sorted_rows rows }
+
+let check_against_reference ?profiling p =
+  let e = run_engine ?profiling p and r = run_reference p in
+  if e.log <> r.log then QCheck.Test.fail_report "execution order differs";
+  if e.clocks <> r.clocks then QCheck.Test.fail_report "run clocks differ";
+  if e.hwm <> r.hwm then
+    QCheck.Test.fail_reportf "pending high-water %d, reference %d" e.hwm r.hwm;
+  (match profiling with
+  | Some true when e.rows <> r.rows ->
+      QCheck.Test.fail_report "per-process rows differ"
+  | Some true | Some false | None -> ());
+  r
 
 let prop_engine_matches_reference =
   QCheck.Test.make ~name:"engine order matches reference"
     ~count:500
     (QCheck.make ~print:pp_program gen_program)
     (fun p ->
-      let e = run_engine p and r = run_reference p in
-      if e.log <> r.log then QCheck.Test.fail_report "execution order differs";
-      if e.clocks <> r.clocks then QCheck.Test.fail_report "run clocks differ";
-      if e.hwm <> r.hwm then
-        QCheck.Test.fail_reportf "pending high-water %d, reference %d" e.hwm r.hwm;
+      ignore (check_against_reference p);
+      true)
+
+let prop_engine_deep_heap_matches_reference =
+  QCheck.Test.make ~name:"engine order matches reference past 32 pending"
+    ~count:200
+    (QCheck.make ~print:pp_program gen_wide_program)
+    (fun p ->
+      let r = check_against_reference p in
+      if r.hwm <= 32 then
+        QCheck.Test.fail_reportf "only %d events pending at most" r.hwm;
+      true)
+
+(* Profiling records owners beside the events; it must not move them, and
+   every executed event must land on its process's row. *)
+let prop_engine_profiled_matches_reference =
+  QCheck.Test.make ~name:"profiled engine order and rows match reference"
+    ~count:200
+    (QCheck.make ~print:pp_program
+       (QCheck.Gen.oneof [ gen_program; gen_wide_program ]))
+    (fun p ->
+      ignore (check_against_reference ~profiling:true p);
       true)
 
 (* ------------------------------------------------------------------ *)
@@ -1287,7 +1416,12 @@ let suites =
         case "profile name inherited" test_profile_name_inherited;
         case "live processes" test_live_processes;
       ] );
-    qsuite "engine-props" [ prop_engine_matches_reference ];
+    qsuite "engine-props"
+      [
+        prop_engine_matches_reference;
+        prop_engine_deep_heap_matches_reference;
+        prop_engine_profiled_matches_reference;
+      ];
     ( "condition",
       [
         case "signal then broadcast" test_condition_signal;
