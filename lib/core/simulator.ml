@@ -33,6 +33,11 @@ let default_spec ?(seed = 1) ?(warmup_commits = 300) ?(measured_commits = 2000)
 
 type stop = Target_reached | Time_limit | Heap_drained
 
+let stop_label = function
+  | Target_reached -> "target"
+  | Time_limit -> "time-limit"
+  | Heap_drained -> "heap-drained"
+
 type result = {
   algo : Proto.algorithm;
   n_clients : int;

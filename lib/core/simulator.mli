@@ -65,6 +65,9 @@ type stop =
   | Time_limit  (** [max_sim_time] passed first *)
   | Heap_drained  (** no event was left: every process ended or blocked *)
 
+(** The CSV spelling: [target], [time-limit] or [heap-drained]. *)
+val stop_label : stop -> string
+
 type result = {
   algo : Proto.algorithm;
   n_clients : int;

@@ -115,11 +115,12 @@ let print fmt cells =
 
 let csv cells =
   "clients,algorithm,events,wall_s,events_per_sec,heap_hwm,\
-   live_words_per_client,commits"
+   live_words_per_client,commits,stop"
   :: List.map
        (fun c ->
-         Printf.sprintf "%d,%s,%d,%.4f,%.1f,%d,%d,%d" c.sw_clients
+         Printf.sprintf "%d,%s,%d,%.4f,%.1f,%d,%d,%d,%s" c.sw_clients
            (Report.csv_field c.sw_algo)
            c.sw_events c.sw_wall_s (events_per_sec c) c.sw_heap_hwm
-           c.sw_live_words_per_client c.sw_commits)
+           c.sw_live_words_per_client c.sw_commits
+           (Core.Simulator.stop_label c.sw_stop))
        cells

@@ -40,5 +40,7 @@ val run :
     prints ["short N/M"] in place of its numbers. *)
 val print : Format.formatter -> cell list -> unit
 
-(** RFC-4180 rows, header first. *)
+(** RFC-4180 rows, header first.  The last column, [stop], is
+    {!Core.Simulator.stop_label}: a short cell keeps its numbers here, so
+    a reader of events/s must check that [stop] is [target]. *)
 val csv : cell list -> string list

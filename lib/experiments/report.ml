@@ -124,7 +124,7 @@ let csv_field s =
 
 let figure_csv (fig : figure) =
   let header =
-    "fig_id,metric,x,algorithm,value,ci_lo,ci_hi,aborts,hit_ratio,msgs_per_commit"
+    "fig_id,metric,x,algorithm,value,ci_lo,ci_hi,aborts,hit_ratio,msgs_per_commit,stop"
   in
   let rows =
     List.concat_map
@@ -140,7 +140,7 @@ let figure_csv (fig : figure) =
                   Printf.sprintf "%.4f" (Obs.Run_stats.ci_hi ci) )
               else ("", "")
             in
-            Printf.sprintf "%s,%s,%g,%s,%.4f,%s,%s,%d,%.3f,%.2f"
+            Printf.sprintf "%s,%s,%g,%s,%.4f,%s,%s,%d,%.3f,%.2f,%s"
               (csv_field fig.fig_id)
               (match fig.metric with
               | Response_time -> "response"
@@ -148,7 +148,8 @@ let figure_csv (fig : figure) =
               x (csv_field s.label)
               (metric_value fig.metric r)
               lo hi r.Core.Simulator.aborts r.Core.Simulator.hit_ratio
-              r.Core.Simulator.msgs_per_commit)
+              r.Core.Simulator.msgs_per_commit
+              (Core.Simulator.stop_label r.Core.Simulator.stop))
           s.points)
       fig.series
   in

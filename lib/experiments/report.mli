@@ -26,10 +26,12 @@ val print_output :
 val csv_field : string -> string
 
 (** CSV lines for a figure: header then
-    [fig_id,metric,x,label,value,ci_lo,ci_hi,aborts,hit_ratio,msgs_per_commit].
+    [fig_id,metric,x,label,value,ci_lo,ci_hi,aborts,hit_ratio,msgs_per_commit,stop].
     [ci_lo]/[ci_hi] are the 95 % replication interval endpoints, empty
-    when no interval exists ([reps = 1]).  Free-text fields are escaped
-    with {!csv_field}. *)
+    when no interval exists ([reps = 1]).  [stop] is
+    {!Core.Simulator.stop_label}: a row whose [stop] is not [target]
+    describes a run that ended short, whatever its numbers say.
+    Free-text fields are escaped with {!csv_field}. *)
 val figure_csv : Exp_defs.figure -> string list
 
 (** [repro_line ~seed ~jobs] is a

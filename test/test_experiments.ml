@@ -169,11 +169,51 @@ let test_figure_csv_shape () =
   match Experiments.Report.figure_csv fig with
   | [ header; row ] ->
       Alcotest.(check string) "header"
-        "fig_id,metric,x,algorithm,value,ci_lo,ci_hi,aborts,hit_ratio,msgs_per_commit"
+        "fig_id,metric,x,algorithm,value,ci_lo,ci_hi,aborts,hit_ratio,msgs_per_commit,stop"
         header;
       Alcotest.(check bool) "row prefix" true
-        (String.length row > 10 && String.sub row 0 5 = "figX,")
+        (String.length row > 10 && String.sub row 0 5 = "figX,");
+      Alcotest.(check int) "one field per column"
+        (List.length (String.split_on_char ',' header))
+        (List.length (String.split_on_char ',' row));
+      Alcotest.(check bool) "reached its target" true
+        (String.ends_with ~suffix:",target" row)
   | lines -> Alcotest.failf "expected 2 csv lines, got %d" (List.length lines)
+
+(* The client-sweep CSV names why each cell stopped, so a short cell
+   (which keeps its numbers there) cannot pass for a fast one. *)
+let test_client_sweep_csv_shape () =
+  let cell stop =
+    {
+      Experiments.Client_sweep.sw_clients = 1000;
+      sw_algo = "callback";
+      sw_commits = (if stop = Core.Simulator.Target_reached then 400 else 330);
+      sw_target = 400;
+      sw_events = 123456;
+      sw_wall_s = 1.0;
+      sw_heap_hwm = 1000;
+      sw_live_words_per_client = 100;
+      sw_stop = stop;
+    }
+  in
+  match
+    Experiments.Client_sweep.csv
+      Core.Simulator.[ cell Target_reached; cell Heap_drained; cell Time_limit ]
+  with
+  | [ header; full; drained; timed_out ] ->
+      Alcotest.(check string) "header"
+        "clients,algorithm,events,wall_s,events_per_sec,heap_hwm,\
+         live_words_per_client,commits,stop"
+        header;
+      List.iter
+        (fun (row, stop) ->
+          let fields = String.split_on_char ',' row in
+          Alcotest.(check int) "one field per column"
+            (List.length (String.split_on_char ',' header))
+            (List.length fields);
+          Alcotest.(check string) "stop" stop (List.nth fields 8))
+        [ (full, "target"); (drained, "heap-drained"); (timed_out, "time-limit") ]
+  | lines -> Alcotest.failf "expected 4 csv lines, got %d" (List.length lines)
 
 (* Golden check of the CI columns: a cell whose per-rep means are
    1, 2, 3 has mean 2 and half-width t(0.975, 2)/sqrt(3) = 2.4841, so
@@ -430,6 +470,7 @@ let suites =
     ( "report",
       [
         case "figure csv shape" test_figure_csv_shape;
+        case "client-sweep csv shape" test_client_sweep_csv_shape;
         case "ci columns golden" test_figure_ci_columns;
         case "short cells marked" test_short_cells_marked;
       ] );
