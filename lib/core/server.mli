@@ -5,7 +5,9 @@
     is handled by its own process; operations of the same transaction are
     serialized on a per-transaction chain (a client session delivers its
     requests in order), which is also what makes a no-wait commit wait for
-    the transaction's outstanding optimistic requests.
+    the transaction's outstanding optimistic requests.  A handler that
+    must wait for an MPL slot or for its chain is parked as a closure, not
+    a process, and spawned when its turn comes.
 
     The algorithm-dependent server transaction module of the paper is one
     section per protocol — §2.1/§2.4 locking, §2.2 certification, §2.3
@@ -136,9 +138,6 @@ val server_down : t -> bool
 (** The redo log, when a log disk is configured — the durability audit's
     ground truth ({!Storage.Log_manager.committed_versions}). *)
 val log_manager : t -> Storage.Log_manager.t option
-
-(** This server's shard id (0 unless {!set_peers} was called). *)
-val shard_id : t -> int
 
 (** Commits applied on this shard since the last {!reset_stats} — both
     one-round commits and 2PC decision-commits. *)
