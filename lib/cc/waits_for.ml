@@ -45,11 +45,6 @@ let add_lock_table g table =
         (Lock_table.blockers table ~page owner))
     (Lock_table.all_waiting table)
 
-let of_lock_table table =
-  let g = create () in
-  add_lock_table g table;
-  g
-
 let pick_victim ~start_time = function
   | [] -> invalid_arg "Waits_for.pick_victim: empty cycle"
   | first :: rest ->

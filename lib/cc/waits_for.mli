@@ -23,9 +23,6 @@ val succ : t -> int -> int list
     were created. *)
 val find_cycle_from : t -> int -> int list option
 
-(** Build the lock-wait edges of [table] into a fresh graph. *)
-val of_lock_table : Lock_table.t -> t
-
 (** [add_lock_table g table] adds [table]'s wait edges to [g] — unioning
     several shards' lock tables into one global graph, so cycles that
     span shards are found by the same search. *)

@@ -227,13 +227,14 @@ let test_cycle_not_through_start () =
   Alcotest.(check (option (list int))) "not through 1" None
     (Waits_for.find_cycle_from g 1)
 
-let test_of_lock_table_deadlock () =
+let test_lock_table_deadlock () =
   let lt = Lock_table.create () in
   ignore (Lock_table.request lt ~page:1 1 X ~wake:no_wake);
   ignore (Lock_table.request lt ~page:2 2 X ~wake:no_wake);
   ignore (Lock_table.request lt ~page:2 1 X ~wake:no_wake);
   ignore (Lock_table.request lt ~page:1 2 X ~wake:no_wake);
-  let g = Waits_for.of_lock_table lt in
+  let g = Waits_for.create () in
+  Waits_for.add_lock_table g lt;
   (match Waits_for.find_cycle_from g 1 with
   | Some c -> Alcotest.(check (list int)) "deadlock" [ 1; 2 ] (List.sort Int.compare c)
   | None -> Alcotest.fail "deadlock not detected");
@@ -248,7 +249,8 @@ let test_upgrade_deadlock_detected () =
   ignore (Lock_table.request lt ~page:1 2 S ~wake:no_wake);
   ignore (Lock_table.request lt ~page:1 1 X ~wake:no_wake);
   ignore (Lock_table.request lt ~page:1 2 X ~wake:no_wake);
-  let g = Waits_for.of_lock_table lt in
+  let g = Waits_for.create () in
+  Waits_for.add_lock_table g lt;
   match Waits_for.find_cycle_from g 2 with
   | Some c -> Alcotest.(check (list int)) "conversion deadlock" [ 1; 2 ] (List.sort Int.compare c)
   | None -> Alcotest.fail "conversion deadlock missed"
@@ -842,7 +844,7 @@ let suites =
         case "two cycle" test_two_cycle;
         case "long cycle" test_long_cycle;
         case "cycle not through start" test_cycle_not_through_start;
-        case "deadlock from lock table" test_of_lock_table_deadlock;
+        case "deadlock from lock table" test_lock_table_deadlock;
         case "conversion deadlock" test_upgrade_deadlock_detected;
         case "youngest victim" test_pick_victim_youngest;
       ] );
