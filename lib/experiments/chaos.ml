@@ -140,18 +140,19 @@ let audit_run (sp : Core.Simulator.spec) =
          count zero duplicated messages, and one with it must actually
          duplicate (the no-dup probability over thousands of messages is
          negligible) — an inert injector would silently void every
-         at-least-once delivery path this audit exercises *)
+         at-least-once delivery path this audit exercises.  Only a
+         transmitted message can be duplicated, so dropped ones do not
+         count. *)
       let dup_prob = sp.Core.Simulator.fault.Fault.Plan.dup_prob in
+      let sent = r.Core.Simulator.messages - r.Core.Simulator.msgs_dropped in
       if dup_prob = 0.0 && r.Core.Simulator.msgs_duplicated > 0 then
         err "duplication: %d messages duplicated under dup_prob = 0"
           r.Core.Simulator.msgs_duplicated;
-      if
-        dup_prob > 0.0
-        && r.Core.Simulator.messages >= 2_000
-        && r.Core.Simulator.msgs_duplicated = 0
+      if dup_prob > 0.0 && sent >= 2_000 && r.Core.Simulator.msgs_duplicated = 0
       then
-        err "duplication: dup_prob = %g yet none of %d messages duplicated"
-          dup_prob r.Core.Simulator.messages;
+        err "duplication: dup_prob = %g yet none of %d transmitted messages \
+             duplicated"
+          dup_prob sent;
       (* every crash is either recovered or still inside its restart
          delay when the simulation stopped *)
       let outstanding =

@@ -180,6 +180,23 @@ let test_all_algorithms_survive_faults () =
         (r.Core.Simulator.msgs_dropped > 0 && r.Core.Simulator.retries > 0))
     Experiments.Chaos.default_algos
 
+(* A plan that drops every message commits nothing and transmits nothing
+   to duplicate: the audit reports the run stuck and nothing about
+   duplication. *)
+let test_total_loss_stuck_not_duplication () =
+  let fault = { (Fault.Plan.default ~seed:1) with Fault.Plan.drop_prob = 1.0 } in
+  let v =
+    Experiments.Chaos.audit_run
+      (quick_spec ~fault (Core.Proto.Two_phase Core.Proto.Inter))
+  in
+  let reports what =
+    List.exists
+      (String.starts_with ~prefix:what)
+      v.Experiments.Chaos.v_errors
+  in
+  Alcotest.(check bool) "stuck" true (reports "stuck");
+  Alcotest.(check bool) "no duplication error" false (reports "duplication")
+
 let test_crashes_recovered () =
   let fault = Fault.Plan.default ~seed:4 in
   let v =
@@ -410,6 +427,8 @@ let suites =
       [
         case "fault-free run clean" test_faultfree_run_clean;
         case "all algorithms survive faults" test_all_algorithms_survive_faults;
+        case "total loss is stuck, not duplication"
+          test_total_loss_stuck_not_duplication;
         case "crashes recovered" test_crashes_recovered;
         case "verdicts deterministic across jobs"
           test_verdicts_deterministic_across_jobs;
