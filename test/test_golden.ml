@@ -59,6 +59,17 @@ let plain ?(n_shards = 1) algo =
 
 let mpl2 c = { c with Core.Sys_params.mpl = 2 }
 
+(* Write-contended cells: PW 0.5 and Loc 0.75 at seed 7.  Their lock waits
+   end in a grant or an abort, some before the waiting handler suspends;
+   no-wait joins an in-flight disk read, and under message loss callback
+   re-nags the holders of a lock it still waits for. *)
+let contended ?fault cfg algo =
+  Core.Simulator.default_spec ~seed:7 ~warmup_commits:20 ~measured_commits:300
+    ?fault ~cfg
+    ~xact_params:
+      (Db.Xact_params.short_batch ~prob_write:0.5 ~inter_xact_loc:0.75 ())
+    algo
+
 let digest_cells =
   List.map (fun a -> (name a ^ "/1shard", plain a)) variants
   @ List.map
@@ -120,6 +131,27 @@ let digest_cells =
             Two_phase Inter,
             mpl2,
             Some (Fault.Plan.server_default ~seed:12) );
+        ]
+  @ List.map
+      (fun (label, cfg, algo, fault) -> (label, contended ?fault cfg algo))
+      Core.Proto.
+        [
+          ( "2PL/1shard/contended-fast-server",
+            Core.Sys_params.fast_server ~n_clients:20 (),
+            Two_phase Inter,
+            None );
+          ( "no-wait/1shard/contended-fast-server",
+            Core.Sys_params.fast_server ~n_clients:20 (),
+            No_wait { notify = None },
+            None );
+          ( "callback/1shard/contended",
+            Core.Sys_params.table5 ~n_clients:10 (),
+            Callback,
+            None );
+          ( "callback/1shard/contended/fault-default",
+            Core.Sys_params.table5 ~n_clients:10 (),
+            Callback,
+            Some (Fault.Plan.default ~seed:7) );
         ]
 
 let digest spec =
