@@ -8,7 +8,8 @@
 
     The table is a pure data structure: a blocked request registers a
     [wake] callback that the table invokes when the lock is granted.  The
-    simulator passes a closure that resumes the blocked server process. *)
+    server passes each transaction's one wake closure, which ends that
+    transaction's lock wait and resumes its handler if it has suspended. *)
 
 type mode = S | X
 

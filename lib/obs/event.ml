@@ -113,29 +113,3 @@ let actor = function
   | Disk_read _ | Msg_dropped _ | Msg_delayed _ | Msg_duplicated _
   | Server_crash _ | Server_recover _ | Checkpoint _ | Log_replayed _ ->
       None
-
-(* Free-text message descriptions carry arguments ("fetch reply (2 data
-   pages)", "S lock request [1346]"); the grouping label is the text up to
-   the argument list. *)
-let strip_args s =
-  let cut_at c s =
-    match String.index_opt s c with
-    | Some i when i > 0 && s.[i - 1] = ' ' -> String.sub s 0 (i - 1)
-    | _ -> s
-  in
-  cut_at '(' (cut_at '[' s)
-
-(* Label of a network message event for per-kind message accounting;
-   [None] for events that are not messages. *)
-let message_label = function
-  | Client_send { what; _ } -> Some ("c2s " ^ strip_args what)
-  | Retransmit _ -> Some "c2s retransmit"
-  | Server_reply { what; _ } -> Some ("s2c " ^ strip_args what)
-  | Callback _ -> Some "s2c callback request"
-  | Notify { push = true; _ } -> Some "s2c update push"
-  | Notify { push = false; _ } -> Some "s2c invalidation"
-  | Lock_wait _ | Lock_grant _ | Deadlock _ | Abort _ | Commit _ | Disk_read _
-  | Msg_dropped _ | Msg_delayed _ | Msg_duplicated _ | Client_crash _
-  | Client_recover _ | Lock_reclaimed _ | Server_crash _ | Server_recover _
-  | Checkpoint _ | Log_replayed _ ->
-      None

@@ -44,12 +44,3 @@ val kind : t -> string
 (** The client the event is about, if any ([None] for disk and wire
     events). *)
 val actor : t -> int option
-
-(** Grouping label when the event is a network message ("c2s fetch req",
-    "s2c callback request", ...); [None] otherwise. *)
-val message_label : t -> string option
-
-(** Drop a trailing parenthesized or bracketed argument list from a
-    free-text description ("fetch reply (2 data pages)" -> "fetch reply",
-    "S lock request [1346]" -> "S lock request"). *)
-val strip_args : string -> string

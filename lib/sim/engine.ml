@@ -295,7 +295,7 @@ let resumer t fn =
 
 (* The handler is deep, so it stays installed across every resumption of a
    process: [Hold] reschedules the continuation later in time and [Suspend]
-   hands a one-shot resumer to user code (conditions, mailboxes, ...).
+   hands a one-shot resumer to user code (mailboxes, facilities, ...).
    Both effects are handled synchronously during the process's event, so
    [t.current] is the performing process and names its continuations; the
    handler needs nothing else from the process, so one serves them all.

@@ -4,8 +4,8 @@
     that advance a shared simulated clock by holding for amounts of time,
     blocking on resources, and exchanging messages.  Processes are ordinary
     OCaml functions run under an effect handler; [hold] and [suspend] are
-    the only two primitive effects, and everything else (conditions,
-    mailboxes, facilities) is built on top of them.
+    the only two primitive effects, and everything else (mailboxes,
+    facilities) is built on top of them.
 
     The simulation is single-threaded and deterministic: events fire in
     (time, seq) order, where seq is the scheduling order, so events

@@ -62,7 +62,3 @@ let exponential t ~mean =
   if mean = 0.0 then 0.0 else -.mean *. log (1.0 -. float t)
 
 let bernoulli t p = float t < p
-
-let choose t arr =
-  if Array.length arr = 0 then invalid_arg "Rng.choose: empty array";
-  arr.(int t (Array.length arr))

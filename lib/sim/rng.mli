@@ -36,6 +36,3 @@ val exponential : t -> mean:float -> float
 
 (** [bernoulli t p] is [true] with probability [p]. *)
 val bernoulli : t -> float -> bool
-
-(** [choose t arr] is a uniformly random element of the non-empty array. *)
-val choose : t -> 'a array -> 'a

@@ -94,40 +94,6 @@ let test_schedule_past_rejected () =
       Engine.schedule eng ~at:1.0 (fun () -> ()))
 
 (* ------------------------------------------------------------------ *)
-(* Condition                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let test_condition_signal () =
-  let eng = Engine.create () in
-  let cond = Condition.create eng in
-  let woken = ref [] in
-  for i = 1 to 3 do
-    Engine.spawn eng (fun () ->
-        Condition.await cond;
-        woken := (i, Engine.now eng) :: !woken)
-  done;
-  Engine.spawn eng (fun () ->
-      Engine.hold 1.0;
-      ignore (Condition.signal cond);
-      Engine.hold 1.0;
-      ignore (Condition.broadcast cond));
-  ignore (Engine.run eng ());
-  match List.rev !woken with
-  | [ (1, t1); (2, t2); (3, t3) ] ->
-      check_float "first woken at signal" 1.0 t1;
-      check_float "second at broadcast" 2.0 t2;
-      check_float "third at broadcast" 2.0 t3
-  | _ -> Alcotest.fail "wrong wake order"
-
-let test_condition_signal_empty () =
-  let eng = Engine.create () in
-  let cond = Condition.create eng in
-  Engine.spawn eng (fun () ->
-      Alcotest.(check bool) "signal with no waiter" false (Condition.signal cond);
-      Alcotest.(check int) "broadcast with no waiter" 0 (Condition.broadcast cond));
-  ignore (Engine.run eng ())
-
-(* ------------------------------------------------------------------ *)
 (* Mailbox                                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -676,92 +642,6 @@ let prop_samples_median_between_min_max =
       let lo = List.fold_left Float.min infinity xs in
       let hi = List.fold_left Float.max neg_infinity xs in
       lo <= q25 && q25 <= q50 && q50 <= q75 && q75 <= hi)
-
-
-(* ------------------------------------------------------------------ *)
-(* Ivar                                                                *)
-(* ------------------------------------------------------------------ *)
-
-let test_ivar_fill_then_read () =
-  let eng = Engine.create () in
-  let iv = Ivar.create eng in
-  Ivar.fill iv 42;
-  Alcotest.(check bool) "filled" true (Ivar.is_filled iv);
-  Alcotest.(check (option int)) "peek" (Some 42) (Ivar.peek iv);
-  let got = ref 0 in
-  Engine.spawn eng (fun () -> got := Ivar.read iv);
-  ignore (Engine.run eng ());
-  Alcotest.(check int) "read returns immediately" 42 !got
-
-let test_ivar_blocks_until_filled () =
-  let eng = Engine.create () in
-  let iv = Ivar.create eng in
-  let got_at = ref (-1.0) in
-  Engine.spawn eng (fun () ->
-      ignore (Ivar.read iv);
-      got_at := Engine.now eng);
-  Engine.spawn eng (fun () ->
-      Engine.hold 3.0;
-      Ivar.fill iv "x");
-  ignore (Engine.run eng ());
-  check_float "woken at fill time" 3.0 !got_at
-
-let test_ivar_multiple_readers () =
-  let eng = Engine.create () in
-  let iv = Ivar.create eng in
-  let count = ref 0 in
-  for _ = 1 to 4 do
-    Engine.spawn eng (fun () ->
-        ignore (Ivar.read iv);
-        incr count)
-  done;
-  Engine.spawn eng (fun () ->
-      Engine.hold 1.0;
-      Ivar.fill iv ());
-  ignore (Engine.run eng ());
-  Alcotest.(check int) "all readers woken" 4 !count
-
-let test_ivar_wake_order () =
-  let eng = Engine.create () in
-  let iv = Ivar.create eng in
-  let order = ref [] in
-  for i = 1 to 4 do
-    Engine.spawn eng (fun () ->
-        ignore (Ivar.read iv);
-        order := i :: !order)
-  done;
-  Engine.spawn eng (fun () ->
-      Engine.hold 1.0;
-      Ivar.fill iv ());
-  ignore (Engine.run eng ());
-  Alcotest.(check (list int))
-    "readers resume in blocking order" [ 1; 2; 3; 4 ] (List.rev !order)
-
-let test_condition_broadcast_order () =
-  let eng = Engine.create () in
-  let cond = Condition.create eng in
-  let order = ref [] in
-  for i = 1 to 3 do
-    Engine.spawn eng (fun () ->
-        Condition.await cond;
-        order := i :: !order)
-  done;
-  Engine.spawn eng (fun () ->
-      Engine.hold 1.0;
-      ignore (Condition.broadcast cond));
-  ignore (Engine.run eng ());
-  Alcotest.(check (list int))
-    "broadcast wakes in await order" [ 1; 2; 3 ] (List.rev !order)
-
-let test_ivar_double_fill () =
-  let eng = Engine.create () in
-  let iv = Ivar.create eng in
-  Ivar.fill iv 1;
-  Alcotest.(check bool) "try_fill refused" false (Ivar.try_fill iv 2);
-  Alcotest.check_raises "fill raises"
-    (Invalid_argument "Ivar.fill: already filled") (fun () -> Ivar.fill iv 3);
-  Alcotest.(check (option int)) "value unchanged" (Some 1) (Ivar.peek iv)
-
 
 let test_engine_exception_propagates () =
   let eng = Engine.create () in
@@ -1422,12 +1302,6 @@ let suites =
         prop_engine_deep_heap_matches_reference;
         prop_engine_profiled_matches_reference;
       ];
-    ( "condition",
-      [
-        case "signal then broadcast" test_condition_signal;
-        case "signal without waiters" test_condition_signal_empty;
-        case "broadcast wake order" test_condition_broadcast_order;
-      ] );
     ( "mailbox",
       [
         case "fifo delivery" test_mailbox_fifo;
@@ -1455,14 +1329,6 @@ let suites =
         case "busy time mid-service" test_facility_busy_time_accrues_mid_service;
       ] );
     qsuite "facility-props" [ prop_facility_fcfs ];
-    ( "ivar",
-      [
-        case "fill then read" test_ivar_fill_then_read;
-        case "blocks until filled" test_ivar_blocks_until_filled;
-        case "multiple readers" test_ivar_multiple_readers;
-        case "wake order" test_ivar_wake_order;
-        case "double fill" test_ivar_double_fill;
-      ] );
     ( "rng",
       [
         case "deterministic" test_rng_deterministic;
