@@ -70,6 +70,25 @@ let contended ?fault cfg algo =
       (Db.Xact_params.short_batch ~prob_write:0.5 ~inter_xact_loc:0.75 ())
     algo
 
+(* Eight shards with Zipf class skew (the benchmark's sharded-2pc cell
+   shape): callback retains locks on every shard, and the periodic
+   detector's waits-for graph spans eight lock tables.  Seed 1004 breaks
+   deadlocks. *)
+let sharded_skew1 algo =
+  let spec =
+    Core.Simulator.default_spec ~seed:1004 ~warmup_commits:30
+      ~measured_commits:300
+      ~cfg:(Core.Sys_params.table5 ~n_clients:25 ())
+      ~xact_params:
+        {
+          (Db.Xact_params.short_batch ~prob_write:0.2 ~inter_xact_loc:0.25 ())
+          with
+          Db.Xact_params.class_skew = 1.0;
+        }
+      algo
+  in
+  { spec with Core.Simulator.n_shards = 8 }
+
 let digest_cells =
   List.map (fun a -> (name a ^ "/1shard", plain a)) variants
   @ List.map
@@ -153,6 +172,7 @@ let digest_cells =
             Callback,
             Some (Fault.Plan.default ~seed:7) );
         ]
+  @ [ ("callback/8shards/skew1", sharded_skew1 Core.Proto.Callback) ]
 
 let digest spec =
   let r = Shard.Shard_sim.run spec in
