@@ -403,11 +403,13 @@ let pages_held_by t owner =
 
 let holds_any t owner = Hashtbl.mem t.by_owner owner
 
-let all_waiting t =
-  Hashtbl.fold
-    (fun page e acc ->
-      fold_waiters e (fun acc w -> (page, w.wn_owner, w.wn_mode) :: acc) acc)
-    t.pages []
+let waiting_owners t =
+  Hashtbl.fold (fun o _ acc -> o :: acc) t.waits_by_owner []
+
+let waits_of t owner =
+  match Hashtbl.find_opt t.waits_by_owner owner with
+  | None -> []
+  | Some s -> Hashtbl.fold (fun p () acc -> p :: acc) s []
 
 let blockers t ~page owner =
   match Hashtbl.find_opt t.pages page with

@@ -69,8 +69,13 @@ val pages_held_by : t -> owner -> int list
     which materialises the page list. *)
 val holds_any : t -> owner -> bool
 
-(** Every (page, owner, mode) currently queued, across all pages. *)
-val all_waiting : t -> (int * owner * mode) list
+(** Owners with at least one queued request, in no particular order.
+    O(waiting owners): reads the per-owner wait index, not the pages. *)
+val waiting_owners : t -> owner list
+
+(** Pages on which [owner] has a queued request, in no particular order;
+    [[]] if none.  O(its own waits). *)
+val waits_of : t -> owner -> int list
 
 (** [blockers t ~page owner] recomputes who a queued [owner] waits for
     right now: current holders incompatible with its request plus earlier

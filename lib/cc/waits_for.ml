@@ -39,11 +39,14 @@ let find_cycle_from t start =
 
 let add_lock_table g table =
   List.iter
-    (fun (page, owner, _mode) ->
+    (fun owner ->
       List.iter
-        (fun blocker -> add_edge g owner blocker)
-        (Lock_table.blockers table ~page owner))
-    (Lock_table.all_waiting table)
+        (fun page ->
+          List.iter
+            (fun blocker -> add_edge g owner blocker)
+            (Lock_table.blockers table ~page owner))
+        (Lock_table.waits_of table owner))
+    (Lock_table.waiting_owners table)
 
 let pick_victim ~start_time = function
   | [] -> invalid_arg "Waits_for.pick_victim: empty cycle"

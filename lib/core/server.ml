@@ -1691,11 +1691,9 @@ let waited_grace t ~now c =
   | None -> false
 
 let all_waiting_owners t =
-  let of_table tbl =
-    List.map (fun (_, o, _) -> o) (Cc.Lock_table.all_waiting tbl)
-  in
   Array.fold_left
-    (fun acc s -> List.rev_append (of_table s.lock_table) acc)
+    (fun acc s ->
+      List.rev_append (Cc.Lock_table.waiting_owners s.lock_table) acc)
     [] (servers t)
   |> List.sort_uniq Int.compare
 

@@ -700,6 +700,56 @@ module Model = struct
     Hashtbl.fold (fun _ e acc -> acc + List.length e.queue) t.pages 0
 end
 
+(* A random lock-table history: (op kind, owner, page) triples over six
+   pages and five owners. *)
+let lock_history =
+  QCheck.(
+    list_of_size Gen.(int_range 1 80)
+      (triple (int_bound 9) (int_bound 4) (int_bound 5)))
+
+let history_pages = [ 0; 1; 2; 3; 4; 5 ]
+and history_owners = [ 0; 1; 2; 3; 4 ]
+
+let sorted l = List.sort compare l
+
+(* Apply one history step to both tables.  Returns whether the step's wake
+   logs must match in order (the bulk operations visit pages in a
+   different order in the two tables), and the first result on which the
+   tables disagree, if any. *)
+let apply_step lt m ~wake_lt ~wake_m (kind, owner, page) =
+  let request mode =
+    let o1 = Lock_table.request lt ~page owner mode ~wake:(wake_lt page owner) in
+    let o2 = Model.request m ~page owner mode ~wake:(wake_m page owner) in
+    match (o1, o2) with
+    | Lock_table.Granted, Model.Granted -> (true, None)
+    | Lock_table.Blocked a, Model.Blocked b when sorted a = sorted b ->
+        (true, None)
+    | _ -> (true, Some "request outcome")
+  in
+  match kind with
+  | 0 | 1 -> request S
+  | 2 | 3 | 4 -> request X
+  | 5 ->
+      Lock_table.release lt ~page owner;
+      Model.release m ~page owner;
+      (true, None)
+  | 6 ->
+      let p1 = Lock_table.release_all lt owner in
+      let p2 = Model.release_all m owner in
+      (false, if sorted p1 <> sorted p2 then Some "release_all pages" else None)
+  | 7 ->
+      Lock_table.cancel_wait lt ~page owner;
+      Model.cancel_wait m ~page owner;
+      (true, None)
+  | 8 ->
+      Lock_table.cancel_all_waits lt owner;
+      Model.cancel_all_waits m owner;
+      (false, None)
+  | _ ->
+      Lock_table.downgrade lt ~page owner;
+      Model.downgrade m ~page owner;
+      (true, None)
+
 (* Drive both tables through the same random operation sequence and
    demand agreement after every step: request outcomes (blocker sets),
    wake callbacks, and every observable accessor.  The one sanctioned
@@ -709,70 +759,25 @@ end
    including FCFS wake order within a page, must match exactly. *)
 let prop_lock_matches_list_model =
   QCheck.Test.make ~name:"map table matches list-based reference model"
-    ~count:500
-    QCheck.(
-      list_of_size Gen.(int_range 1 80)
-        (triple (int_bound 9) (int_bound 4) (int_bound 5)))
+    ~count:500 lock_history
     (fun ops ->
       let lt = Lock_table.create () in
       let m = Model.create () in
-      let pages = [ 0; 1; 2; 3; 4; 5 ] and owners = [ 0; 1; 2; 3; 4 ] in
       let log_lt = ref [] and log_m = ref [] in
+      let logger r page owner () = r := (page, owner) :: !r in
       let drain r =
         let l = List.rev !r in
         r := [];
         l
       in
-      let sorted l = List.sort compare l in
       let fail i what =
         QCheck.Test.fail_reportf "op %d: %s diverges from the model" i what
       in
-      let outcome_eq o1 o2 =
-        match (o1, o2) with
-        | Lock_table.Granted, Model.Granted -> true
-        | Lock_table.Blocked a, Model.Blocked b -> sorted a = sorted b
-        | _ -> false
-      in
-      let step i (kind, owner, page) =
-        let request mode =
-          let o1 =
-            Lock_table.request lt ~page owner mode ~wake:(fun () ->
-                log_lt := (page, owner) :: !log_lt)
-          in
-          let o2 =
-            Model.request m ~page owner mode ~wake:(fun () ->
-                log_m := (page, owner) :: !log_m)
-          in
-          if not (outcome_eq o1 o2) then fail i "request outcome";
-          true
+      let step i op =
+        let ordered, diverged =
+          apply_step lt m ~wake_lt:(logger log_lt) ~wake_m:(logger log_m) op
         in
-        (* [ordered] - whether the wake logs must match as sequences *)
-        let ordered =
-          match kind with
-          | 0 | 1 -> request S
-          | 2 | 3 | 4 -> request X
-          | 5 ->
-              Lock_table.release lt ~page owner;
-              Model.release m ~page owner;
-              true
-          | 6 ->
-              let p1 = Lock_table.release_all lt owner in
-              let p2 = Model.release_all m owner in
-              if sorted p1 <> sorted p2 then fail i "release_all pages";
-              false
-          | 7 ->
-              Lock_table.cancel_wait lt ~page owner;
-              Model.cancel_wait m ~page owner;
-              true
-          | 8 ->
-              Lock_table.cancel_all_waits lt owner;
-              Model.cancel_all_waits m owner;
-              false
-          | _ ->
-              Lock_table.downgrade lt ~page owner;
-              Model.downgrade m ~page owner;
-              true
-        in
+        Option.iter (fail i) diverged;
         let w1 = drain log_lt and w2 = drain log_m in
         if if ordered then w1 <> w2 else sorted w1 <> sorted w2 then
           fail i "wake log";
@@ -781,8 +786,11 @@ let prop_lock_matches_list_model =
           fail i "locks_held";
         if Lock_table.waiting_count lt <> Model.waiting_count m then
           fail i "waiting_count";
-        if sorted (Lock_table.all_waiting lt) <> sorted (Model.all_waiting m)
-        then fail i "all_waiting";
+        let model_waits = Model.all_waiting m in
+        if
+          sorted (Lock_table.waiting_owners lt)
+          <> List.sort_uniq compare (List.map (fun (_, o, _) -> o) model_waits)
+        then fail i "waiting_owners";
         List.iter
           (fun p ->
             if
@@ -799,17 +807,69 @@ let prop_lock_matches_list_model =
                   sorted (Lock_table.blockers lt ~page:p o)
                   <> sorted (Model.blockers m ~page:p o)
                 then fail i "blockers")
-              owners)
-          pages;
+              history_owners)
+          history_pages;
         List.iter
           (fun o ->
+            if
+              sorted (Lock_table.waits_of lt o)
+              <> sorted
+                   (List.filter_map
+                      (fun (p, o', _) -> if o' = o then Some p else None)
+                      model_waits)
+            then fail i "waits_of";
             if
               sorted (Lock_table.pages_held_by lt o)
               <> sorted (Model.pages_held_by m o)
             then fail i "pages_held_by";
             if Lock_table.holds_any lt o <> (Model.pages_held_by m o <> [])
             then fail i "holds_any")
-          owners
+          history_owners
+      in
+      List.iteri step ops;
+      true)
+
+(* The detector's graph, built from the table's wait index, against a
+   reference built by folding every queued request of the model, as the
+   detector once did.  When each owner waits on at most one page (the
+   simulator's case: a transaction has one queued request per shard),
+   each owner's successors must match in order, since that order decides
+   which cycle the search finds and so which victim dies.  Otherwise only
+   the successor sets must match. *)
+let prop_wait_index_graph_matches_fold =
+  QCheck.Test.make ~name:"wait-index graph matches the all-waiting fold"
+    ~count:500 lock_history
+    (fun ops ->
+      let lt = Lock_table.create () in
+      let m = Model.create () in
+      let ignore_wake _ _ () = () in
+      let step i op =
+        ignore (apply_step lt m ~wake_lt:ignore_wake ~wake_m:ignore_wake op);
+        let g = Waits_for.create () and reference = Waits_for.create () in
+        Waits_for.add_lock_table g lt;
+        let model_waits = Model.all_waiting m in
+        List.iter
+          (fun (page, owner, _) ->
+            List.iter
+              (Waits_for.add_edge reference owner)
+              (Model.blockers m ~page owner))
+          model_waits;
+        let waits_of o =
+          List.length (List.filter (fun (_, o', _) -> o' = o) model_waits)
+        in
+        let one_page_each =
+          List.for_all (fun o -> waits_of o <= 1) history_owners
+        in
+        List.iter
+          (fun o ->
+            let got = Waits_for.succ g o and want = Waits_for.succ reference o in
+            if if one_page_each then got <> want else sorted got <> sorted want
+            then
+              QCheck.Test.fail_reportf
+                "op %d: owner %d waits for [%s], the fold says [%s]" i o
+                (String.concat ";" (List.map string_of_int got))
+                (String.concat ";" (List.map string_of_int want)))
+          history_owners
       in
       List.iteri step ops;
       true)
@@ -836,6 +896,7 @@ let suites =
         prop_lock_invariants_random_ops;
         prop_lock_queue_drains;
         prop_lock_matches_list_model;
+        prop_wait_index_graph_matches_fold;
       ];
     ( "waits_for",
       [
