@@ -29,6 +29,8 @@ let metric_value m (r : Core.Simulator.result) =
   | Response_time -> r.Core.Simulator.mean_response
   | Throughput -> r.Core.Simulator.throughput
 
+(* Per-replication values, in seed order (a singleton for an unreplicated
+   run, [[||]] for a placeholder). *)
 let metric_reps m (r : Core.Simulator.result) =
   match m with
   | Response_time -> r.Core.Simulator.rep_mean_responses

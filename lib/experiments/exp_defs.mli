@@ -34,10 +34,6 @@ type figure = {
 
 val metric_value : metric -> Core.Simulator.result -> float
 
-(** Per-replication values of the metric, in seed order (a singleton for
-    an unreplicated run, [[||]] for a placeholder). *)
-val metric_reps : metric -> Core.Simulator.result -> float array
-
 (** Student-t confidence interval (default 95 %) across the metric's
     replications; unavailable ({!Obs.Run_stats.available} false) below
     two replications. *)

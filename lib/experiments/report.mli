@@ -14,9 +14,6 @@ val print_figure :
 (** The 95 % CI of every cell of the figure, in series-then-point order. *)
 val figure_cis : Exp_defs.figure -> Obs.Run_stats.ci list
 
-(** Print the Figure 13 winner grid. *)
-val print_decision_map : Format.formatter -> Suite.decision_map -> unit
-
 val print_output :
   ?detail:bool -> target:int -> Format.formatter -> Suite.output -> unit
 

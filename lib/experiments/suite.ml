@@ -631,6 +631,7 @@ let shard_sweep runner =
 
 let all =
   [
+    (* 2PL vs certification on the ACL centralized configuration *)
     ("acl", "§4 exp 1: ACL comparison, throughput vs MPL (Table 4)", acl);
     ("fig5", "§4 exp 2: intra vs inter, Loc=0.05 (Fig 5a,b)", fig5);
     ("fig6", "§4 exp 2: intra vs inter, Loc=0.50 (Fig 6a,b)", fig6);
@@ -650,13 +651,16 @@ let all =
     ("fig20", "§5.4 throughput, Loc=0.25 (Fig 20)", fig20);
     ("fig21", "§5.4 throughput, Loc=0.75 (Fig 21)", fig21);
     ("fig22", "§5.5 interactive, Loc=0.25 (Fig 22a,b)", fig22);
+    (* not in the paper; on the fast-server/fast-network setup *)
     ("ablate-notify", "extension: push vs invalidate notification", notify_ablation);
+    (* ablations of the design decisions documented in DESIGN.md *)
     ("ablate-stale", "ablation: staleness abort drops read set vs one page", ablate_stale);
     ("ablate-grace", "ablation: callback deadlock grace period vs immediate", ablate_grace);
     ("ablate-restart", "ablation: restart delay policy", ablate_restart);
     ("ext-objsize", "extension: object size and clustering (paper future work)", objsize_extension);
     ("ext-mpl", "extension: MPL admission control client/server", mpl_extension);
     ("ext-2pl-notify", "extension: 2PL with update notification", two_pl_notify_extension);
+    (* the §2.3 choice *)
     ( "ablate-retain-writes",
       "ablation: callback retains read locks only vs read+write",
       retain_writes_ablation );

@@ -21,8 +21,6 @@ type t = {
 (** Everything disabled — the default. *)
 val off : t
 
-val default_interval : float
-
 val make :
   ?trace:bool ->
   ?series:bool ->

@@ -18,8 +18,6 @@ type t = {
   cp_open_xacts : int;  (** in flight at end, or crash-ended; excluded *)
 }
 
-val client_leaf_kinds : Span.kind list
-
 (** Analyze a rep-tagged merged span record (see {!Run.merged_spans}). *)
 val analyze : (int * Span.entry) array -> t
 

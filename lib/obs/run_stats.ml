@@ -71,6 +71,7 @@ let betacf a b x =
    with Exit -> ());
   !h
 
+(* Regularized incomplete beta function I_x(a, b). *)
 let reg_inc_beta a b x =
   if x <= 0.0 then 0.0
   else if x >= 1.0 then 1.0

@@ -9,12 +9,6 @@
 
 (** {1 Student-t distribution} *)
 
-(** Natural log of the Gamma function (Lanczos, |rel err| < 1e-13). *)
-val ln_gamma : float -> float
-
-(** Regularized incomplete beta function I_x(a, b). *)
-val reg_inc_beta : float -> float -> float -> float
-
 (** CDF of Student's t with [df] degrees of freedom. *)
 val t_cdf : df:float -> float -> float
 

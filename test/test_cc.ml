@@ -756,10 +756,12 @@ let apply_step lt m ~wake_lt ~wake_m (kind, owner, page) =
    divergence is wake *order* under the bulk operations — the rewrite
    visits pages in ascending page order where the original used hash
    order — so those two ops compare wake logs as sets; everything else,
-   including FCFS wake order within a page, must match exactly. *)
+   including FCFS wake order within a page and the order of its holders,
+   must match exactly.  With QCHECK_LONG set, both this property and the
+   next search twenty times as many histories. *)
 let prop_lock_matches_list_model =
   QCheck.Test.make ~name:"map table matches list-based reference model"
-    ~count:500 lock_history
+    ~count:500 ~long_factor:20 lock_history
     (fun ops ->
       let lt = Lock_table.create () in
       let m = Model.create () in
@@ -793,10 +795,8 @@ let prop_lock_matches_list_model =
         then fail i "waiting_owners";
         List.iter
           (fun p ->
-            if
-              sorted (Lock_table.holders lt ~page:p)
-              <> sorted (Model.holders m ~page:p)
-            then fail i "holders";
+            if Lock_table.holders lt ~page:p <> Model.holders m ~page:p then
+              fail i "holders";
             if Lock_table.waiting lt ~page:p <> Model.waiting m ~page:p then
               fail i "wait queue";
             List.iter
@@ -838,7 +838,7 @@ let prop_lock_matches_list_model =
    the successor sets must match. *)
 let prop_wait_index_graph_matches_fold =
   QCheck.Test.make ~name:"wait-index graph matches the all-waiting fold"
-    ~count:500 lock_history
+    ~count:500 ~long_factor:20 lock_history
     (fun ops ->
       let lt = Lock_table.create () in
       let m = Model.create () in
