@@ -22,8 +22,7 @@ type t = {
      after that: at thousands of clients most have yet to hear their first
      reply, and eager tables were about 70% of the live heap.  Fold order
      is the same as with eager tables, so messages and the audit are too. *)
-  cache_pool : Storage.Lru_pool.t;
-  vers : (int, int) Sim.Lazy_tbl.t; (* cached page -> version of our copy *)
+  cache_pool : Storage.Lru_pool.t; (* each frame holds its copy's version *)
   inbox_mb : (int * Proto.s2c) Sim.Mailbox.t;
   reply_box : (int * Proto.s2c) Sim.Mailbox.t;
   (* per-transaction state *)
@@ -84,18 +83,6 @@ and proto = {
   restarted : t -> int -> unit;
       (* a server restart notice arrived, with its causal node id *)
 }
-
-(* Build a probe set once so per-page membership checks cost O(1) instead
-   of rescanning a list for every page of the object. *)
-let page_set pages =
-  let s = Hashtbl.create (max 8 (List.length pages)) in
-  List.iter (fun p -> Hashtbl.replace s p ()) pages;
-  s
-
-let reply_page_set data =
-  let s = Hashtbl.create (max 8 (List.length data)) in
-  List.iter (fun (p, _) -> Hashtbl.replace s p ()) data;
-  s
 
 let port t = t.cport
 let inbox t = t.inbox_mb
@@ -177,37 +164,34 @@ let sp_crash t =
 (* Cache management                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let drop_page t page =
-  ignore (Storage.Lru_pool.remove t.cache_pool page);
-  Sim.Lazy_tbl.remove t.vers page
+let drop_page t page = ignore (Storage.Lru_pool.remove t.cache_pool page)
 
-let on_evict t (v : Storage.Lru_pool.victim) =
-  Sim.Lazy_tbl.remove t.vers v.Storage.Lru_pool.page;
-  if v.Storage.Lru_pool.dirty then
-    (* cannot happen while current-transaction pages are pinned, but keep
-       the §3.3.3 protocol: updated pages swapped out go to the server *)
+(* Updates stay in the cache until commit (deferred updates, Table 4), and
+   every page the transaction updated was pinned by its read, so a victim
+   is never dirty: there is no steal path.  A victim may still carry a
+   retained lock, which goes back to the server. *)
+let on_evict t page =
+  if Sim.Lazy_tbl.mem t.retained page then begin
+    Sim.Lazy_tbl.remove t.retained page;
     t.to_server ~parent:t.cz_parent ~retry:0
-      (Proto.Dirty_evict { client = t.id; xid = t.xid; page = v.Storage.Lru_pool.page })
-  else if Sim.Lazy_tbl.mem t.retained v.Storage.Lru_pool.page then begin
-    Sim.Lazy_tbl.remove t.retained v.Storage.Lru_pool.page;
-    t.to_server ~parent:t.cz_parent ~retry:0
-      (Proto.Release_retained { client = t.id; pages = [ v.Storage.Lru_pool.page ] })
+      (Proto.Release_retained { client = t.id; pages = [ page ] })
   end
 
+(* The version is written after the victim is handled: its release holds
+   the client CPU, and a push that arrives meanwhile must not outlive the
+   copy this fetch installs. *)
 let cache_insert t page ~version =
   (match Storage.Lru_pool.insert t.cache_pool page ~dirty:false with
   | None -> ()
-  | Some v -> on_evict t v);
-  Sim.Lazy_tbl.replace t.vers page version;
+  | Some v -> on_evict t v.Storage.Lru_pool.page);
+  Storage.Lru_pool.set_version t.cache_pool page version;
   Storage.Lru_pool.pin t.cache_pool page
 
 let touch_and_pin t page =
   ignore (Storage.Lru_pool.touch t.cache_pool page);
   Storage.Lru_pool.pin t.cache_pool page
 
-let cached_version t page =
-  if Storage.Lru_pool.mem t.cache_pool page then Sim.Lazy_tbl.find_opt t.vers page
-  else None
+let cached_version t page = Storage.Lru_pool.version t.cache_pool page
 
 let fetch_pages_of t pages =
   List.map (fun page -> { Proto.page; cached_version = cached_version t page }) pages
@@ -228,10 +212,8 @@ let handle_callback_request t ctx page =
 
 let handle_push t page version =
   if not (Sim.Lazy_tbl.mem t.dirty page) then
-    if Storage.Lru_pool.mem t.cache_pool page then begin
-      ignore (Storage.Lru_pool.insert t.cache_pool page ~dirty:false);
-      Sim.Lazy_tbl.replace t.vers page version
-    end
+    if Storage.Lru_pool.touch t.cache_pool page then
+      Storage.Lru_pool.set_version t.cache_pool page version
 (* else: wasted push — we no longer cache the page *)
 
 let handle_invalidate t page =
@@ -444,7 +426,6 @@ let describe_c2s = function
   | Proto.Release_retained { pages; _ } ->
       Printf.sprintf "release retained [%s]"
         (String.concat "," (List.map string_of_int pages))
-  | Proto.Dirty_evict { page; _ } -> Printf.sprintf "dirty evict p%d" page
   | Proto.Recovered _ -> "recovered (cold cache)"
   | Proto.Prepare { update_pages; _ } ->
       Printf.sprintf "2pc prepare (%d updated pages)"
@@ -487,7 +468,7 @@ let snap_reads t pages =
   List.iter
     (fun p ->
       if not (Sim.Lazy_tbl.mem t.read_snap p) then
-        match Sim.Lazy_tbl.find_opt t.vers p with
+        match cached_version t p with
         | Some v -> Sim.Lazy_tbl.replace t.read_snap p v
         | None -> ())
     pages
@@ -517,8 +498,7 @@ let await_pages ?kind t need =
   match await_reply ?kind t with
   | Proto.Fetch_reply { data; _ } | Proto.Cert_reply { data; _ } ->
       List.iter (fun (p, v) -> cache_insert t p ~version:v) data;
-      let got = reply_page_set data in
-      List.iter (fun p -> if not (Hashtbl.mem got p) then touch_and_pin t p) need
+      List.iter (fun p -> if not (List.mem_assoc p data) then touch_and_pin t p) need
   | _ -> assert false
 
 (* Pin every already-resident page of the object before anything can be
@@ -531,21 +511,13 @@ let pin_resident t pages =
 
 (* Touch and pin the pages of the object that were valid in the cache. *)
 let pin_hits t pages ~need =
-  let needed = page_set need in
-  List.iter
-    (fun p -> if not (Hashtbl.mem needed p) then touch_and_pin t p)
-    pages
+  List.iter (fun p -> if not (List.mem p need) then touch_and_pin t p) pages
 
 (* ------------------------------------------------------------------ *)
 (* UpdateObject                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let mark_dirty t pages =
-  List.iter
-    (fun p ->
-      Storage.Lru_pool.set_dirty t.cache_pool p true;
-      Sim.Lazy_tbl.replace t.dirty p ())
-    pages
+let mark_dirty t pages = List.iter (fun p -> Sim.Lazy_tbl.replace t.dirty p ()) pages
 
 (* [request] asks for the write locks the transaction lacks.  A retained
    write lock (callback locking) is as good as one this transaction took. *)
@@ -574,13 +546,7 @@ let dirty_pages t = Sim.Lazy_tbl.fold (fun p () acc -> p :: acc) t.dirty []
 let read_set t = Sim.Lazy_tbl.fold (fun p v acc -> (p, v) :: acc) t.read_snap []
 
 let apply_new_versions t new_versions =
-  List.iter
-    (fun (p, v) ->
-      if Storage.Lru_pool.mem t.cache_pool p then begin
-        Sim.Lazy_tbl.replace t.vers p v;
-        Storage.Lru_pool.set_dirty t.cache_pool p false
-      end)
-    new_versions
+  List.iter (fun (p, v) -> Storage.Lru_pool.set_version t.cache_pool p v) new_versions
 
 let clear_xact_state t =
   Sim.Lazy_tbl.reset t.locked;
@@ -805,13 +771,12 @@ let read_callback t pages =
         end)
       need
   end;
-  let needed = page_set need in
   List.iter
     (fun p ->
       (* don't forget a write lock we already hold on a re-read *)
       if Sim.Lazy_tbl.find_opt t.locked p <> Some Proto.Write then
         Sim.Lazy_tbl.replace t.locked p Proto.Read;
-      if not (Hashtbl.mem needed p) then touch_and_pin t p)
+      if not (List.mem p need) then touch_and_pin t p)
     pages;
   snap_reads t pages;
   check_abort t
@@ -850,10 +815,9 @@ let retain_after_commit t ~updates ~released =
     Proto.callback_retained
       ~retain_writes:t.cfg.Sys_params.callback_retain_writes
   in
-  let released = page_set released in
   List.iter
     (fun p ->
-      if not (Hashtbl.mem released p) then Sim.Lazy_tbl.replace t.retained p mode)
+      if not (List.mem p released) then Sim.Lazy_tbl.replace t.retained p mode)
     updates;
   (* callbacks that arrived while the commit was in flight missed
      [release_pages]; the transaction is over, honour them now *)
@@ -916,7 +880,6 @@ let create ?audit ?(fault = Fault.Plan.none) ?(down_gauge = ref 0) eng ~id
     frng = Fault.Injector.client_stream fault id;
     cport = { Proto.cpu; mips = cfg.Sys_params.client_mips };
     cache_pool = Storage.Lru_pool.create ~capacity:cfg.Sys_params.cache_size;
-    vers = Sim.Lazy_tbl.create 256;
     inbox_mb = Sim.Mailbox.create eng;
     reply_box = Sim.Mailbox.create eng;
     xid = -1;
@@ -985,21 +948,18 @@ let begin_attempt t =
   t.in_xact <- true;
   t.abort_flag <- false;
   t.abort_stale <- [];
-  if t.intra then begin
-    (* intra-transaction caching: the whole cache is invalid at BeginXact *)
-    Storage.Lru_pool.clear t.cache_pool;
-    Sim.Lazy_tbl.reset t.vers
-  end
+  (* intra-transaction caching: the whole cache is invalid at BeginXact *)
+  if t.intra then Storage.Lru_pool.clear t.cache_pool
 
 (* ------------------------------------------------------------------ *)
 (* Crash / recovery                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* A crash loses every bit of volatile state: the cache, version table,
-   retained locks, and any in-flight transaction.  The inbox is still
-   served, but [dispatch] drops messages while [crashed] — a down
-   workstation hears nothing, and whatever queued meanwhile is gone on
-   reboot. *)
+(* A crash loses every bit of volatile state: the cache and the versions
+   its frames hold, retained locks, and any in-flight transaction.  The
+   inbox is still served, but [dispatch] drops messages while [crashed] —
+   a down workstation hears nothing, and whatever queued meanwhile is gone
+   on reboot. *)
 let crash_cleanup t =
   sp_crash t;
   (* the causal group dies with the crash, marked failed; the crash has
@@ -1016,7 +976,6 @@ let crash_cleanup t =
       (Obs.Event.Client_crash { client = t.id });
   Storage.Lru_pool.unpin_all t.cache_pool;
   Storage.Lru_pool.clear t.cache_pool;
-  Sim.Lazy_tbl.reset t.vers;
   Sim.Lazy_tbl.reset t.locked;
   Sim.Lazy_tbl.reset t.dirty;
   Sim.Lazy_tbl.reset t.acquired;
@@ -1165,7 +1124,6 @@ let start t =
 let crashed t = t.crashed
 
 let cached_versions t =
-  Sim.Lazy_tbl.fold
-    (fun p v acc ->
-      if Storage.Lru_pool.mem t.cache_pool p then (p, v) :: acc else acc)
-    t.vers []
+  List.filter_map
+    (fun p -> Option.map (fun v -> (p, v)) (cached_version t p))
+    (Storage.Lru_pool.pages_mru t.cache_pool)

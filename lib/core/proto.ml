@@ -53,7 +53,6 @@ type c2s =
     }
   | Callback_reply of { client : int; page : int }
   | Release_retained of { client : int; pages : int list }
-  | Dirty_evict of { client : int; xid : int; page : int }
   | Recovered of { client : int }
   (* Two-phase commit (sharded topologies only).  [Prepare] carries the
      shard's slice of the commit; [decider] names the shard whose durable
@@ -111,7 +110,6 @@ let c2s_client = function
   | Commit { client; _ }
   | Callback_reply { client; _ }
   | Release_retained { client; _ }
-  | Dirty_evict { client; _ }
   | Recovered { client }
   | Prepare { client; _ }
   | Decision { client; _ } ->
@@ -124,7 +122,6 @@ let c2s_xid = function
   | Fetch { xid; _ }
   | Cert_read { xid; _ }
   | Commit { xid; _ }
-  | Dirty_evict { xid; _ }
   | Prepare { xid; _ }
   | Decision { xid; _ }
   | Outcome_query { xid; _ } ->
@@ -139,7 +136,6 @@ let c2s_kind = function
   | Commit _ -> "commit"
   | Callback_reply _ -> "callback_reply"
   | Release_retained _ -> "release_retained"
-  | Dirty_evict _ -> "dirty_evict"
   | Recovered _ -> "recovered"
   | Prepare _ -> "prepare"
   | Decision _ -> "decision"
@@ -177,7 +173,6 @@ let c2s_bytes ~control ~page_size = function
       control
   | Commit { update_pages; _ } | Prepare { update_pages; _ } ->
       control + (page_size * List.length update_pages)
-  | Dirty_evict _ -> control + page_size
 
 let s2c_bytes ~control ~page_size = function
   | Fetch_reply { data; _ } | Cert_reply { data; _ } ->

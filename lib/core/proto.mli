@@ -73,8 +73,6 @@ type c2s =
       (** client releases the called-back lock *)
   | Release_retained of { client : int; pages : int list }
       (** client evicted clean pages that had retained locks *)
-  | Dirty_evict of { client : int; xid : int; page : int }
-      (** in-place algorithms: an updated page was swapped out mid-xact *)
   | Recovered of { client : int }
       (** the client rebooted with a cold cache: the server must abort its
           in-flight transaction and free every lock it held *)

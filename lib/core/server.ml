@@ -34,7 +34,6 @@ type xact = {
   mutable x_aborted : bool;
   mutable x_new_locks : int list;
   mutable x_upgraded : int list;
-  mutable x_installed : int list;  (* pre-commit updates in buffer/disk *)
   (* The one lock request the transaction can have queued: its handlers
      run one at a time and ask for their locks in turn.  The slot is
      cleared when the waiting handler resumes, not when the wait ends. *)
@@ -256,9 +255,9 @@ let force_commit_sp t log ~n_updates =
   sspan t Obs.Span.Log_force (fun () ->
       Storage.Log_manager.force_commit log ~n_updates)
 
-let force_abort_sp ?xid t log ~n_updates =
+let force_abort_sp t log ~xid =
   sspan t Obs.Span.Log_force (fun () ->
-      Storage.Log_manager.force_abort ?xid log ~n_updates)
+      Storage.Log_manager.force_abort ~xid log ~n_updates:0)
 
 let force_prepare_sp t log ~xid ~decider ~read_pages ~updates =
   sspan t Obs.Span.Log_force (fun () ->
@@ -524,7 +523,6 @@ let open_xact t ~client ~xid =
       x_aborted = false;
       x_new_locks = [];
       x_upgraded = [];
-      x_installed = [];
       x_wait_page = -1;
       x_wait_since = 0.0;
       x_wait_end = None;
@@ -569,7 +567,10 @@ let on_xact t ~client ~xid f =
 let close_xact t xs =
   if Hashtbl.mem t.active xs.x_xid then begin
     Hashtbl.remove t.active xs.x_xid;
-    Hashtbl.remove t.active_by_client xs.x_client;
+    (* the client may have opened a newer transaction since: keep its entry *)
+    (match Hashtbl.find_opt t.active_by_client xs.x_client with
+    | Some cur when cur == xs -> Hashtbl.remove t.active_by_client xs.x_client
+    | Some _ | None -> ());
     match Queue.take_opt t.ready with
     | Some admit -> spawn_handler t admit (* hand the MPL slot over *)
     | None -> t.n_active <- t.n_active - 1
@@ -678,35 +679,15 @@ let read_pages t pages =
 (* Aborts and deadlock detection                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* Undo any of the victim's updates that reached the buffer pool before
-   commit; pages already forced to disk cost a read-modify-write. *)
-let undo_installed t xs =
-  (* every iteration crosses suspension points; if the server crashes
-     mid-undo the remaining work belongs to a dead incarnation *)
-  List.iter
-    (fun page ->
-      if t.epoch = xs.x_epoch then begin
-        Comms.use_cpu t.sport t.cfg.Sys_params.server_proc_inst;
-        if t.epoch = xs.x_epoch then
-          if Storage.Lru_pool.mem t.buf page then
-            ignore (Storage.Lru_pool.remove t.buf page)
-          else begin
-            Comms.use_cpu t.sport t.cfg.Sys_params.init_disk_inst;
-            sspan t Obs.Span.Disk_io (fun () ->
-                Storage.Disk.access (disk_for t page) ~seeks:1 ~pages:2)
-          end
-      end)
-    xs.x_installed;
-  if t.epoch = xs.x_epoch then
-    match t.log with
-    | Some log when t.srv_faulty ->
-        (* crashable servers log every abort, even update-free ones, so
-           recovery can rebuild the tombstone set from durable records *)
-        force_abort_sp ~xid:xs.x_xid t log
-          ~n_updates:(List.length xs.x_installed)
-    | Some log when xs.x_installed <> [] ->
-        force_abort_sp t log ~n_updates:(List.length xs.x_installed)
-    | Some _ | None -> ()
+(* An aborted transaction left nothing at the server to undo: updates
+   reach it only at commit.  Crashable servers still log every abort, so
+   recovery can rebuild the tombstone set from durable records; a crash
+   since admission leaves the abort to the dead incarnation. *)
+let log_abort t xs =
+  match t.log with
+  | Some log when t.srv_faulty && t.epoch = xs.x_epoch ->
+      force_abort_sp t log ~xid:xs.x_xid
+  | Some _ | None -> ()
 
 (* [record] and [notify] exist for the sharded paths: a transaction
    aborted on several shards is counted once, and its client is told by
@@ -747,10 +728,10 @@ let abort_xact ?(ctx = -1) ?(record = true) ?(notify = true) t xs ~reason
        record was being forced gives them up here *)
     unpin_xact t xs.x_xid;
     close_xact t xs;
-    (* the undo work and abort message happen off the caller's process so a
+    (* the abort record and message happen off the caller's process so a
        deadlock-detecting handler is not charged the victim's cleanup *)
     Sim.Engine.spawn t.eng (fun () ->
-        undo_installed t xs;
+        log_abort t xs;
         if notify then
           send_to_client ~ctx t xs.x_client
             (Proto.Aborted { xid = xs.x_xid; stale_pages = stale }))
@@ -1226,14 +1207,6 @@ let handle_commit t ~ctx ~client ~xid ~req ~read_set ~update_pages
             commit_one_round t ~ctx xs ~client ~xid ~req ~read_set
               ~update_pages ~release_pages)
 
-let handle_dirty_evict t ~client ~xid ~page =
-  on_open ~silent:true t ~ctx:(-1) ~client ~xid (fun xs ->
-      if still_open t xs then begin
-        charge_pages t 1;
-        install_page t page ~dirty:true;
-        xs.x_installed <- page :: xs.x_installed
-      end)
-
 (* ------------------------------------------------------------------ *)
 (* Two-phase commit (sharded topologies only; presumed abort)          *)
 (* ------------------------------------------------------------------ *)
@@ -1275,7 +1248,7 @@ let resolve ?(ctx = -1) t xid ~commit =
           Hashtbl.replace t.tombstones xid ();
           release_all t ~client;
           match t.log with
-          | Some log when t.srv_faulty -> force_abort_sp ~xid t log ~n_updates:0
+          | Some log when t.srv_faulty -> force_abort_sp t log ~xid
           | Some _ | None -> ()));
       []
     end
@@ -1330,7 +1303,7 @@ let participate ?(other = fun _ -> ()) t ~ctx ~client ~xid ~req input =
           Hashtbl.replace t.tombstones xid ();
           match t.log with
           | Some log when force && t.srv_faulty ->
-              force_abort_sp ~xid t log ~n_updates:0
+              force_abort_sp t log ~xid
           | Some _ | None -> ())
       | (Admit | Prepare_slice | Hold_in_doubt | Answer _ | Query_decider) as
         action ->
@@ -1997,7 +1970,6 @@ let handle_msg t ~ctx = function
       Cc.Lock_table.release t.lock_table ~page client
   | Proto.Release_retained { client; pages } ->
       List.iter (fun page -> Cc.Lock_table.release t.lock_table ~page client) pages
-  | Proto.Dirty_evict { client; xid; page } -> handle_dirty_evict t ~client ~xid ~page
   | Proto.Recovered { client } ->
       (* best-effort fast path (this notice itself is droppable; the lease
          sweep is the reliable backstop) *)

@@ -253,11 +253,6 @@ let route t ~parent ~retry (msg : Proto.c2s) =
       let s = shard_of t (List.hd pages).Proto.page in
       touch t s;
       t.send s ~parent ~retry msg
-  | Proto.Dirty_evict { xid; page; _ } ->
-      note_xid t ~parent xid;
-      let s = shard_of t page in
-      touch t s;
-      t.send s ~parent ~retry msg
   | Proto.Callback_reply { page; _ } ->
       t.send (shard_of t page) ~parent ~retry msg
   | Proto.Release_retained { client; pages } ->

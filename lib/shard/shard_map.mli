@@ -3,7 +3,7 @@
     The database is partitioned by {e contiguous class ranges}: shard [k]
     of [N] owns classes [k*C/N, (k+1)*C/N).  Because an object never
     spans a class boundary (see {!Db.Database}), every object access —
-    fetch, certification read, dirty evict, callback — is single-shard by
+    fetch, certification read, callback — is single-shard by
     construction; only transaction {e commits} can span shards.  The map
     is a pure function of the database shape and [n_shards], so the
     client-side router and every shard server compute identical

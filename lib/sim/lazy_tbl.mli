@@ -1,6 +1,6 @@
 (** A hash table whose bucket array is allocated on its first insert.
 
-    A simulated client owns nine tables (its cache index and its lock,
+    A simulated client owns seven tables (its cache index and its lock,
     certification and callback bookkeeping), and at thousands of clients
     nearly all of them are still waiting for their first server reply,
     holding nothing.  An eager table costs its full bucket array anyway.

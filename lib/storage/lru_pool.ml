@@ -5,6 +5,7 @@
 type node = {
   mutable page : int;
   mutable dirty : bool;
+  mutable version : int; (* -1 until [set_version] *)
   mutable pins : int;
   mutable prev : node;
   mutable next : node;
@@ -27,7 +28,9 @@ type t = {
 }
 
 let make_sentinel () =
-  let rec s = { page = -1; dirty = false; pins = 0; prev = s; next = s } in
+  let rec s =
+    { page = -1; dirty = false; version = -1; pins = 0; prev = s; next = s }
+  in
   s
 
 let create ~capacity =
@@ -96,6 +99,7 @@ let insert t page ~dirty =
         {
           page;
           dirty;
+          version = -1;
           pins = 0;
           prev = t.sentinel;
           next = t.sentinel;
@@ -112,6 +116,16 @@ let is_dirty t page =
 let set_dirty t page d =
   match Sim.Lazy_tbl.find_opt t.table page with
   | Some n -> n.dirty <- d
+  | None -> ()
+
+let version t page =
+  match Sim.Lazy_tbl.find_opt t.table page with
+  | Some n when n.version >= 0 -> Some n.version
+  | Some _ | None -> None
+
+let set_version t page v =
+  match Sim.Lazy_tbl.find_opt t.table page with
+  | Some n -> n.version <- v
   | None -> ()
 
 let remove t page =

@@ -1,4 +1,4 @@
-(** LRU page pool with pin counts and dirty bits.
+(** LRU page pool with pin counts, dirty bits and versions.
 
     The same structure backs the server buffer pool (§3.3.4) and each
     client cache (§3.3.3): a fixed number of page frames, least-recently-
@@ -45,6 +45,15 @@ val insert : t -> int -> dirty:bool -> victim option
 val is_dirty : t -> int -> bool
 
 val set_dirty : t -> int -> bool -> unit
+
+(** The version recorded for a resident page by [set_version]; [None] on
+    a miss or before the first [set_version].  A page that leaves the
+    pool takes its version with it: inserted again, it has none. *)
+val version : t -> int -> int option
+
+(** [set_version t page v] records [v] (non-negative) for a resident
+    page; no-op on a miss. *)
+val set_version : t -> int -> int -> unit
 
 (** [remove t page] drops the page regardless of pins; no-op on miss.
     Returns whether the page was dirty. *)

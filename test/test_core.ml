@@ -210,6 +210,20 @@ let test_mpl_admission_queues () =
   | [ Core.Proto.Fetch_reply _ ] -> ()
   | _ -> Alcotest.fail "queued transaction should be admitted after commit"
 
+(* One client can have two live transactions on one server (a newer one
+   opens before the older one's commit arrives, as in sharded no-wait
+   runs).  Closing the older one must leave the newer one indexed, or a
+   reboot notice cannot find it and it keeps its MPL slot forever. *)
+let test_close_keeps_newer_xact_indexed () =
+  let h = mk_harness () in
+  post h (fetch ~client:0 ~seq:1 [ fp 1 ]);
+  post h (fetch ~client:0 ~seq:2 [ fp 2 ]);
+  post h (commit ~client:0 ~seq:1 ());
+  ignore (drain_inbox h 0);
+  Alcotest.(check int) "seq 2 still active" 1 (Core.Server.active_count h.server);
+  post h (Core.Proto.Recovered { client = 0 });
+  Alcotest.(check int) "reboot aborts seq 2" 0 (Core.Server.active_count h.server)
+
 let test_read_only_commit_is_ok () =
   let h = mk_harness () in
   post h (fetch ~client:0 ~seq:1 [ fp 1; fp 2 ]);
@@ -1293,6 +1307,7 @@ let suites =
         case "tombstoned commit aborted" test_tombstoned_commit_gets_aborted_reply;
         case "mpl admission queues" test_mpl_admission_queues;
         case "read-only commit" test_read_only_commit_is_ok;
+        case "close keeps newer xact indexed" test_close_keeps_newer_xact_indexed;
       ] );
     ( "server-cert",
       [

@@ -339,48 +339,53 @@ let test_log_typed_costs_match_legacy () =
         (Log_manager.durable_records lm3))
 
 (* Model-based check: the pool must agree with a naive reference LRU on
-   membership and eviction choice under arbitrary operation sequences. *)
+   membership, eviction choice, dirty bits and versions under arbitrary
+   operation sequences.  The version op reads a page's version before it
+   sets a fresh one, so a page that was evicted, or removed and inserted
+   again, is caught if it kept the version of its old frame.  With
+   QCHECK_LONG set, it searches twenty times as many sequences. *)
 let prop_lru_matches_reference_model =
   QCheck.Test.make ~name:"pool agrees with reference LRU model" ~count:300
+    ~long_factor:20
     QCheck.(
       pair (int_range 1 6)
-        (list_of_size Gen.(int_range 1 120) (pair (int_range 0 14) (int_range 0 2))))
+        (list_of_size Gen.(int_range 1 120) (pair (int_range 0 14) (int_range 0 3))))
     (fun (cap, ops) ->
+      (* the shrinker can step below [int_range]'s lower bound *)
+      let cap = max 1 cap in
       let pool = Lru_pool.create ~capacity:cap in
-      (* reference: MRU-first list of (page, dirty) *)
+      (* reference: MRU-first list of (page, (dirty, version)) *)
       let model = ref [] in
-      let model_mem p = List.mem_assoc p !model in
       let model_touch p =
         match List.assoc_opt p !model with
         | None -> false
-        | Some d ->
-            model := (p, d) :: List.remove_assoc p !model;
+        | Some f ->
+            model := (p, f) :: List.remove_assoc p !model;
             true
       in
       let model_insert p dirty =
-        if model_mem p then begin
-          let d = List.assoc p !model in
-          model := (p, d || dirty) :: List.remove_assoc p !model;
-          None
-        end
-        else begin
-          let victim =
-            if List.length !model >= cap then begin
-              let rec last = function
-                | [ x ] -> x
-                | _ :: rest -> last rest
-                | [] -> assert false
-              in
-              let (vp, vd) = last !model in
-              model := List.remove_assoc vp !model;
-              Some (vp, vd)
-            end
-            else None
-          in
-          model := (p, dirty) :: !model;
-          victim
-        end
+        match List.assoc_opt p !model with
+        | Some (d, v) ->
+            model := (p, (d || dirty, v)) :: List.remove_assoc p !model;
+            None
+        | None ->
+            let victim =
+              if List.length !model >= cap then begin
+                let rec last = function
+                  | [ x ] -> x
+                  | _ :: rest -> last rest
+                  | [] -> assert false
+                in
+                let (vp, (vd, _)) = last !model in
+                model := List.remove_assoc vp !model;
+                Some (vp, vd)
+              end
+              else None
+            in
+            model := (p, (dirty, None)) :: !model;
+            victim
       in
+      let next_version = ref 0 in
       List.for_all
         (fun (page, op) ->
           match op with
@@ -396,12 +401,27 @@ let prop_lru_matches_reference_model =
               | Some (vp, vd), Some v ->
                   v.Lru_pool.page = vp && v.Lru_pool.dirty = vd
               | _ -> false)
-          | _ ->
+          | 2 ->
               let expected_dirty =
-                match List.assoc_opt page !model with Some d -> d | None -> false
+                match List.assoc_opt page !model with
+                | Some (d, _) -> d
+                | None -> false
               in
               model := List.remove_assoc page !model;
-              Lru_pool.remove pool page = expected_dirty)
+              Lru_pool.remove pool page = expected_dirty
+          | _ ->
+              let ok =
+                Lru_pool.version pool page
+                = Option.bind (List.assoc_opt page !model) snd
+              in
+              incr next_version;
+              let v = !next_version in
+              Lru_pool.set_version pool page v;
+              model :=
+                List.map
+                  (fun (p, (d, old)) -> (p, (d, if p = page then Some v else old)))
+                  !model;
+              ok)
         ops
       && List.length !model = Lru_pool.size pool)
 
