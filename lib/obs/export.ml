@@ -1,7 +1,7 @@
 (* Artifact exporters: Chrome/Perfetto trace_event JSON for the merged
    trace, and CSV for sampled series.  Both formats are written by hand
    (no JSON/CSV dependency in the tree) and both come with a reader —
-   [validate_json] parses the JSON we emit, [series_of_csv] round-trips
+   [validate_json] checks the JSON we emit, [series_of_csv] round-trips
    the CSV — so the CI smoke job can verify artifacts without external
    tooling. *)
 
@@ -9,21 +9,59 @@
 (* JSON building blocks                                                *)
 (* ------------------------------------------------------------------ *)
 
+(* Everything below writes into one [Buffer.t]: constant fragments as
+   they are, ints through [add_int], times through the C formatter that
+   [Printf]'s [%.3f] calls, and text through [add_json_string], which
+   copies a string that needs no escaping in one piece. *)
+
+external format_float : string -> float -> string = "caml_format_float"
+
+let hex = "0123456789abcdef"
+
+let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
+
+(* The index of the first byte of [s] that needs escaping, or its length. *)
+let rec first_escape s i =
+  if i = String.length s || needs_escape (String.unsafe_get s i) then i
+  else first_escape s (i + 1)
+
+(* Appends [s] escaped, given that its bytes before [i] need none. *)
+let add_escaped_from b s i =
+  Buffer.add_substring b s 0 i;
+  for j = i to String.length s - 1 do
+    match String.unsafe_get s j with
+    | '"' -> Buffer.add_string b "\\\""
+    | '\\' -> Buffer.add_string b "\\\\"
+    | '\n' -> Buffer.add_string b "\\n"
+    | '\r' -> Buffer.add_string b "\\r"
+    | '\t' -> Buffer.add_string b "\\t"
+    | c when Char.code c < 0x20 ->
+        Buffer.add_string b "\\u00";
+        Buffer.add_char b hex.[Char.code c lsr 4];
+        Buffer.add_char b hex.[Char.code c land 15]
+    | c -> Buffer.add_char b c
+  done
+
+let add_json_string b s = add_escaped_from b s (first_escape s 0)
+
 let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+  let i = first_escape s 0 in
+  if i = String.length s then s
+  else begin
+    let b = Buffer.create (String.length s + 8) in
+    add_escaped_from b s i;
+    Buffer.contents b
+  end
+
+(* The bytes of [string_of_int n] without its [snprintf] call and its
+   string.  The exporter's ints (pid, tid, seq, page, xid, shard) are
+   never negative; one that were would take [string_of_int]'s path. *)
+let rec add_digits b n =
+  if n >= 10 then add_digits b (n / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 + (n mod 10)))
+
+let add_int b n =
+  if n < 0 then Buffer.add_string b (string_of_int n) else add_digits b n
 
 (* ------------------------------------------------------------------ *)
 (* Perfetto / Chrome trace_event format                                *)
@@ -32,9 +70,10 @@ let json_escape s =
 (* One JSON object per trace entry, in the "i" (instant) phase, plus an
    "X" (complete) event per paired lock wait so Perfetto renders waits as
    bars.  pid = replication index, tid = client id + 1 (0 is the
-   server/system track).  Timestamps are microseconds of simulated time. *)
+   server/system track).  Timestamps are microseconds of simulated time,
+   printed [%.3f]. *)
 
-let us t = t *. 1e6
+let add_us b t = Buffer.add_string b (format_float "%.3f" (t *. 1e6))
 
 let tid_of ev = match Event.actor ev with Some c -> c + 1 | None -> 0
 
@@ -58,36 +97,43 @@ let perfetto ?(spans = [||]) ?(flows = [||])
       (4096
       + (Array.length entries + Array.length spans + Array.length flows) * 96)
   in
-  Buffer.add_string b "{\"traceEvents\":[";
+  let str s = Buffer.add_string b s and int n = add_int b n in
+  str "{\"traceEvents\":[";
   let first = ref true in
+  (* starts the next record with [s] *)
   let obj s =
     if !first then first := false else Buffer.add_char b ',';
-    Buffer.add_string b s
+    str s
   in
   (* name the rep processes and client threads once per (pid, tid) *)
   let seen_pid = Hashtbl.create 8 and seen_tid = Hashtbl.create 64 in
   let metadata pid tid =
     if not (Hashtbl.mem seen_pid pid) then begin
       Hashtbl.add seen_pid pid ();
-      obj
-        (Printf.sprintf
-           "{\"ph\":\"M\",\"pid\":%d,\"tid\":0,\"name\":\"process_name\",\
-            \"args\":{\"name\":\"rep %d\"}}"
-           pid pid)
+      obj "{\"ph\":\"M\",\"pid\":";
+      int pid;
+      str ",\"tid\":0,\"name\":\"process_name\",\"args\":{\"name\":\"rep ";
+      int pid;
+      str "\"}}"
     end;
-    if not (Hashtbl.mem seen_tid (pid, tid)) then begin
-      Hashtbl.add seen_tid (pid, tid) ();
-      let label =
-        if tid = 0 then "server/system"
-        else if tid >= shard_tid_base then
-          Printf.sprintf "shard %d" (tid - shard_tid_base)
-        else Printf.sprintf "client %d" (tid - 1)
-      in
-      obj
-        (Printf.sprintf
-           "{\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\"name\":\"thread_name\",\
-            \"args\":{\"name\":\"%s\"}}"
-           pid tid label)
+    let key = (pid lsl 32) lor tid in
+    if not (Hashtbl.mem seen_tid key) then begin
+      Hashtbl.add seen_tid key ();
+      obj "{\"ph\":\"M\",\"pid\":";
+      int pid;
+      str ",\"tid\":";
+      int tid;
+      str ",\"name\":\"thread_name\",\"args\":{\"name\":\"";
+      if tid = 0 then str "server/system"
+      else if tid >= shard_tid_base then begin
+        str "shard ";
+        int (tid - shard_tid_base)
+      end
+      else begin
+        str "client ";
+        int (tid - 1)
+      end;
+      str "\"}}"
     end
   in
   (* lock-wait pairing for duration events, per (rep, client, page) *)
@@ -96,13 +142,19 @@ let perfetto ?(spans = [||]) ?(flows = [||])
     (fun (rep, { Recorder.time; ev; seq }) ->
       let tid = tid_of ev in
       metadata rep tid;
-      obj
-        (Printf.sprintf
-           "{\"name\":\"%s\",\"ph\":\"i\",\"s\":\"t\",\"ts\":%.3f,\"pid\":%d,\
-            \"tid\":%d,\"args\":{\"seq\":%d,\"detail\":\"%s\"}}"
-           (json_escape (Event.kind ev))
-           (us time) rep tid seq
-           (json_escape (Event.to_string ev)));
+      obj "{\"name\":\"";
+      add_json_string b (Event.kind ev);
+      str "\",\"ph\":\"i\",\"s\":\"t\",\"ts\":";
+      add_us b time;
+      str ",\"pid\":";
+      int rep;
+      str ",\"tid\":";
+      int tid;
+      str ",\"args\":{\"seq\":";
+      int seq;
+      str ",\"detail\":\"";
+      add_json_string b (Event.to_string ev);
+      str "\"}}";
       match ev with
       | Event.Lock_wait { client; page; _ } ->
           Hashtbl.replace waiting (rep, client, page) time
@@ -110,13 +162,19 @@ let perfetto ?(spans = [||]) ?(flows = [||])
           match Hashtbl.find_opt waiting (rep, client, page) with
           | Some t0 ->
               Hashtbl.remove waiting (rep, client, page);
-              obj
-                (Printf.sprintf
-                   "{\"name\":\"lock-wait p%d (%s)\",\"ph\":\"X\",\"ts\":%.3f,\
-                    \"dur\":%.3f,\"pid\":%d,\"tid\":%d,\"args\":{}}"
-                   page (json_escape mode) (us t0)
-                   (us (time -. t0))
-                   rep (client + 1))
+              obj "{\"name\":\"lock-wait p";
+              int page;
+              str " (";
+              add_json_string b mode;
+              str ")\",\"ph\":\"X\",\"ts\":";
+              add_us b t0;
+              str ",\"dur\":";
+              add_us b (time -. t0);
+              str ",\"pid\":";
+              int rep;
+              str ",\"tid\":";
+              int (client + 1);
+              str ",\"args\":{}}"
           | None -> ())
       | _ -> ())
     entries;
@@ -136,20 +194,40 @@ let perfetto ?(spans = [||]) ?(flows = [||])
               Hashtbl.remove open_spans (rep, id);
               let tid = span_tid track in
               metadata rep tid;
-              obj
-                (Printf.sprintf
-                   "{\"name\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\
-                    \"pid\":%d,\"tid\":%d,\"args\":{\"xid\":%d,\"ok\":%b}}"
-                   (json_escape (Span.kind_name kind))
-                   (us t0)
-                   (us (sp_time -. t0))
-                   rep tid xid ok)))
+              obj "{\"name\":\"";
+              add_json_string b (Span.kind_name kind);
+              str "\",\"ph\":\"X\",\"ts\":";
+              add_us b t0;
+              str ",\"dur\":";
+              add_us b (sp_time -. t0);
+              str ",\"pid\":";
+              int rep;
+              str ",\"tid\":";
+              int tid;
+              str ",\"args\":{\"xid\":";
+              int xid;
+              str (if ok then ",\"ok\":true}}" else ",\"ok\":false}}")))
     spans;
   (* causal messages become flow arrows: a "s" (flow start) event on the
      sender's lane at the send instant and a matching "f" (flow finish,
      binding to the enclosing slice) on the receiver's at delivery.  Only
      delivered copies draw an arrow — a drop has nowhere to land.  Flow
      ids are strings ("rep-node"), unique across reps by construction. *)
+  let flow ph kind rep id t tid =
+    obj "{\"name\":\"";
+    add_json_string b kind;
+    str ph;
+    int rep;
+    Buffer.add_char b '-';
+    int id;
+    str "\",\"ts\":";
+    add_us b t;
+    str ",\"pid\":";
+    int rep;
+    str ",\"tid\":";
+    int tid;
+    Buffer.add_char b '}'
+  in
   let sends = Hashtbl.create 256 in
   Array.iter
     (fun (rep, { Causal.cz_time; cz_ev; cz_seq = _ }) ->
@@ -164,20 +242,13 @@ let perfetto ?(spans = [||]) ?(flows = [||])
               let src_tid = causal_tid src and dst_tid = causal_tid dst in
               metadata rep src_tid;
               metadata rep dst_tid;
-              obj
-                (Printf.sprintf
-                   "{\"name\":\"%s\",\"cat\":\"causal\",\"ph\":\"s\",\
-                    \"id\":\"%d-%d\",\"ts\":%.3f,\"pid\":%d,\"tid\":%d}"
-                   (json_escape kind) rep id (us t0) rep src_tid);
-              obj
-                (Printf.sprintf
-                   "{\"name\":\"%s\",\"cat\":\"causal\",\"ph\":\"f\",\
-                    \"bp\":\"e\",\"id\":\"%d-%d\",\"ts\":%.3f,\"pid\":%d,\
-                    \"tid\":%d}"
-                   (json_escape kind) rep id (us cz_time) rep dst_tid))
+              flow "\",\"cat\":\"causal\",\"ph\":\"s\",\"id\":\"" kind rep id
+                t0 src_tid;
+              flow "\",\"cat\":\"causal\",\"ph\":\"f\",\"bp\":\"e\",\"id\":\""
+                kind rep id cz_time dst_tid)
       | Causal.Root _ | Causal.Drop _ | Causal.End _ -> ())
     flows;
-  Buffer.add_string b "],\"displayTimeUnit\":\"ms\"}";
+  str "],\"displayTimeUnit\":\"ms\"}";
   Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
@@ -242,10 +313,15 @@ let series_of_csv text =
 (* Minimal JSON parser                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* A recursive-descent parser for RFC 8259 JSON.  Originally a pure
-   validator for the Perfetto smoke job; it now builds a value so the
-   benchmark (perfbench/) can read its own result lines back without any
-   external JSON dependency. *)
+(* A recursive-descent scanner for RFC 8259 JSON with two uses.  With
+   [build] it returns the value, so the benchmark (perfbench/) can read
+   its own result lines back without any external JSON dependency;
+   without, it checks the same grammar for [validate_json] and allocates
+   nothing per byte or per value: no strings, numbers or lists.  Both
+   modes raise the same errors at the same positions.  [peek] returns
+   ['\000'] at the end, which is as invalid as a NUL outside a string;
+   inside one, the end is tested explicitly, so an unterminated string
+   and a control character stay distinct. *)
 
 type json =
   | Null
@@ -257,191 +333,224 @@ type json =
 
 exception Bad of string * int
 
-let parse_json text =
-  let n = String.length text in
-  let pos = ref 0 in
-  let fail msg = raise (Bad (msg, !pos)) in
-  let peek () = if !pos < n then Some text.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some x when x = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected %c" c)
-  in
-  (* decode a code point to UTF-8 bytes (enough for \u escapes; surrogate
-     pairs outside the BMP are not recombined — we never emit them) *)
-  let add_utf8 b cp =
-    if cp < 0x80 then Buffer.add_char b (Char.chr cp)
-    else if cp < 0x800 then begin
-      Buffer.add_char b (Char.chr (0xC0 lor (cp lsr 6)));
-      Buffer.add_char b (Char.chr (0x80 lor (cp land 0x3F)))
-    end
-    else begin
-      Buffer.add_char b (Char.chr (0xE0 lor (cp lsr 12)));
-      Buffer.add_char b (Char.chr (0x80 lor ((cp lsr 6) land 0x3F)));
-      Buffer.add_char b (Char.chr (0x80 lor (cp land 0x3F)))
-    end
-  in
-  let string_lit () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' -> (
-          advance ();
-          match peek () with
-          | Some (('"' | '\\' | '/') as c) ->
-              Buffer.add_char b c;
-              advance ();
-              go ()
-          | Some 'b' -> Buffer.add_char b '\b'; advance (); go ()
-          | Some 'f' -> Buffer.add_char b '\012'; advance (); go ()
-          | Some 'n' -> Buffer.add_char b '\n'; advance (); go ()
-          | Some 'r' -> Buffer.add_char b '\r'; advance (); go ()
-          | Some 't' -> Buffer.add_char b '\t'; advance (); go ()
-          | Some 'u' ->
-              advance ();
-              let cp = ref 0 in
-              for _ = 1 to 4 do
-                match peek () with
-                | Some ('0' .. '9' as c) ->
-                    cp := (!cp * 16) + (Char.code c - Char.code '0');
-                    advance ()
-                | Some ('a' .. 'f' as c) ->
-                    cp := (!cp * 16) + (Char.code c - Char.code 'a' + 10);
-                    advance ()
-                | Some ('A' .. 'F' as c) ->
-                    cp := (!cp * 16) + (Char.code c - Char.code 'A' + 10);
-                    advance ()
-                | _ -> fail "bad \\u escape"
-              done;
-              add_utf8 b !cp;
-              go ()
-          | _ -> fail "bad escape")
-      | Some c when Char.code c < 0x20 -> fail "control char in string"
-      | Some c ->
-          Buffer.add_char b c;
-          advance ();
-          go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let number () =
-    let start = !pos in
-    let digits () =
-      let had = ref false in
-      let rec go () =
-        match peek () with
-        | Some '0' .. '9' ->
-            had := true;
-            advance ();
-            go ()
-        | _ -> ()
+type scanner = { text : string; n : int; mutable pos : int; build : bool }
+
+let fail st msg = raise (Bad (msg, st.pos))
+
+let[@inline] peek st =
+  if st.pos < st.n then String.unsafe_get st.text st.pos else '\000'
+
+let[@inline] advance st = st.pos <- st.pos + 1
+
+let rec skip_ws st =
+  match peek st with
+  | ' ' | '\t' | '\n' | '\r' ->
+      advance st;
+      skip_ws st
+  | _ -> ()
+
+let expect st c =
+  if peek st = c then advance st else fail st (Printf.sprintf "expected %c" c)
+
+(* decode a code point to UTF-8 bytes (enough for \u escapes; surrogate
+   pairs outside the BMP are not recombined — we never emit them) *)
+let add_utf8 b cp =
+  if cp < 0x80 then Buffer.add_char b (Char.chr cp)
+  else if cp < 0x800 then begin
+    Buffer.add_char b (Char.chr (0xC0 lor (cp lsr 6)));
+    Buffer.add_char b (Char.chr (0x80 lor (cp land 0x3F)))
+  end
+  else begin
+    Buffer.add_char b (Char.chr (0xE0 lor (cp lsr 12)));
+    Buffer.add_char b (Char.chr (0x80 lor ((cp lsr 6) land 0x3F)));
+    Buffer.add_char b (Char.chr (0x80 lor (cp land 0x3F)))
+  end
+
+let hex_value = function
+  | '0' .. '9' as c -> Char.code c - Char.code '0'
+  | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+  | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+  | _ -> -1
+
+(* The code point an escape stands for; [pos] is just past the
+   backslash, and ends past the escape. *)
+let escape st =
+  match peek st with
+  | ('"' | '\\' | '/') as c ->
+      advance st;
+      Char.code c
+  | 'b' -> advance st; 0x08
+  | 'f' -> advance st; 0x0C
+  | 'n' -> advance st; 0x0A
+  | 'r' -> advance st; 0x0D
+  | 't' -> advance st; 0x09
+  | 'u' ->
+      advance st;
+      let cp = ref 0 in
+      for _ = 1 to 4 do
+        let d = hex_value (peek st) in
+        if d < 0 then fail st "bad \\u escape";
+        cp := (!cp * 16) + d;
+        advance st
+      done;
+      !cp
+  | _ -> fail st "bad escape"
+
+(* The rest of a string literal from its first escape on, decoded into
+   [b] when building. *)
+let rec escaped st b =
+  if st.pos >= st.n then fail st "unterminated string";
+  match String.unsafe_get st.text st.pos with
+  | '"' -> advance st
+  | '\\' ->
+      advance st;
+      let cp = escape st in
+      (match b with Some b -> add_utf8 b cp | None -> ());
+      escaped st b
+  | c when Char.code c < 0x20 -> fail st "control char in string"
+  | c ->
+      (match b with Some b -> Buffer.add_char b c | None -> ());
+      advance st;
+      escaped st b
+
+(* A string literal whose bytes since [start] need no decoding: one
+   [String.sub] if it ends without an escape. *)
+let rec plain st start =
+  if st.pos >= st.n then fail st "unterminated string";
+  match String.unsafe_get st.text st.pos with
+  | '"' ->
+      let s =
+        if st.build then String.sub st.text start (st.pos - start) else ""
       in
-      go ();
-      if not !had then fail "expected digit"
-    in
-    (match peek () with Some '-' -> advance () | _ -> ());
-    digits ();
-    (match peek () with
-    | Some '.' ->
-        advance ();
-        digits ()
-    | _ -> ());
-    (match peek () with
-    | Some ('e' | 'E') ->
-        advance ();
-        (match peek () with Some ('+' | '-') -> advance () | _ -> ());
-        digits ()
-    | _ -> ());
-    float_of_string (String.sub text start (!pos - start))
-  in
-  let literal s v =
-    let l = String.length s in
-    if !pos + l <= n && String.sub text !pos l = s then begin
-      pos := !pos + l;
-      v
-    end
-    else fail ("expected " ^ s)
-  in
-  let rec value () =
-    skip_ws ();
-    let v =
-      match peek () with
-      | Some '{' ->
-          advance ();
-          skip_ws ();
-          if peek () = Some '}' then begin
-            advance ();
-            Obj []
-          end
-          else
-            let rec members acc =
-              skip_ws ();
-              let k = string_lit () in
-              skip_ws ();
-              expect ':';
-              let v = value () in
-              skip_ws ();
-              match peek () with
-              | Some ',' ->
-                  advance ();
-                  members ((k, v) :: acc)
-              | Some '}' ->
-                  advance ();
-                  List.rev ((k, v) :: acc)
-              | _ -> fail "expected , or }"
-            in
-            Obj (members [])
-      | Some '[' ->
-          advance ();
-          skip_ws ();
-          if peek () = Some ']' then begin
-            advance ();
-            Arr []
-          end
-          else
-            let rec elements acc =
-              let v = value () in
-              skip_ws ();
-              match peek () with
-              | Some ',' ->
-                  advance ();
-                  elements (v :: acc)
-              | Some ']' ->
-                  advance ();
-                  List.rev (v :: acc)
-              | _ -> fail "expected , or ]"
-            in
-            Arr (elements [])
-      | Some '"' -> Str (string_lit ())
-      | Some 't' -> literal "true" (Bool true)
-      | Some 'f' -> literal "false" (Bool false)
-      | Some 'n' -> literal "null" Null
-      | Some ('-' | '0' .. '9') -> Num (number ())
-      | _ -> fail "expected value"
-    in
-    skip_ws ();
+      advance st;
+      s
+  | '\\' when st.build ->
+      let b = Buffer.create (st.pos - start + 16) in
+      Buffer.add_substring b st.text start (st.pos - start);
+      escaped st (Some b);
+      Buffer.contents b
+  | '\\' ->
+      escaped st None;
+      ""
+  | c when Char.code c < 0x20 -> fail st "control char in string"
+  | _ ->
+      advance st;
+      plain st start
+
+let string_lit st =
+  expect st '"';
+  plain st st.pos
+
+let digits st =
+  let start = st.pos in
+  while match peek st with '0' .. '9' -> true | _ -> false do
+    advance st
+  done;
+  if st.pos = start then fail st "expected digit"
+
+let number st =
+  if peek st = '-' then advance st;
+  digits st;
+  if peek st = '.' then begin
+    advance st;
+    digits st
+  end;
+  match peek st with
+  | 'e' | 'E' ->
+      advance st;
+      (match peek st with '+' | '-' -> advance st | _ -> ());
+      digits st
+  | _ -> ()
+
+let rec same_at text pos s i =
+  i = String.length s
+  || (text.[pos + i] = s.[i] && same_at text pos s (i + 1))
+
+let literal st s v =
+  let l = String.length s in
+  if st.pos + l <= st.n && same_at st.text st.pos s 0 then begin
+    st.pos <- st.pos + l;
     v
+  end
+  else fail st ("expected " ^ s)
+
+let rec value st =
+  skip_ws st;
+  let v =
+    match peek st with
+    | '{' ->
+        advance st;
+        skip_ws st;
+        if peek st = '}' then begin
+          advance st;
+          Obj []
+        end
+        else members st []
+    | '[' ->
+        advance st;
+        skip_ws st;
+        if peek st = ']' then begin
+          advance st;
+          Arr []
+        end
+        else elements st []
+    | '"' ->
+        let s = string_lit st in
+        if st.build then Str s else Null
+    | 't' -> literal st "true" (Bool true)
+    | 'f' -> literal st "false" (Bool false)
+    | 'n' -> literal st "null" Null
+    | '-' | '0' .. '9' ->
+        (* every number the grammar admits is a valid [float_of_string] *)
+        let start = st.pos in
+        number st;
+        if st.build then
+          Num (float_of_string (String.sub st.text start (st.pos - start)))
+        else Null
+    | _ -> fail st "expected value"
   in
+  skip_ws st;
+  v
+
+and members st acc =
+  skip_ws st;
+  let k = string_lit st in
+  skip_ws st;
+  expect st ':';
+  let v = value st in
+  let acc = if st.build then (k, v) :: acc else acc in
+  match peek st with
+  | ',' ->
+      advance st;
+      members st acc
+  | '}' ->
+      advance st;
+      if st.build then Obj (List.rev acc) else Null
+  | _ -> fail st "expected , or }"
+
+and elements st acc =
+  let v = value st in
+  let acc = if st.build then v :: acc else acc in
+  match peek st with
+  | ',' ->
+      advance st;
+      elements st acc
+  | ']' ->
+      advance st;
+      if st.build then Arr (List.rev acc) else Null
+  | _ -> fail st "expected , or ]"
+
+let scan ~build text =
+  let st = { text; n = String.length text; pos = 0; build } in
   try
-    let v = value () in
-    if !pos <> n then Error (Printf.sprintf "trailing bytes at %d" !pos)
+    let v = value st in
+    if st.pos <> st.n then Error (Printf.sprintf "trailing bytes at %d" st.pos)
     else Ok v
   with Bad (msg, p) -> Error (Printf.sprintf "%s at byte %d" msg p)
 
-let validate_json text =
-  match parse_json text with Ok _ -> Ok () | Error e -> Error e
+let parse_json text = scan ~build:true text
+
+let validate_json text = Result.map ignore (scan ~build:false text)
 
 (* field accessor for readers of parsed JSON *)
 let member k = function Obj kvs -> List.assoc_opt k kvs | _ -> None

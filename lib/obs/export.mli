@@ -10,7 +10,7 @@
     (tid = 1000000 + shard), so a sharded run renders as one timeline.
 
     Both formats come with a reader so artifacts can be verified without
-    external tools: {!validate_json} parses the emitted JSON,
+    external tools: {!validate_json} checks the emitted JSON,
     {!series_of_csv} round-trips the CSV exactly ([%.17g] floats). *)
 
 (** Chrome/Perfetto trace_event JSON of a merged trace
@@ -61,11 +61,14 @@ val parse_json : string -> (json, string) result
     non-object. *)
 val member : string -> json -> json option
 
-(** Validate that [text] is well-formed JSON ({!parse_json}, value
-    discarded). *)
+(** Validate that [text] is well-formed JSON.  It checks the grammar
+    {!parse_json} reads without building a value, so it allocates
+    nothing per byte; it accepts exactly what {!parse_json} accepts and
+    rejects the rest with the same error text. *)
 val validate_json : string -> (unit, string) result
 
-(** Escape a string for inclusion inside JSON double quotes. *)
+(** Escape a string for inclusion inside JSON double quotes.  Returns
+    its argument itself when no byte needs escaping. *)
 val json_escape : string -> string
 
 val write_file : string -> string -> unit

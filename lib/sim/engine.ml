@@ -7,6 +7,7 @@ type _ Effect.t += Suspend : ((unit -> unit) -> unit) -> unit Effect.t
 exception Process_exit
 
 type pstat = {
+  p_name : string;
   mutable p_runs : int;
   mutable p_holds : int;
   mutable p_hold_time : float;
@@ -46,20 +47,22 @@ type profile = {
    heap while its top is at [clock], and the ring otherwise, is therefore
    exactly (time, seq) order.
 
-   Under profiling each event also carries its owner: the process (by
-   spawn name) whose execution scheduled it.  Continuations keep their
-   process's name, plain [schedule] callbacks and anonymous spawns inherit
-   the scheduler's.  The owner arrays ([s_owner], [r_owner]), [current]
-   and the per-name table are only allocated or written when profiling is
-   on. *)
+   Under profiling each event also carries its owner: the counters of
+   the process (by spawn name) whose execution scheduled it, looked up
+   once when that process is spawned.  Continuations keep their process's
+   owner, plain [schedule] callbacks and anonymous spawns inherit the
+   scheduler's.  The owner arrays ([s_owner], [r_owner]) are only
+   allocated or written, and [current] only changes, when profiling is
+   on.  A pop leaves the owner slot as it is: every owner record lives
+   in [pstats] anyway. *)
 type t = {
   mutable h_time : Float.Array.t;
   mutable h_seq : int array;
   mutable h_slot : int array;  (* heap position -> slot; free slots after h_len *)
   mutable s_run : (unit -> unit) array;  (* slot -> event *)
-  mutable s_owner : string array;  (* slot -> owner; [||] unless profiling *)
+  mutable s_owner : pstat array;  (* slot -> owner; [||] unless profiling *)
   mutable h_len : int;
-  mutable r_owner : string array;  (* [||] unless profiling *)
+  mutable r_owner : pstat array;  (* [||] unless profiling *)
   mutable r_run : (unit -> unit) array;
   mutable r_head : int;
   mutable r_len : int;  (* ring capacity is a power of two *)
@@ -76,7 +79,8 @@ type t = {
   mutable live : int;  (* processes started and not yet finished *)
   mutable live_hwm : int;
   mutable profiling : bool;
-  mutable current : string;  (* owner of the event being executed *)
+  mutable current : pstat;  (* owner of the event being executed *)
+  anonymous : pstat;  (* [current] outside any named process *)
   pstats : (string, pstat) Hashtbl.t;
   hold_d : Float.Array.t;
       (* one element: the duration of the [Hold] being handled, passed
@@ -95,28 +99,35 @@ let enable_profiling t =
   if t.h_len + t.r_len > 0 then
     invalid_arg "Engine.enable_profiling: events already pending";
   t.profiling <- true;
-  t.s_owner <- Array.make (Array.length t.s_run) "";
-  t.r_owner <- Array.make (Array.length t.r_run) ""
+  t.s_owner <- Array.make (Array.length t.s_run) t.anonymous;
+  t.r_owner <- Array.make (Array.length t.r_run) t.anonymous
+
+let new_pstat name =
+  { p_name = name; p_runs = 0; p_holds = 0; p_hold_time = 0.0 }
 
 let pstat t name =
   match Hashtbl.find_opt t.pstats name with
   | Some p -> p
   | None ->
-      let p = { p_runs = 0; p_holds = 0; p_hold_time = 0.0 } in
+      let p = new_pstat name in
       Hashtbl.add t.pstats name p;
       p
 
+(* Records are made at spawn, so a process that never ran has one with
+   zero counters: left out. *)
 let profile t =
   let per =
     Hashtbl.fold
-      (fun name p acc ->
-        {
-          pp_name = (if name = "" then "(anonymous)" else name);
-          pp_runs = p.p_runs;
-          pp_holds = p.p_holds;
-          pp_hold_time = p.p_hold_time;
-        }
-        :: acc)
+      (fun _ p acc ->
+        if p.p_runs = 0 && p.p_holds = 0 then acc
+        else
+          {
+            pp_name = (if p.p_name = "" then "(anonymous)" else p.p_name);
+            pp_runs = p.p_runs;
+            pp_holds = p.p_holds;
+            pp_hold_time = p.p_hold_time;
+          }
+          :: acc)
       t.pstats []
     |> List.sort (fun a b ->
            let c = Int.compare b.pp_runs a.pp_runs in
@@ -153,7 +164,7 @@ let grow_heap t =
   t.h_seq <- extend t.h_seq ncap 0;
   t.h_slot <- Array.init ncap (fun i -> if i < cap then t.h_slot.(i) else i);
   t.s_run <- extend t.s_run ncap nop;
-  if t.profiling then t.s_owner <- extend t.s_owner ncap ""
+  if t.profiling then t.s_owner <- extend t.s_owner ncap t.anonymous
 
 (* Takes the free slot parked at the end, opens a hole there, moves it up
    until (time, seq) fits, then fills it. *)
@@ -190,10 +201,7 @@ let heap_pop t =
   let freed = Array.unsafe_get hl 0 in
   let run = Array.unsafe_get t.s_run freed in
   Array.unsafe_set t.s_run freed nop;
-  if t.profiling then begin
-    t.current <- Array.unsafe_get t.s_owner freed;
-    Array.unsafe_set t.s_owner freed ""
-  end;
+  if t.profiling then t.current <- Array.unsafe_get t.s_owner freed;
   let n = t.h_len - 1 in
   t.h_len <- n;
   if n > 0 then begin
@@ -242,7 +250,7 @@ let ring_push t owner run =
       Array.init ncap (fun k ->
           if k < t.r_len then a.((t.r_head + k) land (cap - 1)) else fill)
     in
-    if t.profiling then t.r_owner <- unroll t.r_owner "";
+    if t.profiling then t.r_owner <- unroll t.r_owner t.anonymous;
     t.r_run <- unroll t.r_run nop;
     t.r_head <- 0
   end;
@@ -256,10 +264,7 @@ let ring_pop t =
   let k = t.r_head in
   let run = Array.unsafe_get t.r_run k in
   Array.unsafe_set t.r_run k nop;
-  if t.profiling then begin
-    t.current <- Array.unsafe_get t.r_owner k;
-    Array.unsafe_set t.r_owner k ""
-  end;
+  if t.profiling then t.current <- Array.unsafe_get t.r_owner k;
   t.r_head <- (k + 1) land (Array.length t.r_run - 1);
   t.r_len <- t.r_len - 1;
   run
@@ -312,7 +317,7 @@ let make_handler t =
     else begin
       t.holds <- t.holds + 1;
       if t.profiling then begin
-        let p = pstat t t.current in
+        let p = t.current in
         p.p_holds <- p.p_holds + 1;
         p.p_hold_time <- p.p_hold_time +. d
       end;
@@ -347,6 +352,9 @@ let make_handler t =
   }
 
 let create () =
+  let anonymous = new_pstat "" in
+  let pstats = Hashtbl.create 32 in
+  Hashtbl.add pstats "" anonymous;
   let t =
     {
       h_time = Float.Array.create 0;
@@ -370,8 +378,9 @@ let create () =
       live = 0;
       live_hwm = 0;
       profiling = false;
-      current = "";
-      pstats = Hashtbl.create 32;
+      current = anonymous;
+      anonymous;
+      pstats;
       hold_d = Float.Array.make 1 0.0;
       handler = { retc = Fun.id; exnc = raise; effc = (fun _ -> None) };
     }
@@ -382,7 +391,9 @@ let create () =
 let spawn t ?at ?name body =
   let at = match at with Some a -> a | None -> t.clock in
   t.spawned <- t.spawned + 1;
-  let owner = match name with Some n -> n | None -> t.current in
+  let owner =
+    match name with Some n when t.profiling -> pstat t n | _ -> t.current
+  in
   schedule_owned t ~owner ~at (fun () ->
       t.live <- t.live + 1;
       if t.live > t.live_hwm then t.live_hwm <- t.live;
@@ -392,7 +403,7 @@ let spawn t ?at ?name body =
 let[@inline] execute t run =
   t.executed <- t.executed + 1;
   if t.profiling then begin
-    let p = pstat t t.current in
+    let p = t.current in
     p.p_runs <- p.p_runs + 1
   end;
   run ()
@@ -431,7 +442,7 @@ let run t ?until () =
     end
   in
   loop ();
-  t.current <- "";
+  t.current <- t.anonymous;
   t.clock
 
 let stop t = t.stopping <- true

@@ -110,14 +110,6 @@ let insert t page ~dirty =
       fire_add t page;
       victim
 
-let is_dirty t page =
-  match Sim.Lazy_tbl.find_opt t.table page with Some n -> n.dirty | None -> false
-
-let set_dirty t page d =
-  match Sim.Lazy_tbl.find_opt t.table page with
-  | Some n -> n.dirty <- d
-  | None -> ()
-
 let version t page =
   match Sim.Lazy_tbl.find_opt t.table page with
   | Some n when n.version >= 0 -> Some n.version

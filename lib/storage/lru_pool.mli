@@ -41,11 +41,6 @@ val touch : t -> int -> bool
     smaller than the working set it must pin). *)
 val insert : t -> int -> dirty:bool -> victim option
 
-(** Dirty bit of a resident page ([false] on miss). *)
-val is_dirty : t -> int -> bool
-
-val set_dirty : t -> int -> bool -> unit
-
 (** The version recorded for a resident page by [set_version]; [None] on
     a miss or before the first [set_version].  A page that leaves the
     pool takes its version with it: inserted again, it has none. *)

@@ -531,7 +531,93 @@ let test_validate_json_rejects () =
 
 let test_json_escape () =
   Alcotest.(check string) "quotes and control" {|a\"b\\c\nd|}
-    (Obs.Export.json_escape "a\"b\\c\nd")
+    (Obs.Export.json_escape "a\"b\\c\nd");
+  let clean = "lock-wait p3 (X)" in
+  Alcotest.(check bool) "nothing to escape: the argument itself" true
+    (Obs.Export.json_escape clean == clean)
+
+(* The two scanner modes, [validate_json] (no value built) and
+   [parse_json], must accept the same inputs and reject the rest with the
+   same error text.  Inputs are a small real Perfetto export, with spans
+   and flow arrows, damaged by up to three truncations, byte replacements
+   or inserted escapes (valid and invalid ones).  With QCHECK_LONG set,
+   both properties below search twenty times as many inputs. *)
+let small_export =
+  lazy
+    (let obs = Obs.Config.make ~trace:true ~spans:true ~causal:true () in
+     let r = Shard.Shard_sim.run (small_spec ~obs ()) in
+     let o = Option.get r.Core.Simulator.obs in
+     let head k a = Array.sub a 0 (min k (Array.length a)) in
+     Obs.Export.perfetto
+       ~spans:(head 24 (Obs.Run.merged_spans o))
+       ~flows:(head 24 (Obs.Run.merged_causal o))
+       (head 16 (Obs.Run.merged_trace o)))
+
+type damage = Cut of int | Set of int * char | Escape of int * string
+
+let damage s = function
+  | Cut i -> String.sub s 0 (i mod (String.length s + 1))
+  | Set (_, _) when s = "" -> s
+  | Set (i, c) ->
+      let b = Bytes.of_string s in
+      Bytes.set b (i mod String.length s) c;
+      Bytes.to_string b
+  | Escape (i, e) ->
+      let i = i mod (String.length s + 1) in
+      String.sub s 0 i ^ e ^ String.sub s i (String.length s - i)
+
+let show_damage = function
+  | Cut i -> Printf.sprintf "Cut %d" i
+  | Set (i, c) -> Printf.sprintf "Set (%d, %C)" i c
+  | Escape (i, e) -> Printf.sprintf "Escape (%d, %S)" i e
+
+(* bytes that matter to the grammar, or any byte *)
+let json_byte =
+  let special = "{}[],:\"\\ \n0-.eE+tfnu\000\001\031" in
+  QCheck.Gen.(
+    frequency
+      [
+        (3, oneofl (List.of_seq (String.to_seq special)));
+        (1, map Char.chr (int_bound 255));
+      ])
+
+let damaged_export =
+  let open QCheck.Gen in
+  let pos = int_bound 1_000_000 in
+  let one =
+    oneof
+      [
+        map (fun i -> Cut i) pos;
+        map2 (fun i c -> Set (i, c)) pos json_byte;
+        map2
+          (fun i e -> Escape (i, e))
+          pos
+          (oneofl
+             [
+               {|\n|}; {|\"|}; {|\\|}; {|\/|}; {|\b|}; {|\u00e9|}; {|\u20AC|};
+               {|\u001f|}; {|\x|}; {|\u12|}; {|\u00g0|}; "\\"; "\\\000";
+             ]);
+      ]
+  in
+  QCheck.make
+    ~print:(fun ds -> String.concat "; " (List.map show_damage ds))
+    (list_size (int_range 0 3) one)
+
+let scanner_modes_agree =
+  QCheck.Test.make ~name:"validate_json agrees with parse_json" ~count:500
+    ~long_factor:20 damaged_export (fun ds ->
+      let s = List.fold_left damage (Lazy.force small_export) ds in
+      Obs.Export.validate_json s = Result.map ignore (Obs.Export.parse_json s))
+
+(* Any byte string, escaped and quoted, parses back to itself. *)
+let escape_round_trips =
+  QCheck.Test.make ~name:"json_escape round-trips through parse_json"
+    ~count:500 ~long_factor:20
+    (QCheck.make ~print:(Printf.sprintf "%S")
+       QCheck.Gen.(string_size ~gen:json_byte (int_range 0 40)))
+    (fun s ->
+      Obs.Export.parse_json ("\"" ^ Obs.Export.json_escape s ^ "\"")
+      = Ok (Obs.Export.Str s))
 
 let suites =
   [
@@ -575,6 +661,9 @@ let suites =
         case "validator rejects malformed" test_validate_json_rejects;
         case "json escaping" test_json_escape;
       ] );
+    ( "json-props",
+      List.map QCheck_alcotest.to_alcotest
+        [ scanner_modes_agree; escape_round_trips ] );
   ]
 
 let () = Alcotest.run "obs" suites

@@ -98,15 +98,22 @@ let test_lru_dirty_eviction () =
       Alcotest.(check bool) "victim dirty" true v.Lru_pool.dirty
   | None -> Alcotest.fail "expected eviction"
 
+(* A re-insert ORs its flag into the dirty bit: the victim reports it
+   dirty whether the dirty insert came first or second. *)
 let test_lru_dirty_bit_ors () =
-  let c = Lru_pool.create ~capacity:2 in
-  ignore (Lru_pool.insert c 1 ~dirty:false);
-  ignore (Lru_pool.insert c 1 ~dirty:true);
-  Alcotest.(check bool) "dirty after re-insert" true (Lru_pool.is_dirty c 1);
-  ignore (Lru_pool.insert c 1 ~dirty:false);
-  Alcotest.(check bool) "stays dirty" true (Lru_pool.is_dirty c 1);
-  Lru_pool.set_dirty c 1 false;
-  Alcotest.(check bool) "cleaned" false (Lru_pool.is_dirty c 1)
+  let evicted_dirty first second =
+    let c = Lru_pool.create ~capacity:1 in
+    ignore (Lru_pool.insert c 1 ~dirty:first);
+    ignore (Lru_pool.insert c 1 ~dirty:second);
+    match Lru_pool.insert c 2 ~dirty:false with
+    | Some v ->
+        Alcotest.(check int) "victim page" 1 v.Lru_pool.page;
+        v.Lru_pool.dirty
+    | None -> Alcotest.fail "expected eviction"
+  in
+  Alcotest.(check bool) "dirty after re-insert" true (evicted_dirty false true);
+  Alcotest.(check bool) "stays dirty" true (evicted_dirty true false);
+  Alcotest.(check bool) "stays clean" false (evicted_dirty false false)
 
 let test_lru_pin_blocks_eviction () =
   let c = Lru_pool.create ~capacity:2 in
@@ -349,7 +356,8 @@ let prop_lru_matches_reference_model =
     ~long_factor:20
     QCheck.(
       pair (int_range 1 6)
-        (list_of_size Gen.(int_range 1 120) (pair (int_range 0 14) (int_range 0 3))))
+        (list_of_size Gen.(int_range 1 120)
+           (triple (int_range 0 14) (int_range 0 3) bool)))
     (fun (cap, ops) ->
       (* the shrinker can step below [int_range]'s lower bound *)
       let cap = max 1 cap in
@@ -387,13 +395,12 @@ let prop_lru_matches_reference_model =
       in
       let next_version = ref 0 in
       List.for_all
-        (fun (page, op) ->
+        (fun (page, op, dirty) ->
           match op with
           | 0 ->
               let expected = model_touch page in
               Lru_pool.touch pool page = expected
           | 1 ->
-              let dirty = page mod 2 = 0 in
               let expected = model_insert page dirty in
               let got = Lru_pool.insert pool page ~dirty in
               (match (expected, got) with
