@@ -93,7 +93,14 @@ let digest_cells =
   List.map (fun a -> (name a ^ "/1shard", plain a)) variants
   @ List.map
       (fun a -> (name a ^ "/4shards", plain ~n_shards:4 a))
-      Core.Proto.[ Two_phase Inter; Callback; Certification Inter ]
+      Core.Proto.
+        [
+          Two_phase Inter;
+          Callback;
+          Certification Inter;
+          No_wait { notify = Some Push };
+          No_wait { notify = Some Invalidate };
+        ]
   @ [
       ( "cert/4shards/fault-default",
         Experiments.Chaos.spec ~n_shards:4 ~measured_commits:300
