@@ -13,3 +13,18 @@ let send ?tag net ~msg_inst ~src ~dst ~bytes ~deliver =
         Sim.Facility.submit dst.Proto.cpu ~service:(cpu_seconds dst inst)
           (fun () -> deliver ctx)
       else deliver ctx)
+
+let post net (cfg : Sys_params.t) ~src ~src_ep ~dst ~dst_ep ~parent ~retry ~xid
+    ~owner ~kind ~bytes deliver =
+  let tag =
+    {
+      Obs.Causal.tg_parent = parent;
+      tg_xid = xid;
+      tg_owner = owner;
+      tg_kind = kind;
+      tg_src = src_ep;
+      tg_dst = dst_ep;
+      tg_retry = retry;
+    }
+  in
+  send ~tag net ~msg_inst:cfg.net.Net.Network.msg_inst ~src ~dst ~bytes ~deliver

@@ -28,17 +28,6 @@ type t
 exception
   Server_invariant of { protocol : string; client : int; kind : string }
 
-(** How the server reaches one client: its CPU endpoint, its inbox, and a
-    read-only view of its cache (the notification directory — see
-    DESIGN.md on why consulting it costs nothing). *)
-type client_link = {
-  port : Proto.port;
-  inbox : (int * Proto.s2c) Sim.Mailbox.t;
-      (** (causal node id, message) pairs, the node id being -1 when
-          causal tracing is off *)
-  cache_view : Storage.Lru_pool.t;
-}
-
 (** [?fault] enables the recovery paths: request idempotency (a table of
     finished commit verdicts replayed to retransmissions), commit-time
     re-validation of no-wait read sets, callback-request re-sends, and
@@ -57,35 +46,47 @@ val create :
   cfg:Sys_params.t ->
   db:Db.Database.t ->
   algo:Proto.algorithm ->
-  net:Net.Network.t ->
   rng:Sim.Rng.t ->
   metrics:Metrics.t ->
   t
 
-(** Must be called once, before any message is delivered.  [?hooks]
-    (default true) installs the cache-residency hooks on the client
-    pools; sharded assemblies pass [false] and install one dispatcher
-    hook per pool themselves, routing each page to its shard's
-    {!residency_add}/{!residency_drop}. *)
-val register_clients : ?hooks:bool -> t -> client_link array -> unit
+(** {1 Links}
 
-(** {1 Sharded topologies}
+    The server knows clients and other shards by id only: the assembly
+    that builds the topology gives it one closure per direction, the way
+    a client is given its [to_server].
 
-    A shard is an ordinary server owning one partition of the page
-    space.  [set_peers] wires it into the topology; with it set, the
-    server accepts the 2PC messages ([Proto.Prepare] / [Proto.Decision]
-    / [Proto.Outcome_query]), resolves in-doubt slices on recovery, and
-    detects deadlocks on the union waits-for graph over every peer's
-    lock table.  Unsharded servers ([peers] never set) are bit-identical
-    to the pre-sharding implementation. *)
+    [connect t ~shard_id ~peers ~to_client ~to_shard] must be called
+    once, before any message is delivered.
 
-(** [set_peers t ~shard_id peers] — [peers] lists every shard, self
-    included, indexed by shard id. *)
-val set_peers : t -> shard_id:int -> t array -> unit
+    - [to_client cid ~parent ~xid ~retry msg] puts [msg] on the wire to
+      client [cid]: [parent] is the causal node id of the message whose
+      receipt caused the send (-1 when none), [xid] the transaction the
+      message belongs to, and [retry] the retransmission index of a
+      server-side re-send (callback nags).
+    - [to_shard k ~parent ~retry msg] sends a 2PC termination message to
+      shard [k] (sharded topologies only).
+    - [peers] lists every shard, self included, indexed by shard id, or
+      is [[||]] for a server alone.  With peers the server accepts the
+      2PC messages ([Proto.Prepare] / [Proto.Decision] /
+      [Proto.Outcome_query]), resolves in-doubt slices on recovery, and
+      detects deadlocks on the union waits-for graph over every peer's
+      lock table.  Without them it never runs 2PC and is bit-identical
+      to the pre-sharding implementation. *)
+val connect :
+  t ->
+  shard_id:int ->
+  peers:t array ->
+  to_client:(int -> parent:int -> xid:int -> retry:int -> Proto.s2c -> unit) ->
+  to_shard:(int -> parent:int -> retry:int -> Proto.c2s -> unit) ->
+  unit
 
-(** Mirror one client pool's residency change into this server's
-    notification directory (sharded assemblies only; see
-    {!register_clients}). *)
+(** [residency_add t cid page] / [residency_drop t cid page] mirror one
+    client pool's residency change into this server's notification
+    directory (which client caches which page — see DESIGN.md on why
+    consulting it costs nothing).  The assembly calls them from one
+    residency hook per client pool, for the shard that owns [page],
+    whenever {!notifies}. *)
 val residency_add : t -> int -> int -> unit
 
 val residency_drop : t -> int -> int -> unit

@@ -6,35 +6,33 @@ module Sys_params = Core.Sys_params
 module Proto = Core.Proto
 module Comms = Core.Comms
 
-(* One client request on the wire to [server], tagged for causal tracing. *)
-let post_c2s net (cfg : Sys_params.t) ~client ~i ~server ~dst ~parent ~retry
-    msg =
-  let bytes =
-    Proto.c2s_bytes ~control:cfg.control_msg_bytes ~page_size:cfg.page_size msg
-  in
-  let tag =
-    {
-      Obs.Causal.tg_parent = parent;
-      tg_xid = Proto.c2s_xid msg;
-      tg_owner = Proto.c2s_client msg;
-      tg_kind = Proto.c2s_kind msg;
-      tg_src = Obs.Causal.Client i;
-      tg_dst = dst;
-      tg_retry = retry;
-    }
-  in
-  Comms.send ~tag net ~msg_inst:cfg.net.Net.Network.msg_inst
-    ~src:(Client.port client) ~dst:(Server.port server) ~bytes
-    ~deliver:(fun ctx -> Server.deliver server ~ctx msg)
+let c2s_bytes (cfg : Sys_params.t) msg =
+  Proto.c2s_bytes ~control:cfg.control_msg_bytes ~page_size:cfg.page_size msg
+
+let s2c_bytes (cfg : Sys_params.t) msg =
+  Proto.s2c_bytes ~control:cfg.control_msg_bytes ~page_size:cfg.page_size msg
+
+(* A server attributes a message to the client of its transaction. *)
+let xid_owner xid = if xid >= 0 then Proto.xid_client xid else -1
+
+(* One client request on the wire to [server]; [dst_ep] is the server's
+   shared trace endpoint. *)
+let post_c2s net cfg ~client ~i ~server ~dst_ep ~parent ~retry msg =
+  Comms.post net cfg ~src:(Client.port client) ~src_ep:(Obs.Causal.Client i)
+    ~dst:(Server.port server) ~dst_ep ~parent ~retry ~xid:(Proto.c2s_xid msg)
+    ~owner:(Proto.c2s_client msg) ~kind:(Proto.c2s_kind msg)
+    ~bytes:(c2s_bytes cfg msg) (fun ctx -> Server.deliver server ~ctx msg)
 
 (* The one topology assembly: one engine, one network, one metrics hub,
    one database — and [n_shards] servers, each owning its slice of the
    page space with its own lock table, buffer, version table, and WAL.
-   Only the client/server wiring depends on N.  At N = 1 each client
-   sends straight to the server and the server writes straight into the
-   client's inbox, so the run is the single-server simulator event for
-   event.  At N > 1 one router per client splits traffic and coordinates
-   2PC, behind per-(client, shard) relay mailboxes. *)
+   Every link is wired here: clients and servers send through closures
+   and know each other by id.  Only the client/server wiring depends on
+   N.  At N = 1 each client sends straight to the server and the server
+   writes straight into the client's inbox, so the run is the
+   single-server simulator event for event.  At N > 1 one router per
+   client splits traffic and coordinates 2PC, behind per-(client, shard)
+   relay mailboxes. *)
 let run_with_stats ?audit ?inspect (spec : Simulator.spec) =
   Sys_params.validate spec.cfg;
   Fault.Plan.validate spec.fault;
@@ -72,11 +70,10 @@ let run_with_stats ?audit ?inspect (spec : Simulator.spec) =
           else ("", "server")
         in
         Server.create ~fault:spec.fault ~label eng ~cfg ~db ~algo:spec.algo
-          ~net ~rng:(Sim.Rng.split master stream) ~metrics)
+          ~rng:(Sim.Rng.split master stream) ~metrics)
   in
-  (* peers switch a server into its sharded (2PC) mode *)
-  if sharded then
-    Array.iteri (fun k srv -> Server.set_peers srv ~shard_id:k servers) servers;
+  (* every recorded causal send keeps its endpoints: one value per shard *)
+  let shard_ep = Array.init n_shards (fun k -> Obs.Causal.Shard k) in
   let clients = Array.make n_clients None in
   (* fleet-wide crashed-client count, maintained by the clients themselves
      so the sampler never scans the population *)
@@ -123,7 +120,7 @@ let run_with_stats ?audit ?inspect (spec : Simulator.spec) =
           let c = Option.get !client in
           if Obs.Sink.metrics_on () then Obs.Sink.incr shard_msg_name.(s) 1;
           post_c2s net cfg ~client:c ~i ~server:servers.(s)
-            ~dst:(Obs.Causal.Shard s) ~parent ~retry msg
+            ~dst_ep:shard_ep.(s) ~parent ~retry msg
         in
         let amnesia =
           let p = spec.fault.Fault.Plan.coord_crash_prob in
@@ -145,7 +142,7 @@ let run_with_stats ?audit ?inspect (spec : Simulator.spec) =
              applied: the client population multiplies every word here *)
           fun ~parent ~retry msg ->
             post_c2s net cfg ~client:(Option.get !client) ~i ~server:server0
-              ~dst:(Obs.Causal.Shard 0) ~parent ~retry msg
+              ~dst_ep:shard_ep.(0) ~parent ~retry msg
     in
     let c =
       Client.create eng ?audit ~fault:spec.fault ~down_gauge ~id:i ~cfg
@@ -168,31 +165,51 @@ let run_with_stats ?audit ?inspect (spec : Simulator.spec) =
   let client_of i =
     match clients.(i) with Some c -> c | None -> assert false
   in
+  (* Each server's links.  A server reply lands in the client's inbox, or
+     at N > 1 in the relay its router reads; a shard-to-shard message
+     enters the peer's normal dispatch.  Peers switch a server into its
+     sharded (2PC) mode, so a server alone gets none. *)
+  let peers = if sharded then servers else [||] in
   Array.iteri
     (fun s srv ->
-      let links =
-        Array.init n_clients (fun i ->
-            let c = client_of i in
-            {
-              Server.port = Client.port c;
-              inbox =
-                (if sharded then Option.get relay.(i).(s) else Client.inbox c);
-              cache_view = Client.cache c;
-            })
+      let to_client cid ~parent ~xid ~retry msg =
+        let c = client_of cid in
+        let inbox =
+          if sharded then Option.get relay.(cid).(s) else Client.inbox c
+        in
+        Comms.post net cfg ~src:(Server.port srv) ~src_ep:shard_ep.(s)
+          ~dst:(Client.port c) ~dst_ep:(Obs.Causal.Client cid) ~parent ~retry
+          ~xid ~owner:(xid_owner xid) ~kind:(Proto.s2c_kind msg)
+          ~bytes:(s2c_bytes cfg msg)
+          (fun node -> Sim.Mailbox.send inbox (node, msg))
+      and to_shard k ~parent ~retry msg =
+        let peer = servers.(k) and xid = Proto.c2s_xid msg in
+        Comms.post net cfg ~src:(Server.port srv) ~src_ep:shard_ep.(s)
+          ~dst:(Server.port peer) ~dst_ep:shard_ep.(k) ~parent ~retry ~xid
+          ~owner:(xid_owner xid) ~kind:(Proto.c2s_kind msg)
+          ~bytes:(c2s_bytes cfg msg)
+          (fun node -> Server.deliver peer ~ctx:node msg)
       in
-      Server.register_clients ~hooks:(not sharded) srv links)
+      Server.connect srv ~shard_id:s ~peers ~to_client ~to_shard)
     servers;
   (* one residency-hook dispatcher per client pool (a pool has a single
-     hook slot): each cached page is indexed on the shard that owns it *)
-  if sharded && Server.notifies server0 then
+     hook slot): each cached page is indexed on the shard that owns it,
+     and a server alone is called directly *)
+  if Server.notifies server0 then
     for i = 0 to n_clients - 1 do
       let pool = Client.cache (client_of i) in
-      Storage.Lru_pool.set_residency_hook pool
-        ~on_add:(fun page ->
-          Server.residency_add servers.(Shard_map.shard_of_page map page) i page)
-        ~on_drop:(fun page ->
-          Server.residency_drop servers.(Shard_map.shard_of_page map page) i
-            page)
+      if sharded then
+        Storage.Lru_pool.set_residency_hook pool
+          ~on_add:(fun page ->
+            Server.residency_add servers.(Shard_map.shard_of_page map page) i
+              page)
+          ~on_drop:(fun page ->
+            Server.residency_drop servers.(Shard_map.shard_of_page map page) i
+              page)
+      else
+        Storage.Lru_pool.set_residency_hook pool
+          ~on_add:(fun page -> Server.residency_add server0 i page)
+          ~on_drop:(fun page -> Server.residency_drop server0 i page)
     done;
   (* shard 0's crash stream is the single-server stream *)
   Array.iteri

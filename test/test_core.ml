@@ -41,7 +41,7 @@ let mk_harness ?(algo = Core.Proto.Two_phase Core.Proto.Inter) ?cfg ?fault () =
   let metrics = Core.Metrics.create eng in
   let net = Net.Network.create eng ~rng:(Sim.Rng.split rng "net") cfg.Core.Sys_params.net in
   let server =
-    Core.Server.create ?fault eng ~cfg ~db ~algo ~net
+    Core.Server.create ?fault eng ~cfg ~db ~algo
       ~rng:(Sim.Rng.split rng "srv") ~metrics
   in
   let n = cfg.Core.Sys_params.n_clients in
@@ -49,20 +49,31 @@ let mk_harness ?(algo = Core.Proto.Two_phase Core.Proto.Inter) ?cfg ?fault () =
   let caches =
     Array.init n (fun _ -> Storage.Lru_pool.create ~capacity:cfg.Core.Sys_params.cache_size)
   in
-  let links =
+  let ports =
     Array.init n (fun i ->
         {
-          Core.Server.port =
-            {
-              Core.Proto.cpu =
-                Sim.Facility.create eng ~name:(Printf.sprintf "c%d" i) ();
-              mips = 1.0;
-            };
-          inbox = inboxes.(i);
-          cache_view = caches.(i);
+          Core.Proto.cpu = Sim.Facility.create eng ~name:(Printf.sprintf "c%d" i) ();
+          mips = 1.0;
         })
   in
-  Core.Server.register_clients server links;
+  let to_client cid ~parent ~xid ~retry msg =
+    Core.Comms.post net cfg ~src:(Core.Server.port server)
+      ~src_ep:(Obs.Causal.Shard 0) ~dst:ports.(cid) ~dst_ep:(Obs.Causal.Client cid)
+      ~parent ~retry ~xid ~owner:(-1) ~kind:(Core.Proto.s2c_kind msg)
+      ~bytes:
+        (Core.Proto.s2c_bytes ~control:cfg.Core.Sys_params.control_msg_bytes
+           ~page_size:cfg.Core.Sys_params.page_size msg)
+      (fun node -> Sim.Mailbox.send inboxes.(cid) (node, msg))
+  in
+  Core.Server.connect server ~shard_id:0 ~peers:[||] ~to_client
+    ~to_shard:(fun _ ~parent:_ ~retry:_ _ -> Alcotest.fail "no peer shards");
+  if Core.Server.notifies server then
+    Array.iteri
+      (fun cid pool ->
+        Storage.Lru_pool.set_residency_hook pool
+          ~on_add:(fun page -> Core.Server.residency_add server cid page)
+          ~on_drop:(fun page -> Core.Server.residency_drop server cid page))
+      caches;
   { eng; server; inboxes; caches }
 
 let run h = ignore (Sim.Engine.run h.eng ())
