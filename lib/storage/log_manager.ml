@@ -86,17 +86,14 @@ let append_commit t ~xid ~updates =
     updates;
   append t (Commit { xid })
 
-let force_commit ?xid ?(updates = []) t ~n_updates =
-  (match xid with
-  | Some xid -> append_commit t ~xid ~updates
-  | None -> ());
+let force_commit t ~n_updates =
   t.commits <- t.commits + 1;
   force t ~n_updates
 
-let force_abort ?xid t ~n_updates =
-  (match xid with Some xid -> append t (Abort { xid }) | None -> ());
+let force_abort t ~xid =
+  append t (Abort { xid });
   t.aborts <- t.aborts + 1;
-  force t ~n_updates
+  force t ~n_updates:0
 
 let force_prepare t ~xid ~decider ~read_pages ~updates =
   (* 2PC phase one: the yes-vote must survive a crash, so the update

@@ -67,17 +67,15 @@ val force_pending : t -> unit
     commit can never survive a crash that loses this writer. *)
 val append_commit : t -> xid:int -> updates:(int * int) list -> unit
 
-(** [force_commit ?xid ?updates t ~n_updates] appends the transaction's
-    update records and its commit record (when [xid] is given), then
-    blocks for the sequential log write that makes the commit durable.
-    Without [xid] it degrades to the bare cost model (counter + disk
-    charge), which legacy call sites and tests still use. *)
-val force_commit :
-  ?xid:int -> ?updates:(int * int) list -> t -> n_updates:int -> unit
+(** [force_commit t ~n_updates] counts one commit and blocks for the
+    sequential write of the log tail, charged as [n_updates] update
+    records, that makes it durable.  The commit's records are appended
+    beforehand with {!append_commit}. *)
+val force_commit : t -> n_updates:int -> unit
 
-(** [force_abort ?xid t ~n_updates] appends an abort record (when [xid]
-    is given) and blocks for the (smaller) abort-record write. *)
-val force_abort : ?xid:int -> t -> n_updates:int -> unit
+(** [force_abort t ~xid] appends an abort record for [xid] and blocks
+    for its one-page write. *)
+val force_abort : t -> xid:int -> unit
 
 (** [force_prepare t ~xid ~decider ~read_pages ~updates] appends the
     transaction's update records plus a prepare record and blocks for the

@@ -147,9 +147,9 @@ let test_prepare_in_doubt () =
         ~updates:[ (4, 1) ];
       Storage.Log_manager.force_prepare log ~xid:11 ~decider:1 ~read_pages:[]
         ~updates:[ (5, 1) ];
-      Storage.Log_manager.force_commit log ~xid:9 ~updates:[ (4, 1) ]
-        ~n_updates:1;
-      Storage.Log_manager.force_abort log ~xid:11 ~n_updates:1);
+      Storage.Log_manager.append_commit log ~xid:9 ~updates:[ (4, 1) ];
+      Storage.Log_manager.force_commit log ~n_updates:1;
+      Storage.Log_manager.force_abort log ~xid:11);
   ignore (Sim.Engine.run eng ());
   Storage.Log_manager.crash log;
   (match Storage.Log_manager.in_doubt log with

@@ -226,7 +226,7 @@ let test_log_abort_counted () =
   let eng = Sim.Engine.create () in
   let d = Disk.create eng ~rng:(Sim.Rng.create 1) ~name:"log" fixed_seek in
   let lm = Log_manager.create eng ~disk:d () in
-  Sim.Engine.spawn eng (fun () -> Log_manager.force_abort lm ~n_updates:0);
+  Sim.Engine.spawn eng (fun () -> Log_manager.force_abort lm ~xid:1);
   ignore (Sim.Engine.run eng ());
   Alcotest.(check int) "aborts" 1 (Log_manager.aborts_logged lm);
   Alcotest.(check int) "pages written" 1 (Log_manager.log_pages_written lm)
@@ -251,12 +251,13 @@ let test_log_replay_reconstructs () =
   let eng, lm = make_log () in
   run_log eng (fun () ->
       Log_manager.log_begin lm ~xid:1;
-      Log_manager.force_commit ~xid:1 ~updates:[ (10, 1); (11, 1) ] lm
-        ~n_updates:2;
+      Log_manager.append_commit lm ~xid:1 ~updates:[ (10, 1); (11, 1) ];
+      Log_manager.force_commit lm ~n_updates:2;
       Log_manager.log_begin lm ~xid:2;
-      Log_manager.force_abort ~xid:2 lm ~n_updates:0;
+      Log_manager.force_abort lm ~xid:2;
       Log_manager.log_begin lm ~xid:3;
-      Log_manager.force_commit ~xid:3 ~updates:[ (10, 2) ] lm ~n_updates:1;
+      Log_manager.append_commit lm ~xid:3 ~updates:[ (10, 2) ];
+      Log_manager.force_commit lm ~n_updates:1;
       (* appended but never forced: lost at the crash below *)
       Log_manager.append_commit lm ~xid:4 ~updates:[ (12, 1) ]);
   Log_manager.crash lm;
@@ -279,8 +280,9 @@ let test_log_replay_reconstructs () =
 let test_log_durable_outcomes () =
   let eng, lm = make_log () in
   run_log eng (fun () ->
-      Log_manager.force_commit ~xid:7 ~updates:[ (3, 1) ] lm ~n_updates:1;
-      Log_manager.force_abort ~xid:8 lm ~n_updates:0;
+      Log_manager.append_commit lm ~xid:7 ~updates:[ (3, 1) ];
+      Log_manager.force_commit lm ~n_updates:1;
+      Log_manager.force_abort lm ~xid:8;
       Log_manager.append_commit lm ~xid:9 ~updates:[ (4, 1) ]);
   Log_manager.crash lm;
   Alcotest.(check (list (pair int bool)))
@@ -304,7 +306,8 @@ let test_log_durable_outcomes () =
 let test_log_checkpoint_covers_buffered_tail () =
   let eng, lm = make_log () in
   run_log eng (fun () ->
-      Log_manager.force_commit ~xid:1 ~updates:[ (5, 1) ] lm ~n_updates:1;
+      Log_manager.append_commit lm ~xid:1 ~updates:[ (5, 1) ];
+      Log_manager.force_commit lm ~n_updates:1;
       Log_manager.append_commit lm ~xid:2 ~updates:[ (6, 1) ];
       ignore (Log_manager.checkpoint lm));
   Log_manager.crash lm;
@@ -316,20 +319,21 @@ let test_log_checkpoint_covers_buffered_tail () =
   Alcotest.(check (option int)) "forced commit kept" (Some 1)
     (Hashtbl.find_opt into 5)
 
-(* The typed records ride on the existing cost model: a typed force
-   charges exactly the pages the bare (legacy, xid-less) force charges,
-   and force_pending charges one page only when a tail is buffered. *)
+(* The typed records ride on the cost model: a commit force charges the
+   pages its [n_updates] says whether or not its records were appended
+   first, and force_pending charges one page only when a tail is
+   buffered. *)
 let test_log_typed_costs_match_legacy () =
   let eng1, lm1 = make_log () in
   run_log eng1 (fun () ->
-      Log_manager.force_commit ~xid:1
-        ~updates:(List.init 9 (fun i -> (i, 1)))
-        lm1 ~n_updates:9;
-      Log_manager.force_abort ~xid:2 lm1 ~n_updates:0);
+      Log_manager.append_commit lm1 ~xid:1
+        ~updates:(List.init 9 (fun i -> (i, 1)));
+      Log_manager.force_commit lm1 ~n_updates:9;
+      Log_manager.force_abort lm1 ~xid:2);
   let eng2, lm2 = make_log () in
   run_log eng2 (fun () ->
       Log_manager.force_commit lm2 ~n_updates:9;
-      Log_manager.force_abort lm2 ~n_updates:0);
+      Log_manager.force_abort lm2 ~xid:2);
   Alcotest.(check int) "typed force charges the legacy pages"
     (Log_manager.log_pages_written lm2)
     (Log_manager.log_pages_written lm1);
