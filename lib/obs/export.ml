@@ -54,8 +54,9 @@ let json_escape s =
   end
 
 (* The bytes of [string_of_int n] without its [snprintf] call and its
-   string.  The exporter's ints (pid, tid, seq, page, xid, shard) are
-   never negative; one that were would take [string_of_int]'s path. *)
+   string.  Negative ints do occur and take [string_of_int]'s path:
+   every server-track span and every [Xact] or [Restart_wait] span is
+   exported with ["xid":-1]. *)
 let rec add_digits b n =
   if n >= 10 then add_digits b (n / 10);
   Buffer.add_char b (Char.unsafe_chr (48 + (n mod 10)))
